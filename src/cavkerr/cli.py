@@ -312,10 +312,14 @@ def cmd_lineshape(cfg, out, seed) -> int:
     points = int(sec.get("points", 801))
     if points < 2:
         raise ConfigError("lineshape.points: grid is empty")
-    start = parse_frequency(sec["delta_pc_start"], "lineshape.delta_pc_start")
-    stop = parse_frequency(sec["delta_pc_stop"], "lineshape.delta_pc_stop")
+    start = parse_frequency(_require(cfg, "lineshape", "delta_pc_start"),
+                            "lineshape.delta_pc_start")
+    stop = parse_frequency(_require(cfg, "lineshape", "delta_pc_stop"),
+                           "lineshape.delta_pc_stop")
     n_max_list = [float(n) for n in sec.get("n_max", [system.drive.n_max])]
     direction = sec.get("direction", "up")
+    if direction not in ("up", "down"):
+        raise ConfigError("lineshape.direction must be 'up' or 'down'")
 
     profile = steady_state.ResponseProfile.from_cavity(system.cavity)
     dn = _delta_n(cfg, system)
@@ -343,10 +347,16 @@ def cmd_sweep(cfg, out, seed) -> int:
     sec = cfg.get("sweep")
     if not sec:
         raise ConfigError("missing section: sweep")
-    chirp = parse_chirp(sec["chirp_rate"], "sweep.chirp_rate")
-    start = parse_frequency(sec["delta_pc_start"], "sweep.delta_pc_start")
-    stop = parse_frequency(sec["delta_pc_stop"], "sweep.delta_pc_stop")
+    chirp = parse_chirp(_require(cfg, "sweep", "chirp_rate"), "sweep.chirp_rate")
+    if chirp == 0:
+        raise ConfigError("sweep.chirp_rate must be nonzero")
+    start = parse_frequency(_require(cfg, "sweep", "delta_pc_start"),
+                            "sweep.delta_pc_start")
+    stop = parse_frequency(_require(cfg, "sweep", "delta_pc_stop"),
+                           "sweep.delta_pc_stop")
     points = int(sec.get("points", 1201))
+    if points < 2:
+        raise ConfigError("sweep.points must be at least 2")
     profile = steady_state.ResponseProfile.from_cavity(system.cavity)
     dn = _delta_n(cfg, system)
     beta = system.beta(delta_n=dn)

@@ -2,30 +2,29 @@
 
 The self-consistent photon number obeys ``u = V(kappa*(delta0 + beta*u))``
 with ``u = nbar/n_max``, the reduced detuning ``delta0 = (delta_pc -
-Delta_N)/kappa`` and the response profile V (unit peak).  For a Lorentzian
-V this is the cubic
+Delta_N)/kappa`` and the response profile V (unit peak): a Lorentzian, or
+for the jitter-broadened cavity a Voigt profile (Lorentzian of half-width
+kappa convolved with a Gaussian of rms sigma).  For a Lorentzian it is the
+cubic beta^2 u^3 + 2 delta0 beta u^2 + (1 + delta0^2) u - 1 = 0, kept as an
+independent oracle.
 
-    beta^2 u^3 + 2 delta0 beta u^2 + (1 + delta0^2) u - 1 = 0,
-
-which has one or three real roots in (0, 1]; with three roots the outer two
-are stable and the middle one is unstable (slope criterion of the implicit
-response, the standard dispersive-bistability result).  Fold points are the
-parameter values where two roots merge; above the fold threshold the swept
-response is hysteretic.
-
-The technical-jitter-broadened cavity is modeled by a Voigt profile
-(Lorentzian of half-width kappa convolved with a Gaussian of rms sigma),
-normalized to unit peak so n_max keeps its meaning as the on-resonance
-photon number.
+No search in u is needed: in the shifted detuning x = delta0 + beta*u the
+curve is explicit, u = v(x) = V(kappa*x) and delta0 = F(x) = x - beta*v(x),
+and a root is stable exactly when F' = 1 - beta*v' > 0.  For beta above the
+threshold 1/max v' the two zeros of F' on x < 0 are the folds (where two
+roots merge).  They split the curve into a lower stable, a middle unstable
+and an upper stable segment, each monotone, so a root is the one zero of
+F - delta0 on its segment (natural-parameter continuation; Allgower &
+Georg, SIAM 2003).  V is even, so beta < 0 mirrors (-delta0, -beta).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import wofz
 
 
@@ -63,6 +62,23 @@ class ResponseProfile:
             return cls.voigt(cavity.kappa, cavity.sigma_jitter)
         return cls.lorentzian(cavity.kappa)
 
+    @cached_property
+    def _voigt_peak(self):
+        """Unnormalized Voigt value at zero detuning: the unit-peak scale."""
+        return _voigt_raw(0.0, self.kappa, self.sigma)
+
+    @cached_property
+    def _slope_peak(self) -> tuple[float, float]:
+        """(x, v'(x)) at the maximum of v' = d/dx V(kappa*x), on x < 0."""
+        if self.kind is ProfileKind.LORENTZIAN:
+            x = -1.0 / np.sqrt(3.0)
+        else:
+            # v'' changes sign once on x < 0, at the inflection point; the
+            # profile is convex ten (Lorentzian plus Gaussian) widths out
+            far = -10.0 * (1.0 + self.sigma / self.kappa)
+            x = _bracketed_root(lambda x: (_curve(self, x, 2)[2], None), far, 0.0)
+        return float(x), float(_curve(self, x, 1)[1])
+
 
 def _voigt_raw(delta, kappa, sigma):
     # Re w((delta + i kappa)/(sigma sqrt 2)) is the Lorentzian-Gaussian
@@ -77,24 +93,58 @@ def profile_value(profile: ResponseProfile, delta):
     if profile.kind is ProfileKind.LORENTZIAN:
         out = 1.0 / (1.0 + (delta / profile.kappa) ** 2)
     else:
-        peak = _voigt_raw(0.0, profile.kappa, profile.sigma)
-        out = _voigt_raw(delta, profile.kappa, profile.sigma) / peak
+        out = _voigt_raw(delta, profile.kappa, profile.sigma) / profile._voigt_peak
     return out if out.ndim else float(out)
 
 
-def profile_slope(profile: ResponseProfile, delta):
-    """dV/ddelta, analytic for both profile kinds."""
-    delta = np.asarray(delta, dtype=float)
+def _curve(profile: ResponseProfile, x, order: int) -> list:
+    """[v, v', ..., v^(order)] of v(x) = V(kappa*x), order <= 2.
+
+    Lorentzian: v^(n) = Re n! i^n / (1 - ix)^(n+1).  Voigt: v = Re w(z)/peak
+    at z = a(x + i), a = kappa/(sigma sqrt 2), with w' = -2zw + 2i/sqrt(pi)
+    and w'' = (4z^2 - 2)w - 4iz/sqrt(pi) (each order loses ~|z|^2 digits).
+    """
+    x = np.asarray(x, dtype=float)
     if profile.kind is ProfileKind.LORENTZIAN:
-        k2 = profile.kappa ** 2
-        out = -2.0 * delta / k2 / (1.0 + delta ** 2 / k2) ** 2
-    else:
-        s2 = profile.sigma * np.sqrt(2.0)
-        z = (delta + 1j * profile.kappa) / s2
-        # w'(z) = -2 z w(z) + 2i/sqrt(pi)
-        dw = (-2.0 * z * wofz(z) + 2j / np.sqrt(np.pi)) / s2
-        out = dw.real / _voigt_raw(0.0, profile.kappa, profile.sigma)
-    return out if out.ndim else float(out)
+        r = 1.0 / (1.0 - 1j * x)
+        return [t.real for t in (r, 1j * r * r, -2.0 * r ** 3)[:order + 1]]
+    a = profile.kappa / (profile.sigma * np.sqrt(2.0))
+    z = a * (x + 1j)
+    w = wofz(z)
+    w1 = -2.0 * z * w + 2j / np.sqrt(np.pi)
+    terms = (w, a * w1, a * a * (-2.0 * z * w1 - 2.0 * w))
+    return [t.real / profile._voigt_peak for t in terms[:order + 1]]
+
+
+def _bracketed_root(f, lo, hi):
+    """Zeros of f in [lo, hi], elementwise; f(lo), f(hi) must not share a sign.
+
+    ``f(x)`` returns (value, derivative or None).  A Newton step is taken
+    if it is below tolerance, or stays in the shrinking bracket and is under
+    half the step before; otherwise, and without a derivative, it bisects.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    x, step = 0.5 * (lo + hi), hi - lo
+    sign_lo = np.sign(f(lo)[0])
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(200):
+        fx, dfx = f(x)
+        tol = 4.0 * np.finfo(float).eps * (1.0 + np.abs(x))
+        right = np.sign(fx) == sign_lo          # the zero lies right of x
+        lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+        new = 0.5 * (lo + hi)
+        if dfx is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = x - fx / dfx
+            dx = np.abs(newton - x)
+            fast = (lo < newton) & (newton < hi) & (dx < 0.5 * np.abs(step))
+            new = np.where(fast | (dx <= tol), newton, new)
+        new = np.where(done, x, new)            # converged entries stay put
+        x, step = new, new - x
+        done |= np.abs(step) <= tol
+        if done.all():
+            break
+    return x
 
 
 @dataclass(frozen=True)
@@ -112,21 +162,6 @@ class SteadyStateSolution:
     @property
     def stable(self) -> tuple[float, ...]:
         return tuple(u for u, s in self.roots if s)
-
-    @property
-    def unstable(self) -> tuple[float, ...]:
-        return tuple(u for u, s in self.roots if not s)
-
-    def nbar(self, n_max: float) -> tuple[float, ...]:
-        return tuple(u * n_max for u, _ in self.roots)
-
-
-def _response_slope(u, delta0, beta):
-    # d/du [u (1 + (delta0 + beta u)^2)]; positive <=> stable branch
-    return 1.0 + delta0 ** 2 + 4.0 * beta * delta0 * u + 3.0 * beta ** 2 * u ** 2
-
-
-_DOUBLE_ROOT_TOL = 3e-7
 
 
 def steady_state_roots_lorentzian(delta0: float, beta: float) -> SteadyStateSolution:
@@ -200,162 +235,127 @@ def steady_state_roots_lorentzian(delta0: float, beta: float) -> SteadyStateSolu
         if not (0.0 < u <= 1.0 + 1e-12):
             continue
         u = min(u, 1.0)
-        if out and abs(u - out[-1][0]) < _DOUBLE_ROOT_TOL:
+        if out and abs(u - out[-1][0]) < 3e-7:
             continue  # double root at a fold: report once
-        stable = bool(_response_slope(u, delta0, beta) > stab_tol)
+        stable = bool(fp(u) > stab_tol)   # d/du of the cubic > 0: stable
         out.append((u, stable))
     return SteadyStateSolution(tuple(out), delta0, beta)
 
 
+def _folds(profile: ResponseProfile, beta: float) -> list[tuple[float, float]]:
+    """(x, F(x)) at the folds x_a < x_b < 0 for beta > 0; none below threshold."""
+    x_pk, slope = profile._slope_peak
+    if beta * slope <= 1.0:
+        return []
+
+    def dF(x):
+        _, v1, v2 = _curve(profile, x, 2)
+        return 1.0 - beta * v1, -beta * v2
+
+    # v' rises on x < x_pk and integrates there to v(x_pk) <= 1, so
+    # beta*v'(x_pk - beta) < 1: F' > 0 at both outer bracket ends
+    x = _bracketed_root(dF, [x_pk - beta, x_pk], [x_pk, 0.0])
+    return list(zip(x.tolist(), (x - beta * _curve(profile, x, 0)[0]).tolist()))
+
+
+def _segments(profile: ResponseProfile, beta: float) -> list:
+    """Monotone pieces of the curve as pairs of (x, F(x)) ends, ascending in
+    x; F rises on the even (stable) ones."""
+    ends = [(-np.inf, -np.inf), *_folds(profile, beta), (np.inf, np.inf)]
+    return list(zip(ends[:-1], ends[1:]))
+
+
+def _segment_roots(profile: ResponseProfile, beta: float, delta0: np.ndarray,
+                   segment) -> np.ndarray:
+    """u of the root on one segment at each delta0; inf where there is none.
+
+    A rising segment is open at its fold ends, where F' = 0 is not stable.
+    Every root has u in (0, 1], so x in (delta0, delta0 + beta] brackets it.
+    """
+    (x_lo, f_lo), (x_hi, f_hi) = segment
+    has = (((f_lo < delta0) & (delta0 < f_hi)) if f_lo < f_hi
+           else ((f_hi <= delta0) & (delta0 <= f_lo)))
+    d = delta0[has]
+
+    def g(x):
+        v, v1 = _curve(profile, x, 1)
+        return x - beta * v - d, 1.0 - beta * v1
+
+    x = _bracketed_root(g, np.maximum(x_lo, d), np.minimum(x_hi, d + beta))
+    out = np.full(delta0.shape, np.inf)
+    out[has] = _curve(profile, x, 0)[0]
+    return out
+
+
 def steady_state_roots_profile(profile: ResponseProfile, delta0: float,
-                               beta: float, n_grid: int = 2001) -> SteadyStateSolution:
+                               beta: float) -> SteadyStateSolution:
     """Roots of u = V(kappa*(delta0 + beta*u)) for a general profile.
 
-    Sign-change scan over a dense u grid followed by bracketed root finding;
-    every returned root has |u - V| <= 1e-10.
+    One bracketed solve of F(x) = delta0 on each monotone segment of the
+    curve; every returned root has |u - V| <= 1e-10.
     """
-    kappa = profile.kappa
-
-    def g(u):
-        return u - profile_value(profile, kappa * (delta0 + beta * u))
-
     if beta == 0.0:
-        u = float(profile_value(profile, kappa * delta0))
+        u = float(profile_value(profile, profile.kappa * delta0))
         return SteadyStateSolution(((u, True),), delta0, beta)
-
-    grid = np.linspace(0.0, 1.0, n_grid)
-    vals = grid - profile_value(profile, kappa * (delta0 + beta * grid))
-
-    roots = []
-    for i in range(n_grid - 1):
-        v0, v1 = vals[i], vals[i + 1]
-        if v0 == 0.0:
-            roots.append(grid[i])
-        elif v0 * v1 < 0.0:
-            roots.append(brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-
-    out = []
-    for u in sorted(roots):
-        if not (0.0 < u <= 1.0):
-            continue
-        if out and abs(u - out[-1][0]) < _DOUBLE_ROOT_TOL:
-            continue
-        slope = 1.0 - kappa * beta * profile_slope(
-            profile, kappa * (delta0 + beta * u))
-        out.append((float(u), bool(slope > _DOUBLE_ROOT_TOL)))
-    return SteadyStateSolution(tuple(out), delta0, beta)
-
-
-def _slope_peak(profile: ResponseProfile):
-    """Location and value of max |dV/ddelta| on delta > 0."""
-    if profile.kind is ProfileKind.LORENTZIAN:
-        dpk = profile.kappa / np.sqrt(3.0)
-        return dpk, abs(profile_slope(profile, dpk))
-    hi = 10.0 * (profile.kappa + profile.sigma)
-    res = minimize_scalar(lambda d: -abs(profile_slope(profile, d)),
-                          bounds=(1e-9 * profile.kappa, hi), method="bounded",
-                          options={"xatol": 1e-9 * profile.kappa})
-    return float(res.x), float(-res.fun)
+    if beta < 0.0:
+        mirror = steady_state_roots_profile(profile, -delta0, -beta)
+        return SteadyStateSolution(mirror.roots, delta0, beta)
+    roots = [(float(u), k % 2 == 0)
+             for k, segment in enumerate(_segments(profile, beta))
+             for u in _segment_roots(profile, beta, np.array([delta0]), segment)
+             if np.isfinite(u)]
+    return SteadyStateSolution(tuple(sorted(roots)), delta0, beta)
 
 
 def fold_points(profile: ResponseProfile, beta: float) -> list[tuple[float, float]]:
     """Fold (root-merging) points [(delta0, u), ...] for given beta.
 
-    A fold is where the implicit response has d(delta0)/du = 0, i.e. where
-    beta * kappa * |V'(delta)| = 1 on the far side of the shifted resonance.
-    Solving that condition directly (instead of scanning delta0 for
-    root-count changes) resolves folds arbitrarily close to threshold.
-    Empty when the response is monostable everywhere.
+    A fold is a zero of F'(x) = 1 - beta*v'(x), solved directly, so folds
+    resolve arbitrarily close to threshold.  Empty below threshold.
     """
     if beta <= 0:
         raise ValueError("fold_points requires beta > 0")
-    kappa = profile.kappa
-    dpk, m = _slope_peak(profile)
-    if beta * kappa * m <= 1.0:
-        return []
-
-    def h(d):
-        return beta * kappa * abs(profile_slope(profile, d)) - 1.0
-
-    lo = 1e-12 * kappa
-    hi = dpk
-    while h(hi) > 0:          # expand outward until |V'| drops below 1/(beta kappa)
-        hi *= 2.0
-        if hi > 1e6 * kappa:
-            break
-    d_inner = brentq(h, lo, dpk, xtol=1e-12 * kappa)
-    d_outer = brentq(h, dpk, hi, xtol=1e-12 * kappa)
-
-    folds = []
-    for d in (d_inner, d_outer):
-        u = float(profile_value(profile, d))
-        delta0 = -beta * u - d / kappa
-        # physically relevant window for u in (0, 1]
-        if abs(delta0) <= beta + 10.0:
-            folds.append((float(delta0), u))
-    return sorted(folds)
+    return sorted((f, float(_curve(profile, x, 0)[0]))
+                  for x, f in _folds(profile, beta))
 
 
-def bistability_threshold(profile: ResponseProfile,
-                          tol: float | None = None) -> float:
-    """Smallest beta with a nonempty fold set, by bisection on beta.
+def bistability_threshold(profile: ResponseProfile) -> float:
+    """Smallest beta with folds, in closed form: 1/(kappa*max|V'|).
 
-    Lorentzian profiles converge to 8*sqrt(3)/9; broadening raises the
-    threshold (the Voigt profile of the reference cavity gives ~3.7).
+    8*sqrt(3)/9 for a Lorentzian; broadening raises it (the reference
+    cavity's Voigt profile gives ~3.69).
     """
-    if tol is None:
-        tol = 5e-8 if profile.kind is ProfileKind.LORENTZIAN else 1e-4
-
-    def bistable(b):
-        return len(fold_points(profile, b)) > 0
-
-    lo, hi = 0.5, 8.0
-    while not bistable(hi):
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("no bistability found up to beta = 1e6")
-    while bistable(lo):
-        lo /= 2.0
-    while hi - lo > tol * hi:
-        mid = 0.5 * (lo + hi)
-        if bistable(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return 1.0 / profile._slope_peak[1]
 
 
 def lineshape_scan(profile: ResponseProfile, beta: float, delta0_grid,
                    direction: str = "up") -> list[tuple[float, float]]:
     """Quasi-static branch-following scan over a detuning grid.
 
-    At each grid point the stable root nearest the previously selected one
-    is kept; when the tracked branch terminates at a fold the selection
-    jumps to the remaining stable root, which is the hysteretic jump.  The
-    returned list is in traversal order (ascending delta0 for "up",
-    descending for "down").
+    At each grid point the stable root nearest the previous pick is kept (at
+    the first point, the one nearest the linear response); where the tracked
+    branch ends at a fold the pick jumps to the other stable root, the
+    hysteretic jump.  Returns (delta0, u) in traversal order.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     grid = np.sort(np.asarray(delta0_grid, dtype=float))
+    if grid.size == 0:
+        return []
+    if beta < 0.0:
+        flipped = "down" if direction == "up" else "up"
+        return [(-d, u) for d, u in lineshape_scan(profile, -beta, -grid, flipped)]
     if direction == "down":
         grid = grid[::-1]
 
-    out = []
-    u_prev = None
-    for d0 in grid:
-        sol = steady_state_roots_profile(profile, d0, beta)
-        stable = sol.stable
-        if not stable:           # fold boundary: fall back to any root
-            stable = tuple(u for u, _ in sol.roots)
-        if u_prev is None:
-            # history-free start: branch continuous with the linear response
-            u_lin = profile_value(profile, profile.kappa * d0)
-            u_sel = min(stable, key=lambda u: abs(u - u_lin))
-        else:
-            u_sel = min(stable, key=lambda u: abs(u - u_prev))
-        out.append((float(d0), float(u_sel)))
-        u_prev = u_sel
+    # stable branches over the whole grid; a missing root (inf) is never nearest
+    branches = [_segment_roots(profile, beta, grid, seg).tolist()
+                for seg in _segments(profile, beta)[::2]]
+    start = steady_state_roots_profile(profile, grid[0], beta)
+    u_lin = profile_value(profile, profile.kappa * grid[0])
+    u_prev = min(start.stable, key=lambda u: abs(u - u_lin))
+    out = [(float(grid[0]), float(u_prev))]
+    for d0, *us in zip(grid[1:].tolist(), *(b[1:] for b in branches)):
+        u_prev = min(us, key=lambda u: abs(u - u_prev))
+        out.append((d0, u_prev))
     return out

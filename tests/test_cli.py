@@ -82,6 +82,33 @@ class TestConfigErrors:
         path.write_text(yaml.safe_dump(cfg))
         assert run_cli("--config", path) == 2
 
+    @pytest.mark.parametrize("config, section, key, value", [
+        ("fig_lineshapes.yaml", "lineshape", "delta_pc_start", None),
+        ("fig_lineshapes.yaml", "lineshape", "delta_pc_stop", None),
+        ("fig_lineshapes.yaml", "lineshape", "direction", "sideways"),
+        ("fig_hysteresis.yaml", "sweep", "delta_pc_start", None),
+        ("fig_hysteresis.yaml", "sweep", "delta_pc_stop", None),
+        ("fig_hysteresis.yaml", "sweep", "chirp_rate", None),
+        ("fig_hysteresis.yaml", "sweep", "chirp_rate", "0 MHz/ms"),
+        ("fig_hysteresis.yaml", "sweep", "points", 0),
+        ("fig_hysteresis.yaml", "sweep", "points", 1),
+    ])
+    def test_bad_steady_state_key_named_and_exit_2(self, tmp_path, capsys,
+                                                   config, section, key,
+                                                   value):
+        # None deletes the key
+        cfg = yaml.safe_load((CONFIGS / config).read_text())
+        if value is None:
+            del cfg[section][key]
+        else:
+            cfg[section][key] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out.csv"
+        assert run_cli("--config", path, "--out", out) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numeric_failure_exit_3(self, tmp_path):
         cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
         cfg["ringdown"]["dt_per_period"] = 5   # violates the stability guard

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import cavkerr
 from cavkerr import (
     ProfileKind,
     ResponseProfile,
@@ -301,3 +307,97 @@ class TestLineshapeScan:
         toward = lineshape_scan(p, 9.5, grid, "down")
         away = lineshape_scan(p, 9.5, grid, "up")
         assert max(u for _, u in toward) > max(u for _, u in away) + 0.1
+
+
+def cubic_oracle_scan(beta, grid):
+    """Branch following driven by the closed-form cubic: the stable root
+    nearest the previous pick, starting from the one nearest the linear
+    response."""
+    out, u_prev = [], None
+    for d0 in grid:
+        sol = steady_state_roots_lorentzian(float(d0), beta)
+        stable = sol.stable or tuple(u for u, _ in sol.roots)
+        ref = 1.0 / (1.0 + d0 ** 2) if u_prev is None else u_prev
+        u_prev = min(stable, key=lambda u: abs(u - ref))
+        out.append(u_prev)
+    return np.array(out)
+
+
+def jump_indices(us):
+    return np.nonzero(np.abs(np.diff(us)) > 0.05)[0].tolist()
+
+
+class TestParametricCore:
+    @pytest.mark.parametrize("beta, grid", [
+        (2.0, np.linspace(-4.0, 0.0, 801)),
+        (9.5, np.linspace(-14.0, 2.0, 1601)),
+    ])
+    @pytest.mark.parametrize("direction", ["up", "down"])
+    def test_lorentzian_scan_matches_cubic_branch_following(self, beta, grid,
+                                                            direction):
+        p = ResponseProfile.lorentzian(KAPPA)
+        scan = lineshape_scan(p, beta, grid, direction)
+        traversal = grid if direction == "up" else grid[::-1]
+        assert [d for d, _ in scan] == traversal.tolist()
+        us = np.array([u for _, u in scan])
+        expected = cubic_oracle_scan(beta, traversal)
+        assert np.max(np.abs(us - expected)) <= 1e-12
+        assert jump_indices(us) == jump_indices(expected)
+        assert len(jump_indices(us)) == 1
+
+    @pytest.mark.parametrize("profile", [ResponseProfile.lorentzian(KAPPA),
+                                         ResponseProfile.voigt(KAPPA, SIGMA)])
+    def test_closed_form_threshold_brackets_the_folds(self, profile):
+        thr = bistability_threshold(profile)
+        assert fold_points(profile, thr * (1 - 1e-9)) == []
+        assert len(fold_points(profile, thr * (1 + 1e-9))) == 2
+
+    def test_lorentzian_threshold_to_round_off(self):
+        thr = bistability_threshold(ResponseProfile.lorentzian(KAPPA))
+        assert thr == pytest.approx(8 * np.sqrt(3) / 9, rel=1e-14)
+
+    def test_voigt_scan_residuals(self):
+        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        grid = np.linspace(-16.0, 4.0, 1500)
+        for direction in ("up", "down"):
+            scan = np.array(lineshape_scan(p, 9.5, grid, direction))
+            d0, u = scan[:, 0], scan[:, 1]
+            res = np.abs(u - profile_value(p, KAPPA * (d0 + 9.5 * u)))
+            assert np.max(res) <= 1e-10
+
+    @pytest.mark.parametrize("profile", [ResponseProfile.lorentzian(KAPPA),
+                                         ResponseProfile.voigt(KAPPA, SIGMA)])
+    def test_negative_beta_mirrors_positive(self, profile):
+        grid = np.linspace(-3.0, 15.0, 600)
+        for direction, flipped in (("up", "down"), ("down", "up")):
+            neg = lineshape_scan(profile, -9.5, grid, direction)
+            pos = lineshape_scan(profile, 9.5, -grid, flipped)
+            assert neg == [(-d, u) for d, u in pos]
+        for d0 in (-2.0, 6.0, 7.5, 9.0, 12.0):
+            assert (steady_state_roots_profile(profile, d0, -9.5).roots
+                    == steady_state_roots_profile(profile, -d0, 9.5).roots)
+
+    def test_negative_beta_matches_cubic(self):
+        p = ResponseProfile.lorentzian(KAPPA)
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            beta = -rng.uniform(0.0, 12.0)
+            delta0 = rng.uniform(-5.0, 15.0)
+            a = steady_state_roots_lorentzian(delta0, beta)
+            b = steady_state_roots_profile(p, delta0, beta)
+            assert len(a.roots) == len(b.roots)
+            for (ua, sa), (ub, sb) in zip(a.roots, b.roots):
+                assert ub == pytest.approx(ua, abs=1e-8)
+                assert sa == sb
+
+
+def test_import_leaves_out_scipy_optimize():
+    # importing scipy.optimize adds about 0.35 s to every `import cavkerr`
+    # (2 vCPU Xeon, SciPy 1.17), and the solver has no use for it
+    src = Path(cavkerr.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, cavkerr; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
