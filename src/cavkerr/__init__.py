@@ -35,7 +35,6 @@ from .steady_state import (
 )
 from .lattice import (
     LatticeEnsemble,
-    LatticeSite,
     build_lattice,
     collective_shift_from_displacements,
     effective_kerr_numeric,
@@ -46,10 +45,8 @@ from .lattice import (
 )
 from .dynamics import (
     CavityFieldMode,
-    CavityFieldModel,
     SweepConfig,
     TransientTrace,
-    atom_loss_drift,
     impulse_boundary_detuning,
     impulse_modulation_estimate,
     n_max_for_switch_on,

@@ -1,23 +1,24 @@
 """Command-line front end: config-driven scenarios with CSV/JSON output.
 
-Configs are YAML with strict schemas (unknown keys are rejected).  All
-frequency-like fields accept a plain number (ordinary Hz) or a string with
-a unit suffix ("0.66 MHz", "-101 GHz", "49 kHz"); they are converted to
-angular rad/s internally, following the lab convention of quoting angular
-frequencies as 2*pi x ordinary frequency.  Times, lengths and temperatures
-take s/ms/us/ns, m/mm/um/nm and K/mK/uK/nK suffixes.
+FIELDS is the one config table: each key's parser (unit and range check)
+and its default, or the mark that it is required.  Unknown keys are
+rejected, and a scenario parses every section it reads before it computes.
+Frequencies are ordinary Hz, bare or suffixed ("0.66 MHz"), held as angular
+rad/s; docs/formats.md lists the keys and units.
 
-Every output file starts with comment lines embedding the resolved config
-and the seed, so a run is reproducible from its own output.  Exit codes:
-0 success, 2 config error, 3 numeric failure.
+Every output file starts with comment lines embedding the config and the
+seed, so a run is reproducible from its own output.  Exit codes: 0 success,
+2 config error (naming the key), 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -32,7 +33,7 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# unit parsing
+# value parsing: each takes the raw YAML value and the dotted key it came from
 
 _NUM_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([^\s]*)\s*$")
 
@@ -40,108 +41,177 @@ _FREQ = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _TIME = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9}
 _LEN = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "nm": 1e-9}
 _TEMP = {"k": 1.0, "mk": 1e-3, "uk": 1e-6, "nk": 1e-9}
+_CHIRP = {f"{f}/{t}": _FREQ[f] / _TIME[t] for f in _FREQ for t in _TIME}
 
 
-def _split(value, key):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value), ""
-    if isinstance(value, str):
-        m = _NUM_RE.match(value)
-        if m:
-            return float(m.group(1)), m.group(2).lower()
-    raise ConfigError(f"{key}: cannot parse value {value!r}")
+def _parse_unit(value, key, units, scale=1.0) -> float:
+    """A number, or a string with a suffix from ``units``, times ``scale``.
+
+    The result must be finite; a bare number takes the unit factor 1.
+    """
+    match = _NUM_RE.match(value) if isinstance(value, str) else None
+    if match:
+        num, unit = float(match.group(1)), match.group(2).lower()
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        num, unit = float(value), ""
+    else:
+        raise ConfigError(f"{key}: cannot parse value {value!r}")
+    if unit and unit not in units:
+        raise ConfigError(f"{key}: unknown unit {unit!r}")
+    out = scale * num * units.get(unit, 1.0)
+    if not math.isfinite(out):
+        raise ConfigError(f"{key}: value {value!r} is not finite")
+    return out
 
 
 def parse_frequency(value, key="frequency") -> float:
     """Ordinary frequency (Hz or suffixed) -> angular rad/s."""
-    num, unit = _split(value, key)
-    if unit and unit not in _FREQ:
-        raise ConfigError(f"{key}: unknown frequency unit {unit!r}")
-    return TWO_PI * num * _FREQ.get(unit, 1.0)
+    return _parse_unit(value, key, _FREQ, TWO_PI)
 
 
 def parse_chirp(value, key="chirp") -> float:
-    """Chirp rate like '6 MHz/ms' -> ordinary Hz/s."""
-    num, unit = _split(value, key)
-    if not unit:
-        return num
-    if "/" not in unit:
-        raise ConfigError(f"{key}: chirp unit must look like 'MHz/ms'")
-    fu, tu = unit.split("/", 1)
-    if fu not in _FREQ or tu not in _TIME:
-        raise ConfigError(f"{key}: unknown chirp unit {unit!r}")
-    return num * _FREQ[fu] / _TIME[tu]
+    """Chirp rate like '6 MHz/ms' (a bare number is Hz/s) -> ordinary Hz/s."""
+    return _parse_unit(value, key, _CHIRP)
 
 
 def parse_time(value, key="time") -> float:
-    num, unit = _split(value, key)
-    if unit and unit not in _TIME:
-        raise ConfigError(f"{key}: unknown time unit {unit!r}")
-    return num * _TIME.get(unit, 1.0)
+    return _parse_unit(value, key, _TIME)
 
 
 def parse_length(value, key="length") -> float:
-    num, unit = _split(value, key)
-    if unit and unit not in _LEN:
-        raise ConfigError(f"{key}: unknown length unit {unit!r}")
-    return num * _LEN.get(unit, 1.0)
+    return _parse_unit(value, key, _LEN)
 
 
 def parse_temperature(value, key="temperature") -> float:
-    num, unit = _split(value, key)
-    if unit and unit not in _TEMP:
-        raise ConfigError(f"{key}: unknown temperature unit {unit!r}")
-    return num * _TEMP.get(unit, 1.0)
+    return _parse_unit(value, key, _TEMP)
+
+
+def _number(value, key) -> float:
+    return _parse_unit(value, key, {})
+
+
+def _numbers(value, key) -> list[float]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list of numbers")
+    return [_number(v, f"{key}[{i}]") for i, v in enumerate(value)]
+
+
+def _check(ok, what, parse=None):
+    """A parser that applies ``parse`` (when given), then demands ``ok``."""
+    def parse_checked(value, key):
+        x = value if parse is None else parse(value, key)
+        if not ok(x):
+            raise ConfigError(f"{key} must be {what}, not {value!r}")
+        return x
+    return parse_checked
+
+
+def _one_of(*choices):
+    return _check(lambda v: v in choices, "one of " + ", ".join(choices))
+
+
+def _at_least(lo):
+    return _check(lambda n: n >= lo, f"at least {lo}", _integer)
+
+
+_integer = _check(lambda v: isinstance(v, int) and not isinstance(v, bool),
+                  "an integer")
+_flag = _check(lambda v: isinstance(v, bool), "true or false")
+_text = _check(lambda v: isinstance(v, str), "a string")
+_fraction = _check(lambda x: 0.0 <= x <= 1.0, "in [0, 1]", _number)
+_nonzero_chirp = _check(lambda x: x != 0, "nonzero", parse_chirp)
 
 
 # ---------------------------------------------------------------------------
-# schema
+# the config table: dotted key -> (parser, default).  A default is parsed
+# like a config value; ... marks a required key, and None means "unset" (the
+# comment says what unset stands for).
 
-_SCHEMA = {
-    "scenario": None,
-    "seed": None,
-    "out": None,
-    "params": {
-        "cavity": {"kappa", "g0", "gamma_atom", "delta_ca", "probe_wavelength",
-                   "trap_wavelength", "sigma_jitter", "waist", "finesse"},
-        "trap": {"omega_z", "omega_radial", "trap_depth", "temperature",
-                 "num_sites"},
-        "drive": {"n_max", "delta_pc", "atom_number", "delta_n"},
-    },
-    "lineshape": {"delta_pc_start", "delta_pc_stop", "points", "n_max",
-                  "direction"},
-    "sweep": {"chirp_rate", "delta_pc_start", "delta_pc_stop", "points"},
-    "threshold": {"beta"},
-    "ringdown": {"duration", "level", "level_mode", "omega_z_spread",
-                 "subensembles", "tracer_theta", "efficiency", "bin_width",
-                 "window_length", "n_average", "damping_rate", "backaction",
-                 "linearized", "dt_per_period", "record_every", "fit_model",
-                 "field_model", "ramp_time", "use_trigger"},
-    "trigger": {"n0", "loss_rate", "threshold_rate", "delay",
-                "detection_level", "bin_width", "horizon", "smoothing_time",
-                "efficiency"},
-}
+class Field(NamedTuple):
+    parse: Callable
+    default: object = ...
+
 
 SCENARIOS = ("derived", "lineshape", "bistability-threshold", "sweep",
              "ringdown", "trigger")
 
+FIELDS = {
+    "scenario": Field(_one_of(*SCENARIOS), None),
+    "seed": Field(_integer, 0),
+    "out": Field(_text, None),
+    "params.cavity.kappa": Field(parse_frequency),
+    "params.cavity.g0": Field(parse_frequency),
+    "params.cavity.gamma_atom": Field(parse_frequency),
+    "params.cavity.delta_ca": Field(parse_frequency),
+    "params.cavity.probe_wavelength": Field(parse_length),
+    "params.cavity.trap_wavelength": Field(parse_length),
+    "params.cavity.sigma_jitter": Field(parse_frequency, 0.0),
+    "params.cavity.waist": Field(parse_length, 0.0),
+    "params.cavity.finesse": Field(_number, 0.0),
+    "params.trap.omega_z": Field(parse_frequency),
+    "params.trap.omega_radial": Field(parse_frequency, 0.0),
+    "params.trap.trap_depth": Field(parse_temperature, 0.0),
+    "params.trap.temperature": Field(parse_temperature, 0.0),
+    "params.trap.num_sites": Field(_integer, 1),
+    "params.drive.n_max": Field(_number),
+    "params.drive.delta_pc": Field(parse_frequency),
+    "params.drive.atom_number": Field(_number, 0.0),
+    "params.drive.delta_n": Field(parse_frequency, None),  # N g0^2/(2 delta_ca)
+    "lineshape.delta_pc_start": Field(parse_frequency),
+    "lineshape.delta_pc_stop": Field(parse_frequency),
+    "lineshape.points": Field(_at_least(2), 801),
+    "lineshape.n_max": Field(_numbers, None),      # [params.drive.n_max]
+    "lineshape.direction": Field(_one_of("up", "down"), "up"),
+    "sweep.chirp_rate": Field(_nonzero_chirp),
+    "sweep.delta_pc_start": Field(parse_frequency),
+    "sweep.delta_pc_stop": Field(parse_frequency),
+    "sweep.points": Field(_at_least(2), 1201),
+    "threshold.beta": Field(_number, None),        # the drive's beta
+    "ringdown.duration": Field(parse_time, "1 ms"),
+    "ringdown.level": Field(_number, None),        # params.drive.n_max
+    "ringdown.level_mode": Field(_one_of("instantaneous", "nmax"),
+                                 "instantaneous"),
+    "ringdown.omega_z_spread": Field(parse_frequency, 0.0),
+    "ringdown.subensembles": Field(_integer, 1),
+    "ringdown.tracer_theta": Field(_number, None),  # no tracer site
+    "ringdown.efficiency": Field(_fraction, 0.05),
+    "ringdown.bin_width": Field(parse_time, "2 us"),
+    "ringdown.window_length": Field(parse_time, "500 us"),
+    "ringdown.n_average": Field(_at_least(1), 1),
+    "ringdown.damping_rate": Field(_number, 0.0),
+    "ringdown.backaction": Field(_flag, True),
+    "ringdown.linearized": Field(_flag, False),
+    "ringdown.dt_per_period": Field(_number, 200),
+    "ringdown.record_every": Field(_at_least(1), 1),
+    "ringdown.fit_model": Field(_one_of("gaussian", "exponential"), "gaussian"),
+    "ringdown.field_model": Field(
+        _one_of(*(m.value for m in dynamics.CavityFieldMode)), "adiabatic"),
+    "ringdown.ramp_time": Field(parse_time, 0.0),
+    "ringdown.use_trigger": Field(_flag, False),
+    "trigger.n0": Field(_number),
+    "trigger.loss_rate": Field(_number),
+    "trigger.threshold_rate": Field(_number),
+    "trigger.delay": Field(parse_time, "10 ms"),
+    "trigger.detection_level": Field(_number, None),  # params.drive.n_max
+    "trigger.bin_width": Field(parse_time, "10 us"),
+    "trigger.horizon": Field(parse_time, "1 s"),
+    "trigger.smoothing_time": Field(parse_time, "100 us"),
+    "trigger.efficiency": Field(_fraction, 0.05),
+}
 
-def _check_keys(cfg: dict, schema: dict, path="") -> None:
-    for key, val in cfg.items():
-        here = f"{path}{key}"
-        if key not in schema:
-            raise ConfigError(f"unknown key: {here}")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"{here}: expected a mapping")
-            _check_keys(val, sub, here + ".")
-        elif isinstance(sub, set):
-            if not isinstance(val, dict):
-                raise ConfigError(f"{here}: expected a mapping")
-            for k in val:
-                if k not in sub:
-                    raise ConfigError(f"unknown key: {here}.{k}")
+# the sections: "params", "params.cavity", ..., "lineshape", ...
+_MAPPINGS = {k.rsplit(".", n)[0] for k in FIELDS for n in (1, 2) if "." in k}
+
+
+def _reject_unknown(raw: dict, path="") -> None:
+    for key, value in raw.items():
+        name = f"{path}{key}"
+        if name in _MAPPINGS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{name}: expected a mapping")
+            _reject_unknown(value, name + ".")
+        elif name not in FIELDS:
+            raise ConfigError(f"unknown key: {name}")
 
 
 def load_config(path) -> dict:
@@ -154,71 +224,54 @@ def load_config(path) -> dict:
         raise ConfigError(f"invalid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a mapping")
-    _check_keys(cfg, _SCHEMA)
+    _reject_unknown(cfg)
     return cfg
 
 
-def _require(cfg, section, key):
-    try:
-        return cfg[section][key]
-    except (KeyError, TypeError):
-        raise ConfigError(f"missing key: {section}.{key}") from None
+def _resolve(cfg: dict, section: str, keys=None) -> dict:
+    """Parse one section of the raw config through FIELDS; absent or null
+    keys take their default.  ``keys`` limits the parsing to those keys."""
+    raw = cfg
+    for part in filter(None, section.split(".")):
+        raw = raw.get(part, {})
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{section}: expected a mapping")
+    out = {}
+    for name, field in FIELDS.items():
+        parent, _, key = name.rpartition(".")
+        if parent != section or (keys is not None and key not in keys):
+            continue
+        value = field.default if raw.get(key) is None else raw[key]
+        if value is ...:
+            raise ConfigError(f"missing key: {name}")
+        out[key] = None if value is None else field.parse(value, name)
+    return out
 
 
 def build_system(cfg: dict) -> params.SystemParams:
-    p = cfg.get("params")
-    if not isinstance(p, dict):
-        raise ConfigError("missing section: params")
-    cav = p.get("cavity", {})
-    trap = p.get("trap", {})
-    drive = p.get("drive", {})
+    cav = _resolve(cfg, "params.cavity")
+    trap = _resolve(cfg, "params.trap")
+    drive = _resolve(cfg, "params.drive")
+    del drive["delta_n"]                                # read by _system
+    trap["trap_depth"] *= params.CONSTANTS.kB          # K -> J
     try:
-        cavity = params.CavityParams(
-            kappa=parse_frequency(_require(p, "cavity", "kappa"), "params.cavity.kappa"),
-            g0=parse_frequency(_require(p, "cavity", "g0"), "params.cavity.g0"),
-            gamma_atom=parse_frequency(_require(p, "cavity", "gamma_atom"),
-                                       "params.cavity.gamma_atom"),
-            delta_ca=parse_frequency(_require(p, "cavity", "delta_ca"),
-                                     "params.cavity.delta_ca"),
-            k_probe=TWO_PI / parse_length(_require(p, "cavity", "probe_wavelength"),
-                                          "params.cavity.probe_wavelength"),
-            k_trap=TWO_PI / parse_length(_require(p, "cavity", "trap_wavelength"),
-                                         "params.cavity.trap_wavelength"),
-            sigma_jitter=parse_frequency(cav.get("sigma_jitter", 0.0),
-                                         "params.cavity.sigma_jitter"),
-            waist=parse_length(cav.get("waist", 0.0), "params.cavity.waist"),
-            finesse=float(cav.get("finesse", 0.0)),
-        )
-        trap_p = params.TrapParams(
-            omega_z=parse_frequency(_require(p, "trap", "omega_z"),
-                                    "params.trap.omega_z"),
-            omega_radial=parse_frequency(trap.get("omega_radial", 0.0),
-                                         "params.trap.omega_radial"),
-            trap_depth=(params.CONSTANTS.kB
-                        * parse_temperature(trap.get("trap_depth", 0.0),
-                                            "params.trap.trap_depth")),
-            temperature=parse_temperature(trap.get("temperature", 0.0),
-                                          "params.trap.temperature"),
-            num_sites=int(trap.get("num_sites", 1)),
-        )
-        drive_p = params.DriveParams(
-            n_max=float(_require(p, "drive", "n_max")),
-            delta_pc=parse_frequency(_require(p, "drive", "delta_pc"),
-                                     "params.drive.delta_pc"),
-            atom_number=float(drive.get("atom_number", 0.0)),
-        )
+        return params.SystemParams(
+            params.CavityParams(k_probe=TWO_PI / cav.pop("probe_wavelength"),
+                                k_trap=TWO_PI / cav.pop("trap_wavelength"),
+                                **cav),
+            params.TrapParams(**trap), params.DriveParams(**drive))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return params.SystemParams(cavity, trap_p, drive_p)
 
 
-def _delta_n(cfg, system) -> float:
-    override = cfg.get("params", {}).get("drive", {}).get("delta_n")
-    if override is not None:
-        return parse_frequency(override, "params.drive.delta_n")
-    if system.drive.atom_number == 0:
-        return 0.0
-    return system.collective_shift()
+def _system(cfg: dict) -> tuple[params.SystemParams, float]:
+    """The system and its collective shift: the ``params.drive.delta_n``
+    override, else N g0^2/(2 delta_ca) (zero without atoms)."""
+    system = build_system(cfg)
+    dn = _resolve(cfg, "params.drive", ("delta_n",))["delta_n"]
+    if dn is None:
+        dn = 0.0 if system.drive.atom_number == 0 else system.collective_shift()
+    return system, dn
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +283,11 @@ def _meta(cfg, seed) -> dict:
 
 
 def write_csv(path, colnames, columns, meta) -> None:
-    rows = list(zip(*columns))
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(",".join(colnames) + "\n")
-        for row in rows:
+        for row in zip(*columns):
             cells = [cell if isinstance(cell, str) else format(cell, ".17g")
                      for cell in row]
             fh.write(",".join(cells) + "\n")
@@ -263,11 +315,12 @@ def read_csv(path):
     return meta, colnames, rows
 
 
-def _emit_json(report, out, meta) -> None:
-    report = dict(report, **{f"_{k}": v for k, v in meta.items()})
+def _emit_json(report, path, meta=None) -> None:
+    """Print the report as JSON and, with a path, write it there too."""
+    report = dict(report, **{f"_{k}": v for k, v in (meta or {}).items()})
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if out:
-        with open(out, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
     print(text)
 
@@ -276,9 +329,9 @@ def _emit_json(report, out, meta) -> None:
 # scenarios
 
 def cmd_derived(cfg, out, seed) -> int:
-    system = build_system(cfg)
-    cav, trap, drive = system.cavity, system.trap, system.drive
-    dn = _delta_n(cfg, system)
+    nmax_list = _resolve(cfg, "lineshape", ("n_max",))["n_max"]
+    system, dn = _system(cfg)
+    cav, drive = system.cavity, system.drive
     eps_multi = system.kerr_coefficient(multi_well=True)
     crit_atom, crit_photon = params.critical_numbers(cav)
     report = {
@@ -290,48 +343,36 @@ def cmd_derived(cfg, out, seed) -> int:
         "critical_atom_number": crit_atom,
         "critical_photon_number": crit_photon,
         "units": "angular quantities reported as ordinary frequency (value/2pi)",
+        "nonlinear_photon_threshold":
+            params.nonlinear_photon_threshold(system)
+            if drive.atom_number > 0 else "undefined",
     }
-    if system.drive.atom_number > 0:
-        report["nonlinear_photon_threshold"] = params.nonlinear_photon_threshold(system)
-    else:
-        report["nonlinear_photon_threshold"] = "undefined"
-    nmax_list = cfg.get("lineshape", {}).get("n_max")
     if nmax_list:
         report["beta_per_n_max"] = {
-            str(n): params.beta_parameter(dn, eps_multi, float(n), cav.kappa)
+            str(n): params.beta_parameter(dn, eps_multi, n, cav.kappa)
             for n in nmax_list}
     _emit_json(report, out, _meta(cfg, seed))
     return 0
 
 
 def cmd_lineshape(cfg, out, seed) -> int:
-    system = build_system(cfg)
-    sec = cfg.get("lineshape")
-    if not sec:
-        raise ConfigError("missing section: lineshape")
-    points = int(sec.get("points", 801))
-    if points < 2:
-        raise ConfigError("lineshape.points: grid is empty")
-    start = parse_frequency(_require(cfg, "lineshape", "delta_pc_start"),
-                            "lineshape.delta_pc_start")
-    stop = parse_frequency(_require(cfg, "lineshape", "delta_pc_stop"),
-                           "lineshape.delta_pc_stop")
-    n_max_list = [float(n) for n in sec.get("n_max", [system.drive.n_max])]
-    direction = sec.get("direction", "up")
-    if direction not in ("up", "down"):
-        raise ConfigError("lineshape.direction must be 'up' or 'down'")
-
-    profile = steady_state.ResponseProfile.from_cavity(system.cavity)
-    dn = _delta_n(cfg, system)
-    eps = system.kerr_coefficient()
-    grid = (np.linspace(start, stop, points) - dn) / profile.kappa
-
+    sec = _resolve(cfg, "lineshape")
+    system, dn = _system(cfg)
     if not out:
         raise ConfigError("lineshape needs --out (or 'out' in the config)")
+    n_max_list = ([system.drive.n_max] if sec["n_max"] is None
+                  else sec["n_max"])
+
+    profile = steady_state.ResponseProfile.from_cavity(system.cavity)
+    eps = system.kerr_coefficient()
+    grid = (np.linspace(sec["delta_pc_start"], sec["delta_pc_stop"],
+                        sec["points"]) - dn) / profile.kappa
+
     trace_col, nmax_col, dpc_col, nbar_col = [], [], [], []
     for i, n_max in enumerate(n_max_list):
         beta = params.beta_parameter(dn, eps, n_max, system.cavity.kappa)
-        scan = steady_state.lineshape_scan(profile, beta, grid, direction)
+        scan = steady_state.lineshape_scan(profile, beta, grid,
+                                           sec["direction"])
         for d0, u in scan:
             trace_col.append(float(i))
             nmax_col.append(n_max)
@@ -343,36 +384,23 @@ def cmd_lineshape(cfg, out, seed) -> int:
 
 
 def cmd_sweep(cfg, out, seed) -> int:
-    system = build_system(cfg)
-    sec = cfg.get("sweep")
-    if not sec:
-        raise ConfigError("missing section: sweep")
-    chirp = parse_chirp(_require(cfg, "sweep", "chirp_rate"), "sweep.chirp_rate")
-    if chirp == 0:
-        raise ConfigError("sweep.chirp_rate must be nonzero")
-    start = parse_frequency(_require(cfg, "sweep", "delta_pc_start"),
-                            "sweep.delta_pc_start")
-    stop = parse_frequency(_require(cfg, "sweep", "delta_pc_stop"),
-                           "sweep.delta_pc_stop")
-    points = int(sec.get("points", 1201))
-    if points < 2:
-        raise ConfigError("sweep.points must be at least 2")
-    profile = steady_state.ResponseProfile.from_cavity(system.cavity)
-    dn = _delta_n(cfg, system)
-    beta = system.beta(delta_n=dn)
-
+    sec = _resolve(cfg, "sweep")
+    system, dn = _system(cfg)
     if not out:
         raise ConfigError("sweep needs --out (or 'out' in the config)")
-    lo, hi = min(start, stop), max(start, stop)
+    profile = steady_state.ResponseProfile.from_cavity(system.cavity)
+    beta = system.beta(delta_n=dn)
+
+    lo, hi = sorted((sec["delta_pc_start"], sec["delta_pc_stop"]))
     dir_col, dpc_col, nbar_col = [], [], []
-    for direction, chirp_signed in (("up", abs(chirp)), ("down", -abs(chirp))):
+    for direction, sign in (("up", 1.0), ("down", -1.0)):
         cfg_sweep = dynamics.SweepConfig(
-            chirp_rate=chirp_signed,
+            chirp_rate=sign * abs(sec["chirp_rate"]),
             delta_pc_start=lo if direction == "up" else hi,
             delta_pc_end=hi if direction == "up" else lo,
             n_max=system.drive.n_max)
         dpc, nbar = dynamics.quasi_static_sweep(cfg_sweep, profile, beta, dn,
-                                                points)
+                                                sec["points"])
         dir_col.extend([direction] * len(dpc))
         dpc_col.extend((dpc / TWO_PI).tolist())
         nbar_col.extend(nbar.tolist())
@@ -382,7 +410,8 @@ def cmd_sweep(cfg, out, seed) -> int:
 
 
 def cmd_threshold(cfg, out, seed) -> int:
-    system = build_system(cfg)
+    beta = _resolve(cfg, "threshold")["beta"]
+    system, dn = _system(cfg)
     profile = steady_state.ResponseProfile.from_cavity(system.cavity)
     lor = steady_state.ResponseProfile.lorentzian(system.cavity.kappa)
     report = {
@@ -390,13 +419,11 @@ def cmd_threshold(cfg, out, seed) -> int:
         "profile_kind": profile.kind.value,
         "profile_threshold": steady_state.bistability_threshold(profile),
     }
-    dn = _delta_n(cfg, system)
-    beta = cfg.get("threshold", {}).get("beta")
     if beta is None and (dn != 0 or system.drive.atom_number > 0):
         beta = system.beta(delta_n=dn)   # same beta the sweep scenario uses
     if beta is not None and beta > 0:
-        folds = steady_state.fold_points(profile, float(beta))
-        report["beta"] = float(beta)
+        folds = steady_state.fold_points(profile, beta)
+        report["beta"] = beta
         report["folds"] = [
             {"delta0": d0, "u": u,
              "deltaPC_Hz": (d0 * profile.kappa + dn) / TWO_PI}
@@ -412,65 +439,50 @@ def _out_base(out):
 
 
 def cmd_ringdown(cfg, out, seed) -> int:
-    system = build_system(cfg)
-    sec = cfg.get("ringdown")
-    if not sec:
-        raise ConfigError("missing section: ringdown")
+    sec = _resolve(cfg, "ringdown")
+    trig_sec = _resolve(cfg, "trigger") if sec["use_trigger"] else None
+    system, dn0 = _system(cfg)
+    base = _out_base(out)
     cav, trap = system.cavity, system.trap
     profile = steady_state.ResponseProfile.from_cavity(cav)
 
-    dn0 = _delta_n(cfg, system)
-    if cfg.get("trigger") and sec.get("use_trigger", False):
-        trig = _run_trigger(cfg, system, seed)
+    if trig_sec is not None:
+        trig = _run_trigger(trig_sec, system, seed)
         if not trig.triggered:
             raise RuntimeError("trigger threshold never crossed within horizon")
         dn0 = trig.conditioned_delta_n
 
-    duration = parse_time(sec.get("duration", "1 ms"), "ringdown.duration")
-    level = float(sec.get("level", system.drive.n_max))
-    level_mode = sec.get("level_mode", "instantaneous")
-    if level_mode == "instantaneous":
-        n_max = dynamics.n_max_for_switch_on(level, profile,
+    n_max = system.drive.n_max if sec["level"] is None else sec["level"]
+    if sec["level_mode"] == "instantaneous":
+        n_max = dynamics.n_max_for_switch_on(n_max, profile,
                                              system.drive.delta_pc, dn0)
-    elif level_mode == "nmax":
-        n_max = level
-    else:
-        raise ConfigError("ringdown.level_mode must be 'instantaneous' or 'nmax'")
 
-    spread = parse_frequency(sec.get("omega_z_spread", 0.0),
-                             "ringdown.omega_z_spread")
-    tracer = sec.get("tracer_theta")
+    tracer = sec["tracer_theta"]
     ensemble = lattice.build_lattice(
         num_sites=trap.num_sites,
         total_atoms=max(system.drive.atom_number, 1.0),
-        omega_z_mean=trap.omega_z, omega_z_spread=spread,
+        omega_z_mean=trap.omega_z, omega_z_spread=sec["omega_z_spread"],
         seed=seed, k_ratio=cav.k_probe / cav.k_trap,
-        subensembles=int(sec.get("subensembles", 1)),
-        tracer_thetas=() if tracer is None else (float(tracer),))
+        subensembles=sec["subensembles"],
+        tracer_thetas=() if tracer is None else (tracer,))
     ensemble = ensemble.scaled_to_shift(dn0, cav)
 
     drive = params.DriveParams(n_max=n_max, delta_pc=system.drive.delta_pc,
                                atom_number=system.drive.atom_number)
-    mode = dynamics.CavityFieldMode(sec.get("field_model", "adiabatic"))
-    dt = TWO_PI / (float(sec.get("dt_per_period", 200)) * trap.omega_z)
+    dt = TWO_PI / (sec["dt_per_period"] * trap.omega_z)
     trace = dynamics.ring_up(
-        ensemble, cav, trap, drive, dynamics.CavityFieldModel(mode),
-        damping_rate=float(sec.get("damping_rate", 0.0)),
-        duration=duration, dt=dt, profile=profile,
-        ramp_time=parse_time(sec.get("ramp_time", 0.0), "ringdown.ramp_time"),
-        backaction=bool(sec.get("backaction", True)),
-        linearized_force=bool(sec.get("linearized", False)),
-        record_every=int(sec.get("record_every", 1)))
+        ensemble, cav, trap, drive,
+        dynamics.CavityFieldMode(sec["field_model"]),
+        damping_rate=sec["damping_rate"],
+        duration=sec["duration"], dt=dt, profile=profile,
+        ramp_time=sec["ramp_time"], backaction=sec["backaction"],
+        linearized_force=sec["linearized"],
+        record_every=sec["record_every"])
 
-    efficiency = float(sec.get("efficiency", 0.05))
-    bin_width = parse_time(sec.get("bin_width", "2 us"), "ringdown.bin_width")
-    n_average = int(sec.get("n_average", 1))
-    window = parse_time(sec.get("window_length", "500 us"),
-                        "ringdown.window_length")
-
-    if n_average > 1:
+    efficiency, bin_width = sec["efficiency"], sec["bin_width"]
+    if sec["n_average"] > 1:
         centers, mean_counts = measure.averaged_counts(
-            trace, cav, efficiency, bin_width, seed, n_average)
+            trace, cav, efficiency, bin_width, seed, sec["n_average"])
         counts_cols = [centers.tolist(), (mean_counts / bin_width).tolist()]
         counts_names = ["time_s", "mean_rate_s"]
         spectral_src = (centers, mean_counts / bin_width)
@@ -480,11 +492,10 @@ def cmd_ringdown(cfg, out, seed) -> int:
         counts_names = ["time_s", "counts"]
         spectral_src = rec
 
-    decay = measure.windowed_fourier_amplitude(spectral_src,
-                                               trap.omega_z / TWO_PI, window)
-    fit = measure.decay_fit(decay, model=sec.get("fit_model", "gaussian"))
+    decay = measure.windowed_fourier_amplitude(
+        spectral_src, trap.omega_z / TWO_PI, sec["window_length"])
+    fit = measure.decay_fit(decay, model=sec["fit_model"])
 
-    base = _out_base(out)
     meta = _meta(cfg, seed)
     write_csv(base + "_trace.csv", ["time_s", "deltaN_rad_s", "nbar"],
               [trace.time.tolist(), trace.delta_n.tolist(),
@@ -505,34 +516,26 @@ def cmd_ringdown(cfg, out, seed) -> int:
     if trace.displacements is not None and tracer is not None:
         tr = trace.displacements[:, -1]
         summary["tracer_pp_displacement_nm"] = float((tr.max() - tr.min()) * 1e9)
-    with open(base + "_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _emit_json(summary, base + "_summary.json")
     return 0
 
 
-def _run_trigger(cfg, system, seed) -> measure.TriggerResult:
-    sec = cfg.get("trigger")
-    if not sec:
-        raise ConfigError("missing section: trigger")
-    drift = measure.AtomLossDrift(float(sec["n0"]), float(sec["loss_rate"]))
+def _run_trigger(sec, system, seed) -> measure.TriggerResult:
+    """Run the trigger sequence of a resolved ``trigger`` section."""
+    level = sec["detection_level"]
     return measure.trigger_sequence(
-        drift, system.cavity, system.drive,
-        threshold_rate=float(sec["threshold_rate"]),
-        delay=parse_time(sec.get("delay", "10 ms"), "trigger.delay"),
-        detection_level=float(sec.get("detection_level", system.drive.n_max)),
-        efficiency=float(sec.get("efficiency", 0.05)),
-        bin_width=parse_time(sec.get("bin_width", "10 us"), "trigger.bin_width"),
-        horizon=parse_time(sec.get("horizon", "1 s"), "trigger.horizon"),
-        seed=seed,
-        smoothing_time=parse_time(sec.get("smoothing_time", "100 us"),
-                                  "trigger.smoothing_time"))
+        measure.AtomLossDrift(sec["n0"], sec["loss_rate"]),
+        system.cavity, system.drive,
+        threshold_rate=sec["threshold_rate"], delay=sec["delay"],
+        detection_level=system.drive.n_max if level is None else level,
+        efficiency=sec["efficiency"], bin_width=sec["bin_width"],
+        horizon=sec["horizon"], seed=seed,
+        smoothing_time=sec["smoothing_time"])
 
 
 def cmd_trigger(cfg, out, seed) -> int:
-    system = build_system(cfg)
-    result = _run_trigger(cfg, system, seed)
+    result = _run_trigger(_resolve(cfg, "trigger"), build_system(cfg), seed)
+    base = _out_base(out) if out else None
     report = {
         "triggered": result.triggered,
         "trigger_time_s": result.trigger_time,
@@ -542,16 +545,12 @@ def cmd_trigger(cfg, out, seed) -> int:
         "probe_on_time_s": result.probe_on_time,
         "detection_level": result.detection_level,
     }
-    if out:
-        base = _out_base(out)
+    if base:
         write_csv(base + "_counts.csv", ["time_s", "counts"],
                   [result.counts.times.tolist(),
                    result.counts.counts.astype(float).tolist()],
                   _meta(cfg, seed))
-        with open(base + "_summary.json", "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _emit_json(report, base and base + "_summary.json")
     return 0
 
 
@@ -579,12 +578,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        scenario = args.scenario or cfg.get("scenario")
-        if scenario not in _DISPATCH:
-            raise ConfigError(f"unknown scenario: {scenario!r}")
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        out = args.out or cfg.get("out")
-        return _DISPATCH[scenario](cfg, out, seed)
+        run = _resolve(cfg, "")
+        scenario = args.scenario or run["scenario"]
+        if scenario is None:
+            raise ConfigError("missing key: scenario")
+        seed = args.seed if args.seed is not None else run["seed"]
+        return _DISPATCH[scenario](cfg, args.out or run["out"], seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -33,15 +33,10 @@ CALIBRATED_OMEGA_Z_SPREAD = float(np.sqrt(2.0) / 1.0e-3)
 
 
 class CavityFieldMode(Enum):
-    ADIABATIC = "adiabatic"
-    FIRST_ORDER_FILTER = "filter"
-
-
-@dataclass(frozen=True)
-class CavityFieldModel:
     """Cavity photon-number model; the filter relaxes at 2*kappa."""
 
-    mode: CavityFieldMode = CavityFieldMode.ADIABATIC
+    ADIABATIC = "adiabatic"
+    FIRST_ORDER_FILTER = "filter"
 
 
 @dataclass(frozen=True)
@@ -62,10 +57,6 @@ class SweepConfig:
     @property
     def direction(self) -> str:
         return "up" if self.chirp_rate > 0 else "down"
-
-    def duration(self) -> float:
-        return abs(self.delta_pc_end - self.delta_pc_start) / (
-            TWO_PI * abs(self.chirp_rate))
 
 
 @dataclass
@@ -133,7 +124,7 @@ def n_max_for_switch_on(level: float, profile: ResponseProfile,
 
 def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
             drive: DriveParams,
-            field_model: CavityFieldModel = CavityFieldModel(),
+            field_model: CavityFieldMode = CavityFieldMode.ADIABATIC,
             damping_rate: float = 0.0, duration: float = 1e-3,
             dt: float | None = None, *, profile: ResponseProfile | None = None,
             linearized_force: bool = False, ramp_time: float = 0.0,
@@ -198,7 +189,7 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
     dn = shift(d)
     nbar = target(dn, 0.0)
     nbar_force0 = nbar
-    if field_model.mode is CavityFieldMode.FIRST_ORDER_FILTER:
+    if field_model is CavityFieldMode.FIRST_ORDER_FILTER:
         nbar = 0.0                      # cavity empty at switch-on
         relax = np.exp(-2.0 * cavity.kappa * dt)
 
@@ -231,7 +222,7 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
         v_half = v + 0.5 * dt * a
         d = d + dt * v_half
         dn = shift(d)
-        if field_model.mode is CavityFieldMode.ADIABATIC:
+        if field_model is CavityFieldMode.ADIABATIC:
             nbar = target(dn, t_new)
         else:
             nbar = target(dn, t_new) + (nbar - target(dn, t_new)) * relax
@@ -280,12 +271,3 @@ def impulse_boundary_detuning(cavity: CavityParams, trap: TrapParams,
            * abs(np.sin(2.0 * theta)))
     den = 4.0 * cavity.kappa ** 2 * constants.m_rb87 * trap.omega_z
     return float(np.sqrt(num / den))
-
-
-def atom_loss_drift(n0: float, loss_rate: float, t):
-    """Exponential trap-loss drift N(t) = N0 exp(-loss_rate t)."""
-    if loss_rate < 0:
-        raise ValueError("loss_rate must be nonnegative")
-    t = np.asarray(t, dtype=float)
-    out = n0 * np.exp(-loss_rate * t)
-    return out if out.ndim else float(out)

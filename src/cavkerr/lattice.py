@@ -23,21 +23,6 @@ from .params import CONSTANTS, CavityParams, PhysicalConstants, TrapParams
 
 
 @dataclass(frozen=True)
-class LatticeSite:
-    theta: float        # probe phase k_p z at the trap minimum, in [0, pi)
-    population: float   # atoms at this site (>= 0)
-    omega_z: float      # axial frequency of this site/sub-ensemble, rad/s
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta < np.pi):
-            raise ValueError("theta must lie in [0, pi)")
-        if self.population < 0:
-            raise ValueError("population must be nonnegative")
-        if self.omega_z <= 0:
-            raise ValueError("omega_z must be positive")
-
-
-@dataclass(frozen=True)
 class LatticeEnsemble:
     """Immutable per-site arrays; one row per (site, omega_z sub-ensemble)."""
 
@@ -64,11 +49,6 @@ class LatticeEnsemble:
     @property
     def total_atoms(self) -> float:
         return float(np.sum(self.population))
-
-    @property
-    def sites(self) -> list[LatticeSite]:
-        return [LatticeSite(float(t), float(p), float(w))
-                for t, p, w in zip(self.theta, self.population, self.omega_z)]
 
     def scaled_to_shift(self, delta_n: float, cavity: CavityParams) -> "LatticeEnsemble":
         """Rescale populations so the zero-displacement shift is delta_n."""

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TransientTrace, atom_loss_drift
-from .params import CavityParams, DriveParams
+from .dynamics import TransientTrace
+from .params import CavityParams, DriveParams, collective_shift
 from .steady_state import ResponseProfile, profile_value
 
 TWO_PI = 2.0 * np.pi
@@ -85,22 +85,12 @@ def _as_rate_series(source) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(t, dtype=float), np.asarray(x, dtype=float)
 
 
-def _binned_means(time, rate, bin_width, n_bins, t0):
-    """Expected counts per bin from the trapezoid integral of the rate."""
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1])
-                                           * np.diff(time))])
-    edges = t0 + np.arange(n_bins + 1) * bin_width
-    return np.diff(np.interp(edges, time, cum))
-
-
-def count_monte_carlo(nbar_trace, cavity: CavityParams, efficiency: float,
-                      bin_width: float, seed: int,
-                      dark_rate: float = 0.0) -> CountRecord:
-    """Poisson photon-count record of a transmission trace.
-
-    The detected rate is r(t) = 2*kappa*nbar(t)*efficiency (plus the
-    optional dark-count rate); each bin draws a Poisson count with mean
-    equal to the rate integral over the bin.
+def _expected_counts(nbar_trace, cavity: CavityParams, efficiency: float,
+                     bin_width: float, dark_rate: float = 0.0
+                     ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean detected counts per bin, the trapezoid integral of the rate
+    2*kappa*nbar*efficiency (plus the dark-count rate) over the bin.
+    Returns (record start, bin centers, means).
     """
     if not (0.0 <= efficiency <= 1.0):
         raise ValueError("efficiency must lie in [0, 1]")
@@ -113,10 +103,26 @@ def count_monte_carlo(nbar_trace, cavity: CavityParams, efficiency: float,
     n_bins = int(np.floor((time[-1] - time[0]) / bin_width))
     if n_bins < 1:
         raise ValueError("trace shorter than one bin")
-    means = _binned_means(time, rate, bin_width, n_bins, time[0])
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1])
+                                           * np.diff(time))])
+    edges = time[0] + np.arange(n_bins + 1) * bin_width
+    centers = time[0] + (np.arange(n_bins) + 0.5) * bin_width
+    return time[0], centers, np.diff(np.interp(edges, time, cum))
+
+
+def count_monte_carlo(nbar_trace, cavity: CavityParams, efficiency: float,
+                      bin_width: float, seed: int,
+                      dark_rate: float = 0.0) -> CountRecord:
+    """Poisson photon-count record of a transmission trace.
+
+    The detected rate is r(t) = 2*kappa*nbar(t)*efficiency (plus the
+    optional dark-count rate); each bin draws a Poisson count with mean
+    equal to the rate integral over the bin.
+    """
+    t0, _, means = _expected_counts(nbar_trace, cavity, efficiency,
+                                    bin_width, dark_rate)
     rng = np.random.default_rng(seed)
-    return CountRecord(bin_width, rng.poisson(means), seed=seed,
-                       t_start=time[0])
+    return CountRecord(bin_width, rng.poisson(means), seed=seed, t_start=t0)
 
 
 def averaged_counts(nbar_trace, cavity: CavityParams, efficiency: float,
@@ -127,15 +133,12 @@ def averaged_counts(nbar_trace, cavity: CavityParams, efficiency: float,
     Per-repetition generators are spawned from the master seed.  Returns
     (bin centers, mean counts, float-valued).
     """
-    time, nbar = _as_rate_series(nbar_trace)
-    rate = 2.0 * cavity.kappa * np.asarray(nbar) * efficiency
-    n_bins = int(np.floor((time[-1] - time[0]) / bin_width))
-    means = _binned_means(time, rate, bin_width, n_bins, time[0])
+    _, centers, means = _expected_counts(nbar_trace, cavity, efficiency,
+                                         bin_width)
     master = np.random.default_rng(seed)
-    acc = np.zeros(n_bins)
+    acc = np.zeros(len(means))
     for child in master.spawn(n_average):
         acc += child.poisson(means)
-    centers = time[0] + (np.arange(n_bins) + 0.5) * bin_width
     return centers, acc / n_average
 
 
@@ -159,13 +162,10 @@ def repeated_measurement_decay(nbar_trace, cavity: CavityParams,
                                           frequency, window_length)
     if order != "spectra":
         raise ValueError("order must be 'traces' or 'spectra'")
+    _, centers, means = _expected_counts(nbar_trace, cavity, efficiency,
+                                         bin_width)
     master = np.random.default_rng(seed)
     acc = None
-    time, nbar = _as_rate_series(nbar_trace)
-    rate = 2.0 * cavity.kappa * np.asarray(nbar) * efficiency
-    n_bins = int(np.floor((time[-1] - time[0]) / bin_width))
-    means = _binned_means(time, rate, bin_width, n_bins, time[0])
-    centers = time[0] + (np.arange(n_bins) + 0.5) * bin_width
     for child in master.spawn(n_average):
         counts = child.poisson(means)
         sd = windowed_fourier_amplitude((centers, counts / bin_width),
@@ -187,7 +187,9 @@ class AtomLossDrift:
             raise ValueError("need n0 > 0 and loss_rate >= 0")
 
     def atoms(self, t):
-        return atom_loss_drift(self.n0, self.loss_rate, t)
+        """N(t) = n0 exp(-loss_rate t); a float for scalar t."""
+        out = self.n0 * np.exp(-self.loss_rate * np.asarray(t, dtype=float))
+        return out if out.ndim else float(out)
 
 
 @dataclass
@@ -211,9 +213,9 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
     """Trigger / delay / detect sequencing on the atom-loss drift.
 
     As atoms are lost the collective shift drifts toward the probe and the
-    monitored transmission rises.  Counts are low-pass filtered (moving
-    average over ``smoothing_time``) before the threshold comparison so a
-    single dark-ish bin cannot false-trigger at nbar < 1.  On trigger the
+    monitored transmission rises.  Counts are low-pass filtered (trailing
+    moving average over ``smoothing_time``) before the threshold comparison
+    so a single dark-ish bin cannot false-trigger at nbar < 1.  On trigger the
     conditioned Delta_N is reported, the probe is scheduled off for
     ``delay`` and back on at ``detection_level``.
     """
@@ -221,16 +223,19 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
         profile = ResponseProfile.from_cavity(cavity)
     edges = np.arange(0.0, horizon + bin_width, bin_width)
     centers = 0.5 * (edges[1:] + edges[:-1])
-    dn = (drift.atoms(centers) * cavity.g0 ** 2) / (2.0 * cavity.delta_ca)
+    dn = collective_shift(drift.atoms(centers), cavity.g0, cavity.delta_ca)
     nbar = drive.n_max * profile_value(profile, drive.delta_pc - dn)
     means = 2.0 * cavity.kappa * nbar * efficiency * bin_width
     rng = np.random.default_rng(seed)
     counts = rng.poisson(means)
     record = CountRecord(bin_width, counts, seed=seed)
 
+    # trailing moving average: bin i sees bins i-n+1..i only, as a real
+    # trigger does (zero counts before the record start)
     n_smooth = max(1, int(round(smoothing_time / bin_width)))
-    kernel = np.ones(n_smooth) / n_smooth
-    smoothed = np.convolve(counts, kernel, mode="same") / bin_width
+    total = np.concatenate([[0], np.cumsum(counts)])
+    start = np.maximum(np.arange(1, len(counts) + 1) - n_smooth, 0)
+    smoothed = (total[1:] - total[start]) / (n_smooth * bin_width)
 
     above = np.nonzero(smoothed >= threshold_rate)[0]
     if len(above) == 0:
@@ -238,8 +243,7 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
                              record, smoothed)
     i = int(above[0])
     t_trig = float(centers[i])
-    dn_trig = float((drift.atoms(t_trig) * cavity.g0 ** 2)
-                    / (2.0 * cavity.delta_ca))
+    dn_trig = collective_shift(drift.atoms(t_trig), cavity.g0, cavity.delta_ca)
     return TriggerResult(True, t_trig, dn_trig, t_trig + delay,
                          detection_level, record, smoothed)
 

@@ -20,7 +20,8 @@ controlling lineshape asymmetry and bistability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +44,12 @@ class PhysicalConstants:
 CONSTANTS = PhysicalConstants()
 
 
+def _require_finite(params) -> None:
+    for f in fields(params):
+        if not math.isfinite(getattr(params, f.name)):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Cavity, coupling and probe-mode parameters (angular frequencies)."""
@@ -58,6 +65,7 @@ class CavityParams:
     finesse: float = 0.0       # informational
 
     def __post_init__(self):
+        _require_finite(self)
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.g0 <= 0:
@@ -83,6 +91,7 @@ class TrapParams:
     num_sites: int = 1         # occupied lattice sites
 
     def __post_init__(self):
+        _require_finite(self)
         if self.omega_z <= 0:
             raise ValueError("omega_z must be positive")
         if self.num_sites < 1:
@@ -102,6 +111,7 @@ class DriveParams:
     atom_number: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n_max < 0:
             raise ValueError("n_max must be nonnegative")
         if self.atom_number < 0:

@@ -1,14 +1,19 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from cavkerr import cli
 from cavkerr.cli import main, parse_chirp, parse_frequency, parse_time, read_csv
 
 TWO_PI = 2 * np.pi
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+TRIGGER = {"n0": 120000, "loss_rate": 20.0, "threshold_rate": 1.0e6,
+           "delay": "10 ms", "detection_level": 6.5, "horizon": "0.3 s"}
 
 
 def run_cli(*args):
@@ -108,6 +113,49 @@ class TestConfigErrors:
         assert run_cli("--config", path, "--out", out) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, scenario, key, value", [
+        ("fig_ringdown.yaml", "trigger", "trigger.threshold_rate", None),
+        ("fig_ringdown.yaml", "trigger", "trigger.n0", None),
+        ("fig_ringdown.yaml", "trigger", "trigger.n0", "lots"),
+        ("fig_ringdown.yaml", "ringdown", "trigger.threshold_rate", None),
+        ("derived.yaml", "derived", "seed", "abc"),
+        ("derived.yaml", "derived", "params.cavity.kappa", float("nan")),
+        ("derived.yaml", "derived", "params.drive.n_max", float("nan")),
+        ("derived.yaml", "derived", "params.drive.atom_number", float("inf")),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.field_model", "bogus"),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.fit_model", "bogus"),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.record_every", 0),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.subensembles", "ten"),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.n_average", 0),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.efficiency", 2.0),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.backaction", "false"),
+        ("fig_lineshapes.yaml", "lineshape", "lineshape.n_max", ["a"]),
+    ])
+    def test_bad_key_exit_2_before_any_output(self, tmp_path, capsys, config,
+                                              scenario, key, value):
+        # None deletes the key; the trigger section is added for the
+        # trigger scenario and for a ringdown with use_trigger set
+        cfg = yaml.safe_load((CONFIGS / config).read_text())
+        cfg["scenario"] = scenario
+        if key.startswith("trigger."):
+            cfg["trigger"] = dict(TRIGGER)
+            cfg["ringdown"]["use_trigger"] = True
+        *path, name = key.split(".")
+        section = cfg
+        for part in path:
+            section = section[part]
+        if value is None:
+            del section[name]
+        else:
+            section[name] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli("--config", path, "--out", out / "run") == 2
+        assert key in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_numeric_failure_exit_3(self, tmp_path):
         cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
@@ -283,3 +331,24 @@ class TestTriggerScenario:
             -19.0, abs=1.5)
         assert summary["probe_on_time_s"] == pytest.approx(
             summary["trigger_time_s"] + 10e-3)
+
+
+class TestConfigTable:
+    def test_every_key_documented(self):
+        text = (ROOT / "docs" / "formats.md").read_text()
+        section = text.split("\n## Config keys\n", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `([\w.]+)` \|", section, re.M)
+        assert sorted(documented) == sorted(cli.FIELDS)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml"))
+                             + sorted((ROOT / "perfbench" / "configs").glob("*.yaml")),
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_shipped_config_resolves(self, path):
+        cfg = cli.load_config(path)
+        cli.build_system(cfg)
+        cli._resolve(cfg, "")
+        for section, raw in cfg.items():   # every value that is present
+            if section in cli._MAPPINGS and section != "params":
+                cli._resolve(cfg, section, keys=raw)
+        if cfg["scenario"] in cfg:         # and the scenario's required keys
+            cli._resolve(cfg, cfg["scenario"])

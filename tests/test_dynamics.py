@@ -5,13 +5,12 @@ from helpers import run_ringup, ringup_context, ringup_drive, RINGUP_DELTA_N0
 
 from cavkerr import (
     CONSTANTS,
+    AtomLossDrift,
     CavityFieldMode,
-    CavityFieldModel,
     DriveParams,
     LatticeEnsemble,
     ResponseProfile,
     SweepConfig,
-    atom_loss_drift,
     beta_parameter,
     collective_shift,
     effective_kerr_numeric,
@@ -274,10 +273,10 @@ class TestCavityFieldModels:
             common = dict(duration=0.3e-3, profile=profile,
                           store_displacements=False)
             tr_a = ring_up(ens, cav, trap49, drive,
-                           CavityFieldModel(CavityFieldMode.ADIABATIC),
+                           CavityFieldMode.ADIABATIC,
                            **common)
             tr_f = ring_up(ens, cav, trap49, drive,
-                           CavityFieldModel(CavityFieldMode.FIRST_ORDER_FILTER),
+                           CavityFieldMode.FIRST_ORDER_FILTER,
                            **common)
             # ignore the initial cavity fill (~1/2kappa)
             skip = np.searchsorted(tr_a.time, 5.0 / cav.kappa)
@@ -359,10 +358,10 @@ class TestImpulseEstimates:
 
 class TestAtomLossDrift:
     def test_no_loss(self):
-        assert atom_loss_drift(1e5, 0.0, 123.0) == 1e5
+        assert AtomLossDrift(1e5, 0.0).atoms(123.0) == 1e5
 
     def test_one_over_e(self):
-        assert atom_loss_drift(1e5, 2.0, 0.5) == pytest.approx(1e5 / np.e)
+        assert AtomLossDrift(1e5, 2.0).atoms(0.5) == pytest.approx(1e5 / np.e)
 
     def test_shift_crossing_time_unique(self, cavity260):
         from scipy.optimize import brentq
@@ -370,7 +369,7 @@ class TestAtomLossDrift:
         target = -TWO_PI * 19e6
 
         def dn(t):
-            return collective_shift(atom_loss_drift(n0, rate, t),
+            return collective_shift(AtomLossDrift(n0, rate).atoms(t),
                                     cavity260.g0, cavity260.delta_ca)
 
         t_cross = brentq(lambda t: dn(t) - target, 0.0, 10.0)
@@ -379,4 +378,4 @@ class TestAtomLossDrift:
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            atom_loss_drift(1e5, -1.0, 0.0)
+            AtomLossDrift(1e5, -1.0)

@@ -306,6 +306,22 @@ class TestTriggerSequence:
         assert result.probe_on_time == result.trigger_time
         assert result.detection_level == 3.0
 
+    def test_smoothing_is_causal(self, cavity260):
+        # The shorter record's counts are a prefix of the longer one's (same
+        # seed), so the longer record only adds counts after the shorter
+        # one's last bin i; a causal smoother leaves smoothed[:i+1] alone.
+        drift, drive, profile = self.setup_context(cavity260)
+        kwargs = dict(delay=1e-3, detection_level=6.5, profile=profile,
+                      seed=9)
+        short = trigger_sequence(drift, cavity260, drive, 1.0e9,
+                                 horizon=0.05, **kwargs)
+        long = trigger_sequence(drift, cavity260, drive, 1.0e9, horizon=0.1,
+                                **kwargs)
+        n = len(short.counts.counts)
+        assert np.array_equal(long.counts.counts[:n], short.counts.counts)
+        assert long.counts.counts[n:n + 10].sum() > 0
+        assert np.array_equal(long.smoothed_rate[:n], short.smoothed_rate)
+
     def test_seed_determinism(self, cavity260):
         drift, drive, profile = self.setup_context(cavity260)
         kwargs = dict(delay=1e-3, detection_level=6.5, profile=profile,

@@ -228,3 +228,20 @@ class TestValidation:
     def test_drive_rejects_negative_photon_number(self):
         with pytest.raises(ValueError):
             DriveParams(n_max=-1.0, delta_pc=0.0)
+
+    def test_cavity_rejects_nan_kappa(self):
+        # kappa <= 0 is False for NaN, so the sign check alone lets it pass
+        with pytest.raises(ValueError, match="kappa"):
+            CavityParams(kappa=float("nan"), g0=1.0, gamma_atom=1.0,
+                         delta_ca=-1.0, k_probe=5.0, k_trap=6.0)
+
+    def test_trap_rejects_infinite_temperature(self):
+        with pytest.raises(ValueError, match="temperature"):
+            TrapParams(omega_z=1.0, temperature=float("inf"))
+
+    @pytest.mark.parametrize("field", ["n_max", "atom_number"])
+    def test_drive_rejects_non_finite(self, field):
+        kwargs = dict(n_max=1.0, delta_pc=0.0, atom_number=1.0)
+        kwargs[field] = float("nan") if field == "n_max" else float("inf")
+        with pytest.raises(ValueError, match=field):
+            DriveParams(**kwargs)
