@@ -114,6 +114,10 @@ def _at_least(lo):
     return _check(lambda n: n >= lo, f"at least {lo}", _integer)
 
 
+def _positive(parse):
+    return _check(lambda x: x > 0, "positive", parse)
+
+
 _integer = _check(lambda v: isinstance(v, int) and not isinstance(v, bool),
                   "an integer")
 _flag = _check(lambda v: isinstance(v, bool), "true or false")
@@ -172,16 +176,16 @@ FIELDS = {
     "ringdown.level_mode": Field(_one_of("instantaneous", "nmax"),
                                  "instantaneous"),
     "ringdown.omega_z_spread": Field(parse_frequency, 0.0),
-    "ringdown.subensembles": Field(_integer, 1),
+    "ringdown.subensembles": Field(_at_least(1), 1),
     "ringdown.tracer_theta": Field(_number, None),  # no tracer site
     "ringdown.efficiency": Field(_fraction, 0.05),
-    "ringdown.bin_width": Field(parse_time, "2 us"),
-    "ringdown.window_length": Field(parse_time, "500 us"),
+    "ringdown.bin_width": Field(_positive(parse_time), "2 us"),
+    "ringdown.window_length": Field(_positive(parse_time), "500 us"),
     "ringdown.n_average": Field(_at_least(1), 1),
     "ringdown.damping_rate": Field(_number, 0.0),
     "ringdown.backaction": Field(_flag, True),
     "ringdown.linearized": Field(_flag, False),
-    "ringdown.dt_per_period": Field(_number, 200),
+    "ringdown.dt_per_period": Field(_positive(_number), 200),
     "ringdown.record_every": Field(_at_least(1), 1),
     "ringdown.fit_model": Field(_one_of("gaussian", "exponential"), "gaussian"),
     "ringdown.field_model": Field(
@@ -193,7 +197,7 @@ FIELDS = {
     "trigger.threshold_rate": Field(_number),
     "trigger.delay": Field(parse_time, "10 ms"),
     "trigger.detection_level": Field(_number, None),  # params.drive.n_max
-    "trigger.bin_width": Field(parse_time, "10 us"),
+    "trigger.bin_width": Field(_positive(parse_time), "10 us"),
     "trigger.horizon": Field(parse_time, "1 s"),
     "trigger.smoothing_time": Field(parse_time, "100 us"),
     "trigger.efficiency": Field(_fraction, 0.05),
@@ -201,6 +205,18 @@ FIELDS = {
 
 # the sections: "params", "params.cavity", ..., "lineshape", ...
 _MAPPINGS = {k.rsplit(".", n)[0] for k in FIELDS for n in (1, 2) if "." in k}
+
+
+def _by_section(fields: dict) -> dict[str, list[tuple[str, Field]]]:
+    """{section: [(key, Field)]} in table order; top-level keys are in ""."""
+    out = {}
+    for name, field in fields.items():
+        parent, _, key = name.rpartition(".")
+        out.setdefault(parent, []).append((key, field))
+    return out
+
+
+_SECTION_FIELDS = _by_section(FIELDS)
 
 
 def _reject_unknown(raw: dict, path="") -> None:
@@ -237,10 +253,10 @@ def _resolve(cfg: dict, section: str, keys=None) -> dict:
         if not isinstance(raw, dict):
             raise ConfigError(f"{section}: expected a mapping")
     out = {}
-    for name, field in FIELDS.items():
-        parent, _, key = name.rpartition(".")
-        if parent != section or (keys is not None and key not in keys):
+    for key, field in _SECTION_FIELDS.get(section, ()):
+        if keys is not None and key not in keys:
             continue
+        name = f"{section}.{key}" if section else key
         value = field.default if raw.get(key) is None else raw[key]
         if value is ...:
             raise ConfigError(f"missing key: {name}")
@@ -477,7 +493,8 @@ def cmd_ringdown(cfg, out, seed) -> int:
         duration=sec["duration"], dt=dt, profile=profile,
         ramp_time=sec["ramp_time"], backaction=sec["backaction"],
         linearized_force=sec["linearized"],
-        record_every=sec["record_every"])
+        record_every=sec["record_every"],
+        record_sites=() if tracer is None else (-1,))
 
     efficiency, bin_width = sec["efficiency"], sec["bin_width"]
     if sec["n_average"] > 1:
@@ -513,8 +530,8 @@ def cmd_ringdown(cfg, out, seed) -> int:
         "tau_exponential_s": fit.tau_exponential,
         "tau_gaussian_s": fit.tau_gaussian, "fit_reliable": fit.reliable,
     }
-    if trace.displacements is not None and tracer is not None:
-        tr = trace.displacements[:, -1]
+    if tracer is not None:
+        tr = trace.displacements[:, 0]
         summary["tracer_pp_displacement_nm"] = float((tr.max() - tr.min()) * 1e9)
     _emit_json(summary, base + "_summary.json")
     return 0

@@ -13,6 +13,7 @@ decays and the cavity filter sub-stepped by exact exponential relaxation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,9 +64,11 @@ class SweepConfig:
 class TransientTrace:
     """Sampled ring-up record.
 
-    ``displacements`` is (n_samples, n_sites) or None when not stored;
-    ``delta_n`` is consistent with the displacements through the collective
-    shift at every stored sample.
+    ``delta_n`` and ``nbar`` are the collective shift and photon number at
+    every sample.  ``sites`` holds the ensemble row indices whose motion was
+    recorded; ``displacements`` and ``velocities`` are (n_samples,
+    len(sites)), column k belonging to row ``sites[k]``, or None when no
+    site was recorded.
     """
 
     time: np.ndarray
@@ -74,6 +77,7 @@ class TransientTrace:
     probe_on: np.ndarray
     displacements: np.ndarray | None = None
     velocities: np.ndarray | None = None
+    sites: tuple[int, ...] = ()
 
     def __post_init__(self):
         n = len(self.time)
@@ -81,14 +85,18 @@ class TransientTrace:
             raise ValueError("trace series must have equal length")
         if np.any(self.nbar < 0):
             raise ValueError("nbar must be nonnegative")
+        for series in (self.displacements, self.velocities):
+            if series is not None and series.shape != (n, len(self.sites)):
+                raise ValueError("site series must be (n_samples, len(sites))")
 
-    def to_csv(self, path, site_columns=None) -> None:
+    def to_csv(self, path) -> None:
+        """Time, shift and photon number, then one displacement column per
+        recorded site, named by its ensemble row."""
         cols = [self.time, self.delta_n, self.nbar]
         names = ["time_s", "deltaN_rad_s", "nbar"]
-        if site_columns is not None and self.displacements is not None:
-            for j in site_columns:
-                cols.append(self.displacements[:, j])
-                names.append(f"disp_site{j}_m")
+        for k, j in enumerate(self.sites):
+            cols.append(self.displacements[:, k])
+            names.append(f"disp_site{j}_m")
         data = np.column_stack(cols)
         np.savetxt(path, data, header=",".join(names), delimiter=",",
                    fmt="%.17g", comments="# ")
@@ -129,7 +137,7 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
             dt: float | None = None, *, profile: ResponseProfile | None = None,
             linearized_force: bool = False, ramp_time: float = 0.0,
             backaction: bool = True, record_every: int = 1,
-            store_displacements: bool = True,
+            record_sites: Sequence[int] = (),
             constants: PhysicalConstants = CONSTANTS) -> TransientTrace:
     """Integrate the probe switch-on transient of the whole ensemble.
 
@@ -147,15 +155,22 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
     moving resonance -- the one-way (no optical spring) response used for
     expected-signal analysis.  ``linearized_force`` evaluates the force
     gradient at zero displacement.
+
+    Every ``record_every``-th step is a sample.  ``record_sites`` indexes
+    the ensemble rows (negative from the end) whose displacement and
+    velocity are kept at each sample; by default none are, so the trace
+    holds only per-sample series.  Each step evaluates the force once: the
+    end-of-step acceleration starts the next step.  Delta_N and nbar are
+    computed every step only when they feed back (backaction, or the
+    filter's memory); otherwise only at the samples.
     """
     if profile is None:
         profile = ResponseProfile.from_cavity(cavity)
     theta = ensemble.theta
-    pop = ensemble.population
     w2 = ensemble.omega_z ** 2
-    m = constants.m_rb87
     kp = cavity.k_probe
     w_max = float(np.max(ensemble.omega_z))
+    sites = np.arange(len(ensemble))[np.asarray(record_sites, dtype=int)]
 
     if dt is None:
         dt = TWO_PI / (200.0 * w_max)
@@ -167,10 +182,8 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
     n_steps = int(round(duration / dt))
     # force = f1 * sin(2(theta + kp d)) * nbar, with f1 per photon
     f1 = -constants.hbar * cavity.g0 ** 2 * kp / cavity.delta_ca
-    sin2_0 = np.sin(2.0 * theta)
-
-    def shift(d):
-        return collective_shift_from_displacements(ensemble, d, cavity)
+    f1_m = f1 / constants.m_rb87
+    f1_m_sin2_0 = f1_m * np.sin(2.0 * theta)     # the linearized force / m
 
     def drive_level(t):
         if ramp_time > 0.0:
@@ -181,64 +194,63 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
         return drive_level(t) * float(profile_value(profile, drive.delta_pc - dn))
 
     def accel(d, nbar_force):
-        s = sin2_0 if linearized_force else np.sin(2.0 * (theta + kp * d))
-        return -w2 * d + (f1 / m) * s * nbar_force
+        s = (f1_m_sin2_0 if linearized_force
+             else f1_m * np.sin(2.0 * (theta + kp * d)))
+        return -w2 * d + s * nbar_force
 
     d = np.zeros(len(ensemble))
     v = np.zeros(len(ensemble))
-    dn = shift(d)
+    dn = collective_shift_from_displacements(ensemble, d, cavity)
     nbar = target(dn, 0.0)
     nbar_force0 = nbar
-    if field_model is CavityFieldMode.FIRST_ORDER_FILTER:
+    filtered = field_model is CavityFieldMode.FIRST_ORDER_FILTER
+    if filtered:
         nbar = 0.0                      # cavity empty at switch-on
         relax = np.exp(-2.0 * cavity.kappa * dt)
+    feedback = backaction or filtered
 
     n_rec = n_steps // record_every + 1
     t_rec = np.empty(n_rec)
     dn_rec = np.empty(n_rec)
     nb_rec = np.empty(n_rec)
     on_rec = np.empty(n_rec, dtype=bool)
-    disp_rec = np.empty((n_rec, len(ensemble))) if store_displacements else None
-    vel_rec = np.empty((n_rec, len(ensemble))) if store_displacements else None
+    disp_rec = np.empty((n_rec, sites.size))
+    vel_rec = np.empty((n_rec, sites.size))
 
     def record(i_rec, t):
         t_rec[i_rec] = t
         dn_rec[i_rec] = dn
         nb_rec[i_rec] = nbar
         on_rec[i_rec] = drive_level(t) > 0.0
-        if store_displacements:
-            disp_rec[i_rec] = d
-            vel_rec[i_rec] = v
+        disp_rec[i_rec] = d[sites]
+        vel_rec[i_rec] = v[sites]
 
     record(0, 0.0)
     damp = np.exp(-0.5 * damping_rate * dt) if damping_rate > 0 else 1.0
-    i_rec = 1
+    a = accel(d, nbar if backaction else nbar_force0)
     for i in range(n_steps):
         t_new = (i + 1) * dt
-        nbar_force = nbar_force0 if not backaction else nbar
+        sample = (i + 1) % record_every == 0
         if damping_rate > 0:
             v = v * damp
-        a = accel(d, nbar_force)
         v_half = v + 0.5 * dt * a
         d = d + dt * v_half
-        dn = shift(d)
-        if field_model is CavityFieldMode.ADIABATIC:
-            nbar = target(dn, t_new)
-        else:
-            nbar = target(dn, t_new) + (nbar - target(dn, t_new)) * relax
-        nbar_force = nbar_force0 if not backaction else nbar
-        a2 = accel(d, nbar_force)
-        v = v_half + 0.5 * dt * a2
+        if feedback or sample:
+            dn = collective_shift_from_displacements(ensemble, d, cavity)
+            goal = target(dn, t_new)
+            nbar = goal + (nbar - goal) * relax if filtered else goal
+        a = accel(d, nbar if backaction else nbar_force0)
+        v = v_half + 0.5 * dt * a
         if damping_rate > 0:
             v = v * damp
-        if (i + 1) % record_every == 0:
-            record(i_rec, t_new)
-            i_rec += 1
+        if sample:
+            record((i + 1) // record_every, t_new)
 
-    return TransientTrace(t_rec[:i_rec], dn_rec[:i_rec], nb_rec[:i_rec],
-                          on_rec[:i_rec],
-                          disp_rec[:i_rec] if store_displacements else None,
-                          vel_rec[:i_rec] if store_displacements else None)
+    kept = sites.size > 0
+    return TransientTrace(t_rec, dn_rec, nb_rec, on_rec,
+                          disp_rec if kept else None,
+                          vel_rec if kept else None,
+                          tuple(int(j) for j in sites))
 
 
 def impulse_modulation_estimate(cavity: CavityParams, trap: TrapParams,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
-from helpers import run_ringup
+from helpers import ringup_context, run_ringup
 
 from cavkerr import (
     CONSTANTS,
@@ -183,8 +183,9 @@ def test_criterion_10_ring_up():
     assert 0.4 <= excursion <= 1.1
     # resonant-drive interpretation: n_max = 6.5 sets the representative
     # pi/4-well displacement; its transmission is modulated at omega_z
-    cavity, trap, trace_b = run_ringup(6.5, "nmax", 0.25e-3, tracer_pi4=True)
-    tracer = trace_b.displacements[:, -1]
+    cavity, trap, trace_b = run_ringup(6.5, "nmax", 0.25e-3, tracer_pi4=True,
+                                       record_sites=[-1])
+    tracer = trace_b.displacements[:, 0]
     pp_nm = (tracer.max() - tracer.min()) * 1e9
     assert 0.4 <= pp_nm <= 1.6
     ac = trace_b.nbar - trace_b.nbar.mean()
@@ -204,7 +205,7 @@ def test_criterion_11_dephasing_decay():
     # (a) closed-form oracle in the weak-drive (uncoupled) regime
     cavity, trap, trace = run_ringup(
         0.05, "instantaneous", 3.0e-3, omega_z_spread=spread,
-        subensembles=10, seed=42, store_displacements=False)
+        subensembles=10, seed=42)
     decay = windowed_fourier_amplitude(trace, trap.omega_z / TWO_PI, 500e-6)
     fit = decay_fit(decay, model="gaussian")
     t_free = np.sqrt(2.0) / spread
@@ -213,8 +214,7 @@ def test_criterion_11_dephasing_decay():
     # (b) end-to-end pipeline at the detection level, one-way response
     cavity, trap, trace = run_ringup(
         6.5, "instantaneous", 3.0e-3, omega_z_spread=spread,
-        subensembles=10, seed=42, backaction=False, linearized_force=True,
-        store_displacements=False)
+        subensembles=10, seed=42, backaction=False, linearized_force=True)
     centers, mean_counts = averaged_counts(trace, cavity, 0.05, 2e-6, 42, 50)
     decay2 = windowed_fourier_amplitude((centers, mean_counts / 2e-6),
                                         trap.omega_z / TWO_PI, 500e-6)
@@ -246,7 +246,7 @@ def test_criterion_13_conservation_and_consistency(tmp_path):
     nbar = 6.5
     period = TWO_PI / trap.omega_z
     trace = ring_up(ens, cav, trap, DriveParams(n_max=nbar, delta_pc=0.0),
-                    duration=100 * period, profile=flat)
+                    duration=100 * period, profile=flat, record_sites=[0])
     d, v = trace.displacements[:, 0], trace.velocities[:, 0]
     m = CONSTANTS.m_rb87
     energy = (0.5 * m * v**2 + 0.5 * m * trap.omega_z**2 * d**2
@@ -294,10 +294,11 @@ def test_criterion_13_conservation_and_consistency(tmp_path):
     rec2 = count_monte_carlo((t, np.full_like(t, 0.5)), cav, 0.05, 1e-5,
                              seed=23)
     assert np.array_equal(rec.counts, rec2.counts)
+    every_site = range(len(ringup_context(500.0, 2, 9)[3]))
     tr1 = run_ringup(2.0, "nmax", 0.1e-3, omega_z_spread=500.0, seed=9,
-                     subensembles=2)[2]
+                     subensembles=2, record_sites=every_site)[2]
     tr2 = run_ringup(2.0, "nmax", 0.1e-3, omega_z_spread=500.0, seed=9,
-                     subensembles=2)[2]
+                     subensembles=2, record_sites=every_site)[2]
     assert np.array_equal(tr1.nbar, tr2.nbar)
     assert np.array_equal(tr1.displacements, tr2.displacements)
     from cavkerr.cli import write_csv

@@ -130,6 +130,12 @@ class TestConfigErrors:
         ("fig_ringdown.yaml", "ringdown", "ringdown.n_average", 0),
         ("fig_ringdown.yaml", "ringdown", "ringdown.efficiency", 2.0),
         ("fig_ringdown.yaml", "ringdown", "ringdown.backaction", "false"),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.subensembles", 0),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.dt_per_period", 0),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.dt_per_period", -200),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.bin_width", 0),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.window_length", "-5 us"),
+        ("fig_ringdown.yaml", "trigger", "trigger.bin_width", 0),
         ("fig_lineshapes.yaml", "lineshape", "lineshape.n_max", ["a"]),
     ])
     def test_bad_key_exit_2_before_any_output(self, tmp_path, capsys, config,

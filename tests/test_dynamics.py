@@ -11,6 +11,7 @@ from cavkerr import (
     LatticeEnsemble,
     ResponseProfile,
     SweepConfig,
+    build_lattice,
     beta_parameter,
     collective_shift,
     effective_kerr_numeric,
@@ -20,6 +21,7 @@ from cavkerr import (
     kerr_coefficient,
     n_max_for_switch_on,
     reference_cavity,
+    reference_trap,
     probe_potential,
     quasi_static_sweep,
     ring_up,
@@ -49,7 +51,8 @@ class TestRingUpStepResponse:
         periods = 20
         trace = ring_up(ens, cavity260, trap49, drive,
                         duration=periods * TWO_PI / trap49.omega_z,
-                        profile=flat_profile(), linearized_force=True)
+                        profile=flat_profile(), linearized_force=True,
+                        record_sites=[0])
         d = trace.displacements[:, 0]
         f1 = CONSTANTS.hbar * cavity260.g0**2 * cavity260.k_probe / abs(
             cavity260.delta_ca)
@@ -78,7 +81,7 @@ class TestRingUpStepResponse:
         drive = DriveParams(n_max=nbar, delta_pc=0.0)
         period = TWO_PI / trap49.omega_z
         trace = ring_up(ens, cavity260, trap49, drive, duration=100 * period,
-                        profile=flat_profile())
+                        profile=flat_profile(), record_sites=[0])
         d = trace.displacements[:, 0]
         v = trace.velocities[:, 0]
         m = CONSTANTS.m_rb87
@@ -95,7 +98,7 @@ class TestRingUpStepResponse:
         drive = DriveParams(n_max=3.0, delta_pc=0.0)
         period = TWO_PI / trap49.omega_z
         trace = ring_up(ens, cavity260, trap49, drive, duration=50 * period,
-                        profile=flat_profile())
+                        profile=flat_profile(), record_sites=[0])
         d = trace.displacements[:, 0]
         v = trace.velocities[:, 0]
         m = CONSTANTS.m_rb87
@@ -120,8 +123,9 @@ class TestRingUpReferenceConfiguration:
         assert 0.4 <= trace.nbar.max() - trace.nbar.min() <= 3.5
 
     def test_representative_well_displacement_at_nmax_6p5(self):
-        cavity, trap, trace = run_ringup(6.5, "nmax", 0.25e-3, tracer_pi4=True)
-        tracer = trace.displacements[:, -1]
+        cavity, trap, trace = run_ringup(6.5, "nmax", 0.25e-3, tracer_pi4=True,
+                                         record_sites=[-1])
+        tracer = trace.displacements[:, 0]
         pp_nm = (tracer.max() - tracer.min()) * 1e9
         assert 0.4 <= pp_nm <= 1.6    # ~0.8 nm peak-to-peak
 
@@ -132,7 +136,7 @@ class TestRingUpReferenceConfiguration:
         cavity, trap, profile, ensemble = ringup_context(tracer_pi4=False)
         drive = ringup_drive(6.5, "nmax", profile)
         trace = ring_up(ensemble, cavity, trap, drive, duration=0.2e-3,
-                        profile=profile)
+                        profile=profile, record_sites=range(len(ensemble)))
         for k in range(0, len(trace.time), 10):
             dn = collective_shift_from_displacements(
                 ensemble, trace.displacements[k], cavity)
@@ -165,13 +169,108 @@ class TestTraceExport:
         ens = single_site_pi4(trap49.omega_z)
         drive = DriveParams(n_max=1.0, delta_pc=0.0)
         trace = ring_up(ens, cavity260, trap49, drive, duration=0.1e-3,
-                        profile=flat_profile())
+                        profile=flat_profile(), record_sites=[0])
         path = tmp_path / "trace.csv"
-        trace.to_csv(path, site_columns=[0])
+        trace.to_csv(path)
         data = np.loadtxt(path, delimiter=",")
         assert data.shape[1] == 4
         assert np.array_equal(data[:, 0], trace.time)
         assert np.array_equal(data[:, 3], trace.displacements[:, 0])
+
+    def test_csv_names_each_site_by_its_row(self, tmp_path):
+        cavity, trap, profile, ensemble = ringup_context(tracer_pi4=True)
+        drive = ringup_drive(6.5, "nmax", profile)
+        trace = ring_up(ensemble, cavity, trap, drive, duration=0.02e-3,
+                        profile=profile, record_sites=[3, -1])
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        n = len(ensemble)
+        assert trace.sites == (3, n - 1)
+        assert path.read_text().splitlines()[0] == (
+            f"# time_s,deltaN_rad_s,nbar,disp_site3_m,disp_site{n - 1}_m")
+
+
+class TestRecording:
+    @staticmethod
+    def _ring(record_every=1, **kwargs):
+        cavity, trap, profile, ensemble = ringup_context(tracer_pi4=True)
+        drive = ringup_drive(6.5, "instantaneous", profile)
+        return ring_up(ensemble, cavity, trap, drive, duration=0.1e-3,
+                       profile=profile, record_every=record_every, **kwargs)
+
+    @pytest.mark.parametrize("backaction, field_model", [
+        (True, CavityFieldMode.ADIABATIC),
+        (False, CavityFieldMode.ADIABATIC),
+        (False, CavityFieldMode.FIRST_ORDER_FILTER),
+    ])
+    def test_sparse_record_is_every_second_sample(self, backaction,
+                                                  field_model):
+        # recording every second step samples the same trajectory: the
+        # shift computed only at samples equals the one computed each step
+        common = dict(backaction=backaction, field_model=field_model,
+                      record_sites=[0, -1])
+        dense = self._ring(1, **common)
+        sparse = self._ring(2, **common)
+        assert len(sparse.time) == (len(dense.time) + 1) // 2
+        for name in ("time", "delta_n", "nbar", "probe_on", "displacements",
+                     "velocities"):
+            assert np.array_equal(getattr(sparse, name),
+                                  getattr(dense, name)[::2]), name
+
+    def test_chosen_sites_match_the_full_record(self):
+        n = len(ringup_context(tracer_pi4=True)[3])
+        full = self._ring(record_sites=range(n))
+        assert full.displacements.shape == (len(full.time), n)
+        for j in (0, 17, -1):
+            one = self._ring(record_sites=[j])
+            assert one.sites == (j % n,)
+            assert np.array_equal(one.displacements[:, 0],
+                                  full.displacements[:, j])
+            assert np.array_equal(one.velocities[:, 0], full.velocities[:, j])
+            assert np.array_equal(one.delta_n, full.delta_n)
+
+    def test_default_trace_holds_no_site_arrays(self):
+        trace = self._ring()
+        assert trace.sites == ()
+        assert trace.displacements is None and trace.velocities is None
+
+
+class TestClosedFormOracle:
+    # linearized, one-way, undamped: each row is a driven oscillator under
+    # the constant switch-on force F_j = f1 sin(2 theta_j) nbar0, so
+    # d_j(t) = F_j/(m w_j^2) (1 - cos w_j t) exactly.  The bound pins the
+    # error measured at 200 steps per period, 1.07e-3 kappa
+    BOUND_KAPPA = 1.1e-3
+
+    @staticmethod
+    def _error_kappa(steps_per_period):
+        cavity = reference_cavity(delta_ca=-TWO_PI * 260e9)
+        trap = reference_trap(omega_z=TWO_PI * 49e3)
+        profile = ResponseProfile.from_cavity(cavity)
+        ensemble = build_lattice(
+            20, 5e4, trap.omega_z, omega_z_spread=TWO_PI * 2e3, seed=5,
+            k_ratio=cavity.k_probe / cavity.k_trap, subensembles=2)
+        ensemble = ensemble.scaled_to_shift(RINGUP_DELTA_N0, cavity)
+        drive = ringup_drive(6.5, "instantaneous", profile)
+        trace = ring_up(ensemble, cavity, trap, drive, duration=1e-3,
+                        dt=TWO_PI / (steps_per_period * trap.omega_z),
+                        profile=profile, backaction=False,
+                        linearized_force=True)
+        w = ensemble.omega_z
+        f1 = -CONSTANTS.hbar * cavity.g0**2 * cavity.k_probe / cavity.delta_ca
+        d_eq = (f1 * np.sin(2 * ensemble.theta) * trace.nbar[0]
+                / (CONSTANTS.m_rb87 * w**2))
+        d = d_eq * (1.0 - np.cos(np.outer(trace.time, w)))
+        s = np.sin(ensemble.theta + cavity.k_probe * d)
+        exact = (s * s) @ ensemble.population * cavity.g0**2 / cavity.delta_ca
+        return np.max(np.abs(trace.delta_n - exact)) / cavity.kappa
+
+    def test_delta_n_matches_closed_form(self):
+        assert self._error_kappa(200) < self.BOUND_KAPPA
+
+    def test_second_order_in_dt(self):
+        ratio = self._error_kappa(200) / self._error_kappa(400)
+        assert ratio >= 3.5
 
 
 class TestDephasing:
@@ -182,7 +281,7 @@ class TestDephasing:
         spread = np.sqrt(2.0) / 1.0e-3
         cavity, trap, trace = run_ringup(
             0.05, "instantaneous", 3.0e-3, omega_z_spread=spread,
-            subensembles=10, seed=42, store_displacements=False)
+            subensembles=10, seed=42)
         decay = windowed_fourier_amplitude(trace, trap.omega_z / TWO_PI,
                                            500e-6)
         fit = decay_fit(decay, model="gaussian")
@@ -195,7 +294,7 @@ class TestDephasing:
         spread = np.sqrt(2.0) / 1.0e-3
         cavity, trap, trace = run_ringup(
             6.5, "instantaneous", 2.0e-3, omega_z_spread=spread,
-            subensembles=4, seed=42, store_displacements=False)
+            subensembles=4, seed=42)
         decay = windowed_fourier_amplitude(trace, trap.omega_z / TWO_PI,
                                            500e-6)
         amps = decay.amplitudes
@@ -208,8 +307,7 @@ class TestDephasing:
         spread = np.sqrt(2.0) / 1.0e-3
         cavity, trap, trace = run_ringup(
             6.5, "instantaneous", 2.0e-3, omega_z_spread=spread,
-            subensembles=4, seed=42, backaction=False, linearized_force=True,
-            store_displacements=False)
+            subensembles=4, seed=42, backaction=False, linearized_force=True)
         decay = windowed_fourier_amplitude(trace, trap.omega_z / TWO_PI,
                                            500e-6)
         amps = decay.amplitudes
@@ -226,8 +324,7 @@ class TestDephasing:
         spread = np.sqrt(2.0) / 1.0e-3
         cavity, trap, trace = run_ringup(
             6.5, "instantaneous", 2.0e-3, omega_z_spread=spread,
-            subensembles=4, seed=42, backaction=False,
-            store_displacements=False)
+            subensembles=4, seed=42, backaction=False)
         decay = windowed_fourier_amplitude(trace, trap.omega_z / TWO_PI,
                                            500e-6)
         amps = decay.amplitudes
@@ -246,7 +343,7 @@ class TestQuasiStaticConsistency:
                             atom_number=5e4)
         trace = ring_up(ensemble, cavity, trap, drive, duration=3.0e-3,
                         profile=profile, ramp_time=1.0e-3,
-                        damping_rate=6000.0, store_displacements=False)
+                        damping_rate=6000.0)
         nbar_final = trace.nbar[-1]
 
         eps_eff = effective_kerr_numeric(ensemble, cavity, trap)
@@ -270,8 +367,7 @@ class TestCavityFieldModels:
             drive = DriveParams(
                 n_max=n_max_for_switch_on(2.0, profile, -2.0 * cav.kappa, 0.0),
                 delta_pc=-2.0 * cav.kappa)
-            common = dict(duration=0.3e-3, profile=profile,
-                          store_displacements=False)
+            common = dict(duration=0.3e-3, profile=profile)
             tr_a = ring_up(ens, cav, trap49, drive,
                            CavityFieldMode.ADIABATIC,
                            **common)
