@@ -38,14 +38,11 @@ from .lattice import (
     build_lattice,
     collective_shift_from_displacements,
     effective_kerr_numeric,
-    load_ensemble,
     per_site_force,
     probe_potential,
-    save_ensemble,
 )
 from .dynamics import (
     CavityFieldMode,
-    SweepConfig,
     TransientTrace,
     impulse_boundary_detuning,
     impulse_modulation_estimate,

@@ -6,9 +6,9 @@ rejected, and a scenario parses every section it reads before it computes.
 Frequencies are ordinary Hz, bare or suffixed ("0.66 MHz"), held as angular
 rad/s; docs/formats.md lists the keys and units.
 
-Every output file starts with comment lines embedding the config and the
-seed, so a run is reproducible from its own output.  Exit codes: 0 success,
-2 config error (naming the key), 3 numeric failure.
+Every output embeds the config and the seed (CSV comment lines, JSON
+``_config``/``_seed`` keys), so a run is reproducible from its own output.
+Exit codes: 0 success, 2 config error (naming the key), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -118,12 +118,15 @@ def _positive(parse):
     return _check(lambda x: x > 0, "positive", parse)
 
 
+def _nonzero(parse):
+    return _check(lambda x: x != 0, "nonzero", parse)
+
+
 _integer = _check(lambda v: isinstance(v, int) and not isinstance(v, bool),
                   "an integer")
 _flag = _check(lambda v: isinstance(v, bool), "true or false")
 _text = _check(lambda v: isinstance(v, str), "a string")
 _fraction = _check(lambda x: 0.0 <= x <= 1.0, "in [0, 1]", _number)
-_nonzero_chirp = _check(lambda x: x != 0, "nonzero", parse_chirp)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +149,7 @@ FIELDS = {
     "params.cavity.kappa": Field(parse_frequency),
     "params.cavity.g0": Field(parse_frequency),
     "params.cavity.gamma_atom": Field(parse_frequency),
-    "params.cavity.delta_ca": Field(parse_frequency),
+    "params.cavity.delta_ca": Field(_nonzero(parse_frequency)),
     "params.cavity.probe_wavelength": Field(parse_length),
     "params.cavity.trap_wavelength": Field(parse_length),
     "params.cavity.sigma_jitter": Field(parse_frequency, 0.0),
@@ -166,7 +169,7 @@ FIELDS = {
     "lineshape.points": Field(_at_least(2), 801),
     "lineshape.n_max": Field(_numbers, None),      # [params.drive.n_max]
     "lineshape.direction": Field(_one_of("up", "down"), "up"),
-    "sweep.chirp_rate": Field(_nonzero_chirp),
+    "sweep.chirp_rate": Field(_nonzero(parse_chirp)),   # sets nothing
     "sweep.delta_pc_start": Field(parse_frequency),
     "sweep.delta_pc_stop": Field(parse_frequency),
     "sweep.points": Field(_at_least(2), 1201),
@@ -381,19 +384,18 @@ def cmd_lineshape(cfg, out, seed) -> int:
 
     profile = steady_state.ResponseProfile.from_cavity(system.cavity)
     eps = system.kerr_coefficient()
-    grid = (np.linspace(sec["delta_pc_start"], sec["delta_pc_stop"],
-                        sec["points"]) - dn) / profile.kappa
+    grid = np.linspace(sec["delta_pc_start"], sec["delta_pc_stop"],
+                       sec["points"])
 
     trace_col, nmax_col, dpc_col, nbar_col = [], [], [], []
     for i, n_max in enumerate(n_max_list):
         beta = params.beta_parameter(dn, eps, n_max, system.cavity.kappa)
-        scan = steady_state.lineshape_scan(profile, beta, grid,
-                                           sec["direction"])
-        for d0, u in scan:
-            trace_col.append(float(i))
-            nmax_col.append(n_max)
-            dpc_col.append((d0 * profile.kappa + dn) / TWO_PI)
-            nbar_col.append(u * n_max)
+        dpc, nbar = dynamics.quasi_static_sweep(profile, beta, grid, n_max,
+                                                dn, sec["direction"])
+        trace_col.extend([float(i)] * len(dpc))
+        nmax_col.extend([n_max] * len(dpc))
+        dpc_col.extend((dpc / TWO_PI).tolist())
+        nbar_col.extend(nbar.tolist())
     write_csv(out, ["trace", "n_max", "deltaPC_Hz", "nbar"],
               [trace_col, nmax_col, dpc_col, nbar_col], _meta(cfg, seed))
     return 0
@@ -409,14 +411,10 @@ def cmd_sweep(cfg, out, seed) -> int:
 
     lo, hi = sorted((sec["delta_pc_start"], sec["delta_pc_stop"]))
     dir_col, dpc_col, nbar_col = [], [], []
-    for direction, sign in (("up", 1.0), ("down", -1.0)):
-        cfg_sweep = dynamics.SweepConfig(
-            chirp_rate=sign * abs(sec["chirp_rate"]),
-            delta_pc_start=lo if direction == "up" else hi,
-            delta_pc_end=hi if direction == "up" else lo,
-            n_max=system.drive.n_max)
-        dpc, nbar = dynamics.quasi_static_sweep(cfg_sweep, profile, beta, dn,
-                                                sec["points"])
+    for direction, ends in (("up", (lo, hi)), ("down", (hi, lo))):
+        dpc, nbar = dynamics.quasi_static_sweep(
+            profile, beta, np.linspace(*ends, sec["points"]),
+            system.drive.n_max, dn, direction)
         dir_col.extend([direction] * len(dpc))
         dpc_col.extend((dpc / TWO_PI).tolist())
         nbar_col.extend(nbar.tolist())
@@ -487,8 +485,8 @@ def cmd_ringdown(cfg, out, seed) -> int:
                                atom_number=system.drive.atom_number)
     dt = TWO_PI / (sec["dt_per_period"] * trap.omega_z)
     trace = dynamics.ring_up(
-        ensemble, cav, trap, drive,
-        dynamics.CavityFieldMode(sec["field_model"]),
+        ensemble, cav, drive,
+        field_model=dynamics.CavityFieldMode(sec["field_model"]),
         damping_rate=sec["damping_rate"],
         duration=sec["duration"], dt=dt, profile=profile,
         ramp_time=sec["ramp_time"], backaction=sec["backaction"],
@@ -533,7 +531,7 @@ def cmd_ringdown(cfg, out, seed) -> int:
     if tracer is not None:
         tr = trace.displacements[:, 0]
         summary["tracer_pp_displacement_nm"] = float((tr.max() - tr.min()) * 1e9)
-    _emit_json(summary, base + "_summary.json")
+    _emit_json(summary, base + "_summary.json", meta)
     return 0
 
 
@@ -553,6 +551,7 @@ def _run_trigger(sec, system, seed) -> measure.TriggerResult:
 def cmd_trigger(cfg, out, seed) -> int:
     result = _run_trigger(_resolve(cfg, "trigger"), build_system(cfg), seed)
     base = _out_base(out) if out else None
+    meta = _meta(cfg, seed)
     report = {
         "triggered": result.triggered,
         "trigger_time_s": result.trigger_time,
@@ -565,9 +564,8 @@ def cmd_trigger(cfg, out, seed) -> int:
     if base:
         write_csv(base + "_counts.csv", ["time_s", "counts"],
                   [result.counts.times.tolist(),
-                   result.counts.counts.astype(float).tolist()],
-                  _meta(cfg, seed))
-    _emit_json(report, base and base + "_summary.json")
+                   result.counts.counts.astype(float).tolist()], meta)
+    _emit_json(report, base and base + "_summary.json", meta)
     return 0
 
 

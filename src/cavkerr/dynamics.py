@@ -40,26 +40,6 @@ class CavityFieldMode(Enum):
     FIRST_ORDER_FILTER = "filter"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Linear probe-frequency sweep at constant input power."""
-
-    chirp_rate: float          # probe frequency chirp, Hz/s, signed
-    delta_pc_start: float      # rad/s
-    delta_pc_end: float        # rad/s
-    n_max: float
-
-    def __post_init__(self):
-        if self.chirp_rate == 0:
-            raise ValueError("chirp_rate must be nonzero")
-        if (self.delta_pc_end - self.delta_pc_start) * self.chirp_rate < 0:
-            raise ValueError("sweep range must run in the chirp direction")
-
-    @property
-    def direction(self) -> str:
-        return "up" if self.chirp_rate > 0 else "down"
-
-
 @dataclass
 class TransientTrace:
     """Sampled ring-up record.
@@ -74,14 +54,13 @@ class TransientTrace:
     time: np.ndarray
     delta_n: np.ndarray
     nbar: np.ndarray
-    probe_on: np.ndarray
     displacements: np.ndarray | None = None
     velocities: np.ndarray | None = None
     sites: tuple[int, ...] = ()
 
     def __post_init__(self):
         n = len(self.time)
-        if not (len(self.delta_n) == len(self.nbar) == len(self.probe_on) == n):
+        if not (len(self.delta_n) == len(self.nbar) == n):
             raise ValueError("trace series must have equal length")
         if np.any(self.nbar < 0):
             raise ValueError("nbar must be nonnegative")
@@ -89,36 +68,22 @@ class TransientTrace:
             if series is not None and series.shape != (n, len(self.sites)):
                 raise ValueError("site series must be (n_samples, len(sites))")
 
-    def to_csv(self, path) -> None:
-        """Time, shift and photon number, then one displacement column per
-        recorded site, named by its ensemble row."""
-        cols = [self.time, self.delta_n, self.nbar]
-        names = ["time_s", "deltaN_rad_s", "nbar"]
-        for k, j in enumerate(self.sites):
-            cols.append(self.displacements[:, k])
-            names.append(f"disp_site{j}_m")
-        data = np.column_stack(cols)
-        np.savetxt(path, data, header=",".join(names), delimiter=",",
-                   fmt="%.17g", comments="# ")
 
-
-def quasi_static_sweep(config: SweepConfig, profile: ResponseProfile,
-                       beta: float, delta_n: float = 0.0,
-                       num_points: int = 1001) -> tuple[np.ndarray, np.ndarray]:
+def quasi_static_sweep(profile: ResponseProfile, beta: float, delta_pc,
+                       n_max: float, delta_n: float,
+                       direction: str) -> tuple[np.ndarray, np.ndarray]:
     """Quasi-static swept lineshape nbar(delta_pc) with hysteretic jumps.
 
-    Wraps the branch-following scan in physical units: the reduced detuning
-    is (delta_pc - delta_n)/kappa and the sweep direction follows the chirp
-    sign.  Returns (delta_pc, nbar) in traversal order.
+    Wraps the branch-following scan in physical units: the probe detunings
+    ``delta_pc`` (rad/s) become reduced detunings (delta_pc - delta_n)/kappa,
+    scanned in ``direction`` ("up" or "down").  Returns (delta_pc, nbar) in
+    traversal order.
     """
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
-    dpc = np.linspace(config.delta_pc_start, config.delta_pc_end, num_points)
-    grid = (dpc - delta_n) / profile.kappa
-    scan = lineshape_scan(profile, beta, grid, direction=config.direction)
-    d0 = np.array([p[0] for p in scan])
-    u = np.array([p[1] for p in scan])
-    return d0 * profile.kappa + delta_n, u * config.n_max
+    grid = (np.asarray(delta_pc, dtype=float) - delta_n) / profile.kappa
+    d0, u = np.array(lineshape_scan(profile, beta, grid, direction)).T
+    return d0 * profile.kappa + delta_n, u * n_max
 
 
 def n_max_for_switch_on(level: float, profile: ResponseProfile,
@@ -130,11 +95,11 @@ def n_max_for_switch_on(level: float, profile: ResponseProfile,
     return level / v
 
 
-def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
-            drive: DriveParams,
+def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
+            drive: DriveParams, *,
             field_model: CavityFieldMode = CavityFieldMode.ADIABATIC,
             damping_rate: float = 0.0, duration: float = 1e-3,
-            dt: float | None = None, *, profile: ResponseProfile | None = None,
+            dt: float | None = None, profile: ResponseProfile | None = None,
             linearized_force: bool = False, ramp_time: float = 0.0,
             backaction: bool = True, record_every: int = 1,
             record_sites: Sequence[int] = (),
@@ -213,7 +178,6 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
     t_rec = np.empty(n_rec)
     dn_rec = np.empty(n_rec)
     nb_rec = np.empty(n_rec)
-    on_rec = np.empty(n_rec, dtype=bool)
     disp_rec = np.empty((n_rec, sites.size))
     vel_rec = np.empty((n_rec, sites.size))
 
@@ -221,7 +185,6 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
         t_rec[i_rec] = t
         dn_rec[i_rec] = dn
         nb_rec[i_rec] = nbar
-        on_rec[i_rec] = drive_level(t) > 0.0
         disp_rec[i_rec] = d[sites]
         vel_rec[i_rec] = v[sites]
 
@@ -247,7 +210,7 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams, trap: TrapParams,
             record((i + 1) // record_every, t_new)
 
     kept = sites.size > 0
-    return TransientTrace(t_rec, dn_rec, nb_rec, on_rec,
+    return TransientTrace(t_rec, dn_rec, nb_rec,
                           disp_rec if kept else None,
                           vel_rec if kept else None,
                           tuple(int(j) for j in sites))
@@ -265,8 +228,6 @@ def impulse_modulation_estimate(cavity: CavityParams, trap: TrapParams,
     kick scaling with the local gradient, averaged over the wells) modulate
     the resonance by N g0^2 k_p/(2|delta_ca|) * v/omega_z.
     """
-    if cavity.delta_ca == 0:
-        raise ValueError("delta_ca must be nonzero in the dispersive regime")
     f = (-constants.hbar * cavity.g0 ** 2 * cavity.k_probe
          * np.sin(2.0 * theta) / cavity.delta_ca)
     v = f / (2.0 * cavity.kappa * constants.m_rb87)

@@ -14,7 +14,6 @@ of the collective Kerr shift.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ class LatticeEnsemble:
     theta: np.ndarray
     population: np.ndarray
     omega_z: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         for name in ("theta", "population", "omega_z"):
@@ -57,7 +55,7 @@ class LatticeEnsemble:
         if current == 0.0:
             raise ValueError("ensemble couples to no light; cannot rescale")
         return LatticeEnsemble(self.theta, self.population * (delta_n / current),
-                               self.omega_z, self.seed)
+                               self.omega_z)
 
 
 def build_lattice(num_sites: int, total_atoms: float, omega_z_mean: float,
@@ -111,7 +109,7 @@ def build_lattice(num_sites: int, total_atoms: float, omega_z_mean: float,
         pop = np.append(pop, np.zeros(tracer.size))
         omega = np.append(omega, np.full(tracer.size, omega_z_mean))
 
-    return LatticeEnsemble(theta, pop, omega, seed=seed)
+    return LatticeEnsemble(theta, pop, omega)
 
 
 def collective_shift_from_displacements(ensemble: LatticeEnsemble,
@@ -119,8 +117,6 @@ def collective_shift_from_displacements(ensemble: LatticeEnsemble,
                                         cavity: CavityParams) -> float:
     """Delta_N for given site displacements (m):
     sum_j N_j g0^2 sin^2(theta_j + k_p d_j) / delta_ca."""
-    if cavity.delta_ca == 0:
-        raise ValueError("delta_ca must be nonzero in the dispersive regime")
     d = np.asarray(displacements, dtype=float)
     if d.shape != ensemble.theta.shape:
         raise ValueError("need exactly one displacement per site")
@@ -133,8 +129,6 @@ def per_site_force(theta, displacement, nbar: float, cavity: CavityParams,
                    constants: PhysicalConstants = CONSTANTS):
     """Probe dipole force (N) on one collective coordinate:
     -hbar g0^2 k_p sin(2(theta + k_p d)) nbar / delta_ca."""
-    if cavity.delta_ca == 0:
-        raise ValueError("delta_ca must be nonzero in the dispersive regime")
     phase = 2.0 * (np.asarray(theta, dtype=float)
                    + cavity.k_probe * np.asarray(displacement, dtype=float))
     out = (-constants.hbar * cavity.g0 ** 2 * cavity.k_probe * np.sin(phase)
@@ -179,28 +173,3 @@ def effective_kerr_numeric(ensemble: LatticeEnsemble, cavity: CavityParams,
     e1 = eps_at(1e-3)
     e2 = eps_at(5e-4)
     return 2.0 * e2 - e1   # cancels the O(nbar) error
-
-
-def save_ensemble(ensemble: LatticeEnsemble, path) -> None:
-    """Write the ensemble as tabular text (theta, population, omega_z)."""
-    header = "theta_rad population omega_z_rad_s"
-    if ensemble.seed is not None:
-        header = f"seed: {ensemble.seed}\n" + header
-    data = np.column_stack([ensemble.theta, ensemble.population,
-                            ensemble.omega_z])
-    np.savetxt(path, data, header=header, fmt="%.17g")
-
-
-def load_ensemble(path) -> LatticeEnsemble:
-    """Read an ensemble written by save_ensemble."""
-    seed = None
-    if isinstance(path, (str, bytes)) or hasattr(path, "__fspath__"):
-        with open(path) as fh:
-            text = fh.read()
-    else:
-        text = path.read()
-    for line in text.splitlines():
-        if line.startswith("# seed:"):
-            seed = int(line.split(":", 1)[1])
-    data = np.loadtxt(io.StringIO(text), ndmin=2)
-    return LatticeEnsemble(data[:, 0], data[:, 1], data[:, 2], seed=seed)

@@ -25,11 +25,10 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass
 class CountRecord:
-    """Binned photon counts; reproducible from seed and the rate input."""
+    """Binned photon counts; the first bin starts at ``t_start``."""
 
     bin_width: float
     counts: np.ndarray
-    seed: int | None = None
     t_start: float = 0.0
 
     def __post_init__(self):
@@ -47,11 +46,6 @@ class CountRecord:
     def rates(self) -> np.ndarray:
         return self.counts / self.bin_width
 
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.times, self.counts])
-        np.savetxt(path, data, header=f"seed: {self.seed}\ntime_s,counts",
-                   delimiter=",", fmt="%.17g", comments="# ")
-
 
 @dataclass
 class SpectralDecay:
@@ -59,21 +53,10 @@ class SpectralDecay:
 
     window_centers: np.ndarray
     amplitudes: np.ndarray
-    frequency: float
-    window_length: float
-    fitted_tau: float | None = None
-    seed: int | None = None      # inherited from a seeded count record
 
     def __post_init__(self):
         if np.any(np.asarray(self.amplitudes) < 0):
             raise ValueError("amplitudes must be nonnegative")
-
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.window_centers, self.amplitudes])
-        np.savetxt(path, data,
-                   header=(f"seed: {self.seed}\nfitted_tau_s: {self.fitted_tau}"
-                           "\nwindow_center_s,amplitude"),
-                   delimiter=",", fmt="%.17g", comments="# ")
 
 
 def _as_rate_series(source) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +105,7 @@ def count_monte_carlo(nbar_trace, cavity: CavityParams, efficiency: float,
     t0, _, means = _expected_counts(nbar_trace, cavity, efficiency,
                                     bin_width, dark_rate)
     rng = np.random.default_rng(seed)
-    return CountRecord(bin_width, rng.poisson(means), seed=seed, t_start=t0)
+    return CountRecord(bin_width, rng.poisson(means), t_start=t0)
 
 
 def averaged_counts(nbar_trace, cavity: CavityParams, efficiency: float,
@@ -171,8 +154,7 @@ def repeated_measurement_decay(nbar_trace, cavity: CavityParams,
         sd = windowed_fourier_amplitude((centers, counts / bin_width),
                                         frequency, window_length)
         acc = sd.amplitudes if acc is None else acc + sd.amplitudes
-    return SpectralDecay(sd.window_centers, acc / n_average, frequency,
-                         window_length)
+    return SpectralDecay(sd.window_centers, acc / n_average)
 
 
 @dataclass(frozen=True)
@@ -228,7 +210,7 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
     means = 2.0 * cavity.kappa * nbar * efficiency * bin_width
     rng = np.random.default_rng(seed)
     counts = rng.poisson(means)
-    record = CountRecord(bin_width, counts, seed=seed)
+    record = CountRecord(bin_width, counts)
 
     # trailing moving average: bin i sees bins i-n+1..i only, as a real
     # trigger does (zero counts before the record start)
@@ -274,8 +256,7 @@ def windowed_fourier_amplitude(source, frequency: float, window_length: float
         z = np.sum(seg * np.exp(-2j * np.pi * frequency * tt)) * dt
         amps[k] = 2.0 * np.abs(z) / (n_per * dt)
         centers[k] = np.mean(tt)
-    seed = source.seed if isinstance(source, CountRecord) else None
-    return SpectralDecay(centers, amps, frequency, window_length, seed=seed)
+    return SpectralDecay(centers, amps)
 
 
 @dataclass
@@ -340,6 +321,5 @@ def decay_fit(decay: SpectralDecay, model: str = "gaussian",
     tau = _crossing(c, a, a0, model)
     reliable = np.isfinite(tau) and (
         np.isfinite(tau_gau) if model == "gaussian" else np.isfinite(tau_exp))
-    decay.fitted_tau = tau if reliable else None
     return DecayFit(tau, model, float(tau_exp), float(tau_gau), a0,
                     bool(reliable))

@@ -72,6 +72,8 @@ class CavityParams:
             raise ValueError("g0 must be positive")
         if self.gamma_atom <= 0:
             raise ValueError("gamma_atom must be positive")
+        if self.delta_ca == 0:
+            raise ValueError("delta_ca must be nonzero in the dispersive regime")
         if self.k_probe <= 0 or self.k_trap <= 0:
             raise ValueError("wavenumbers must be positive")
         if self.k_probe == self.k_trap:
@@ -184,8 +186,6 @@ def kerr_coefficient(cavity: CavityParams, trap: TrapParams,
     With ``multi_well`` the value is halved to account for averaging over
     the many differently-phased wells.
     """
-    if cavity.delta_ca == 0:
-        raise ValueError("delta_ca must be nonzero in the dispersive regime")
     eps = (2.0 * constants.hbar * cavity.k_probe ** 2 * cavity.g0 ** 2
            / (constants.m_rb87 * cavity.delta_ca * trap.omega_z ** 2))
     return eps / 2.0 if multi_well else eps

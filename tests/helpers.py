@@ -52,6 +52,6 @@ def run_ringup(level, level_mode, duration, *, omega_z_spread=0.0,
     cavity, trap, profile, ensemble = ringup_context(
         omega_z_spread, subensembles, seed, tracer_pi4)
     drive = ringup_drive(level, level_mode, profile)
-    trace = ring_up(ensemble, cavity, trap, drive, duration=duration,
+    trace = ring_up(ensemble, cavity, drive, duration=duration,
                     profile=profile, backaction=backaction, **kwargs)
     return cavity, trap, trace

@@ -16,7 +16,6 @@ from cavkerr import (
     DriveParams,
     LatticeEnsemble,
     ResponseProfile,
-    SweepConfig,
     SystemParams,
     beta_parameter,
     bistability_threshold,
@@ -157,12 +156,9 @@ def test_criterion_09_hysteresis_sweeps():
     n_pts = 1601
     step = (hi - lo) / (n_pts - 1)
     sweeps = {}
-    for direction, chirp in (("up", 6e9), ("down", -6e9)):
-        cfg = SweepConfig(chirp_rate=chirp,
-                          delta_pc_start=lo if direction == "up" else hi,
-                          delta_pc_end=hi if direction == "up" else lo,
-                          n_max=10.0)
-        sweeps[direction] = quasi_static_sweep(cfg, profile, beta, dn, n_pts)
+    for direction, ends in (("up", (lo, hi)), ("down", (hi, lo))):
+        sweeps[direction] = quasi_static_sweep(
+            profile, beta, np.linspace(*ends, n_pts), 10.0, dn, direction)
     fold_dpc = [f[0] * cav.kappa + dn for f in fold_points(profile, beta)]
     for direction in ("up", "down"):
         dpc, nbar = sweeps[direction]
@@ -245,7 +241,7 @@ def test_criterion_13_conservation_and_consistency(tmp_path):
     flat = ResponseProfile.lorentzian(1e18)
     nbar = 6.5
     period = TWO_PI / trap.omega_z
-    trace = ring_up(ens, cav, trap, DriveParams(n_max=nbar, delta_pc=0.0),
+    trace = ring_up(ens, cav, DriveParams(n_max=nbar, delta_pc=0.0),
                     duration=100 * period, profile=flat, record_sites=[0])
     d, v = trace.displacements[:, 0], trace.velocities[:, 0]
     m = CONSTANTS.m_rb87

@@ -123,6 +123,8 @@ class TestConfigErrors:
         ("derived.yaml", "derived", "params.cavity.kappa", float("nan")),
         ("derived.yaml", "derived", "params.drive.n_max", float("nan")),
         ("derived.yaml", "derived", "params.drive.atom_number", float("inf")),
+        ("derived.yaml", "derived", "params.cavity.delta_ca", 0),
+        ("fig_ringdown.yaml", "ringdown", "params.cavity.delta_ca", "0 GHz"),
         ("fig_ringdown.yaml", "ringdown", "ringdown.field_model", "bogus"),
         ("fig_ringdown.yaml", "ringdown", "ringdown.fit_model", "bogus"),
         ("fig_ringdown.yaml", "ringdown", "ringdown.record_every", 0),
@@ -337,6 +339,50 @@ class TestTriggerScenario:
             -19.0, abs=1.5)
         assert summary["probe_on_time_s"] == pytest.approx(
             summary["trigger_time_s"] + 10e-3)
+
+
+class TestSelfDescribingOutputs:
+    # scenario -> (shipped config, --out name, {section: {key: value}}
+    # overrides that shrink the run)
+    CASES = {
+        "derived": ("configs/derived.yaml", "run.json", {}),
+        "lineshape": ("configs/fig_lineshapes.yaml", "run.csv",
+                      {"lineshape": {"points": 41}}),
+        "bistability-threshold": ("configs/fig_hysteresis.yaml", "run.json",
+                                  {}),
+        "sweep": ("configs/fig_hysteresis.yaml", "run.csv",
+                  {"sweep": {"points": 41}}),
+        "ringdown": ("configs/fig_ringdown.yaml", "run",
+                     {"ringdown": {"duration": "0.5 ms", "subensembles": 1,
+                                   "n_average": 2,
+                                   "window_length": "120 us"}}),
+        "trigger": ("perfbench/configs/trigger.yaml", "run",
+                    {"trigger": {"horizon": "0.1 s"}}),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(CASES))
+    def test_every_output_embeds_config_and_seed(self, tmp_path, scenario):
+        config, name, overrides = self.CASES[scenario]
+        cfg = yaml.safe_load((ROOT / config).read_text())
+        cfg["scenario"] = scenario
+        for section, values in overrides.items():
+            cfg[section].update(values)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli("--config", path, "--out", out / name) == 0
+        files = sorted(out.iterdir())
+        assert files
+        for f in files:
+            if f.suffix == ".json":
+                report = json.loads(f.read_text())
+                config_text, seed = report["_config"], report["_seed"]
+            else:
+                meta, _, _ = read_csv(f)
+                config_text, seed = meta["config"], int(meta["seed"])
+            assert json.loads(config_text) == cfg, f.name
+            assert seed == cfg["seed"], f.name
 
 
 class TestConfigTable:

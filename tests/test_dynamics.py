@@ -10,7 +10,6 @@ from cavkerr import (
     DriveParams,
     LatticeEnsemble,
     ResponseProfile,
-    SweepConfig,
     build_lattice,
     beta_parameter,
     collective_shift,
@@ -49,7 +48,7 @@ class TestRingUpStepResponse:
         ens = single_site_pi4(trap49.omega_z)
         drive = DriveParams(n_max=2.0, delta_pc=0.0)
         periods = 20
-        trace = ring_up(ens, cavity260, trap49, drive,
+        trace = ring_up(ens, cavity260, drive,
                         duration=periods * TWO_PI / trap49.omega_z,
                         profile=flat_profile(), linearized_force=True,
                         record_sites=[0])
@@ -69,7 +68,7 @@ class TestRingUpStepResponse:
         ens = single_site_pi4(trap49.omega_z)
         drive = DriveParams(n_max=1.0, delta_pc=0.0)
         with pytest.raises(ValueError):
-            ring_up(ens, cavity260, trap49, drive, duration=1e-4,
+            ring_up(ens, cavity260, drive, duration=1e-4,
                     dt=TWO_PI / (10 * trap49.omega_z))
 
     def test_energy_conservation_cycle_averaged(self, cavity260, trap49):
@@ -80,7 +79,7 @@ class TestRingUpStepResponse:
         nbar = 6.5
         drive = DriveParams(n_max=nbar, delta_pc=0.0)
         period = TWO_PI / trap49.omega_z
-        trace = ring_up(ens, cavity260, trap49, drive, duration=100 * period,
+        trace = ring_up(ens, cavity260, drive, duration=100 * period,
                         profile=flat_profile(), record_sites=[0])
         d = trace.displacements[:, 0]
         v = trace.velocities[:, 0]
@@ -97,7 +96,7 @@ class TestRingUpStepResponse:
         ens = single_site_pi4(trap49.omega_z)
         drive = DriveParams(n_max=3.0, delta_pc=0.0)
         period = TWO_PI / trap49.omega_z
-        trace = ring_up(ens, cavity260, trap49, drive, duration=50 * period,
+        trace = ring_up(ens, cavity260, drive, duration=50 * period,
                         profile=flat_profile(), record_sites=[0])
         d = trace.displacements[:, 0]
         v = trace.velocities[:, 0]
@@ -135,7 +134,7 @@ class TestRingUpReferenceConfiguration:
         from cavkerr import collective_shift_from_displacements
         cavity, trap, profile, ensemble = ringup_context(tracer_pi4=False)
         drive = ringup_drive(6.5, "nmax", profile)
-        trace = ring_up(ensemble, cavity, trap, drive, duration=0.2e-3,
+        trace = ring_up(ensemble, cavity, drive, duration=0.2e-3,
                         profile=profile, record_sites=range(len(ensemble)))
         for k in range(0, len(trace.time), 10):
             dn = collective_shift_from_displacements(
@@ -164,38 +163,12 @@ class TestRingUpReferenceConfiguration:
         assert 1.05 * f_z < peak < 1.20 * f_z
 
 
-class TestTraceExport:
-    def test_csv_with_site_columns(self, tmp_path, cavity260, trap49):
-        ens = single_site_pi4(trap49.omega_z)
-        drive = DriveParams(n_max=1.0, delta_pc=0.0)
-        trace = ring_up(ens, cavity260, trap49, drive, duration=0.1e-3,
-                        profile=flat_profile(), record_sites=[0])
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        data = np.loadtxt(path, delimiter=",")
-        assert data.shape[1] == 4
-        assert np.array_equal(data[:, 0], trace.time)
-        assert np.array_equal(data[:, 3], trace.displacements[:, 0])
-
-    def test_csv_names_each_site_by_its_row(self, tmp_path):
-        cavity, trap, profile, ensemble = ringup_context(tracer_pi4=True)
-        drive = ringup_drive(6.5, "nmax", profile)
-        trace = ring_up(ensemble, cavity, trap, drive, duration=0.02e-3,
-                        profile=profile, record_sites=[3, -1])
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        n = len(ensemble)
-        assert trace.sites == (3, n - 1)
-        assert path.read_text().splitlines()[0] == (
-            f"# time_s,deltaN_rad_s,nbar,disp_site3_m,disp_site{n - 1}_m")
-
-
 class TestRecording:
     @staticmethod
     def _ring(record_every=1, **kwargs):
         cavity, trap, profile, ensemble = ringup_context(tracer_pi4=True)
         drive = ringup_drive(6.5, "instantaneous", profile)
-        return ring_up(ensemble, cavity, trap, drive, duration=0.1e-3,
+        return ring_up(ensemble, cavity, drive, duration=0.1e-3,
                        profile=profile, record_every=record_every, **kwargs)
 
     @pytest.mark.parametrize("backaction, field_model", [
@@ -212,7 +185,7 @@ class TestRecording:
         dense = self._ring(1, **common)
         sparse = self._ring(2, **common)
         assert len(sparse.time) == (len(dense.time) + 1) // 2
-        for name in ("time", "delta_n", "nbar", "probe_on", "displacements",
+        for name in ("time", "delta_n", "nbar", "displacements",
                      "velocities"):
             assert np.array_equal(getattr(sparse, name),
                                   getattr(dense, name)[::2]), name
@@ -252,7 +225,7 @@ class TestClosedFormOracle:
             k_ratio=cavity.k_probe / cavity.k_trap, subensembles=2)
         ensemble = ensemble.scaled_to_shift(RINGUP_DELTA_N0, cavity)
         drive = ringup_drive(6.5, "instantaneous", profile)
-        trace = ring_up(ensemble, cavity, trap, drive, duration=1e-3,
+        trace = ring_up(ensemble, cavity, drive, duration=1e-3,
                         dt=TWO_PI / (steps_per_period * trap.omega_z),
                         profile=profile, backaction=False,
                         linearized_force=True)
@@ -341,7 +314,7 @@ class TestQuasiStaticConsistency:
         n_max = 12.0
         drive = DriveParams(n_max=n_max, delta_pc=-TWO_PI * 17e6,
                             atom_number=5e4)
-        trace = ring_up(ensemble, cavity, trap, drive, duration=3.0e-3,
+        trace = ring_up(ensemble, cavity, drive, duration=3.0e-3,
                         profile=profile, ramp_time=1.0e-3,
                         damping_rate=6000.0)
         nbar_final = trace.nbar[-1]
@@ -368,11 +341,11 @@ class TestCavityFieldModels:
                 n_max=n_max_for_switch_on(2.0, profile, -2.0 * cav.kappa, 0.0),
                 delta_pc=-2.0 * cav.kappa)
             common = dict(duration=0.3e-3, profile=profile)
-            tr_a = ring_up(ens, cav, trap49, drive,
-                           CavityFieldMode.ADIABATIC,
+            tr_a = ring_up(ens, cav, drive,
+                           field_model=CavityFieldMode.ADIABATIC,
                            **common)
-            tr_f = ring_up(ens, cav, trap49, drive,
-                           CavityFieldMode.FIRST_ORDER_FILTER,
+            tr_f = ring_up(ens, cav, drive,
+                           field_model=CavityFieldMode.FIRST_ORDER_FILTER,
                            **common)
             # ignore the initial cavity fill (~1/2kappa)
             skip = np.searchsorted(tr_a.time, 5.0 / cav.kappa)
@@ -388,12 +361,10 @@ class TestQuasiStaticSweep:
         lo, hi = -TWO_PI * 80e6, -TWO_PI * 64e6
         dn = -TWO_PI * 71.86e6
         res = {}
-        for direction, chirp in (("up", 6e9), ("down", -6e9)):
-            cfg = SweepConfig(chirp_rate=chirp,
-                              delta_pc_start=lo if direction == "up" else hi,
-                              delta_pc_end=hi if direction == "up" else lo,
-                              n_max=0.5)
-            dpc, nbar = quasi_static_sweep(cfg, profile, 0.1, dn, n_pts)
+        for direction, ends in (("up", (lo, hi)), ("down", (hi, lo))):
+            dpc, nbar = quasi_static_sweep(profile, 0.1,
+                                           np.linspace(*ends, n_pts), 0.5,
+                                           dn, direction)
             res[direction] = (dpc, nbar)
         up = res["up"][1]
         down = res["down"][1][::-1]
@@ -408,12 +379,9 @@ class TestQuasiStaticSweep:
         hi = dn + 4 * cavity101.kappa
         n_pts = 1601
         out = {}
-        for direction, chirp in (("up", 6e9), ("down", -6e9)):
-            cfg = SweepConfig(chirp_rate=chirp,
-                              delta_pc_start=lo if direction == "up" else hi,
-                              delta_pc_end=hi if direction == "up" else lo,
-                              n_max=10.0)
-            out[direction] = quasi_static_sweep(cfg, profile, beta, dn, n_pts)
+        for direction, ends in (("up", (lo, hi)), ("down", (hi, lo))):
+            out[direction] = quasi_static_sweep(
+                profile, beta, np.linspace(*ends, n_pts), 10.0, dn, direction)
 
         folds = fold_points(profile, beta)
         fold_dpc = sorted(f[0] * cavity101.kappa + dn for f in folds)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -10,11 +8,9 @@ from cavkerr import (
     collective_shift_from_displacements,
     effective_kerr_numeric,
     kerr_coefficient,
-    load_ensemble,
     reference_trap,
     per_site_force,
     probe_potential,
-    save_ensemble,
 )
 
 TWO_PI = 2 * np.pi
@@ -166,18 +162,6 @@ class TestEffectiveKerr:
                               np.full(3, trap42.omega_z))
         with pytest.raises(ValueError):
             effective_kerr_numeric(ens, cavity101, trap42)
-
-
-def test_serialization_round_trip(tmp_path):
-    ens = build_lattice(40, 2e3, WZ, omega_z_spread=0.005 * WZ,
-                        phase_model="random", seed=17)
-    path = tmp_path / "ens.txt"
-    save_ensemble(ens, path)
-    back = load_ensemble(path)
-    assert np.array_equal(back.theta, ens.theta)
-    assert np.array_equal(back.population, ens.population)
-    assert np.array_equal(back.omega_z, ens.omega_z)
-    assert back.seed == 17
 
 
 def test_scaled_to_shift(cavity260):

@@ -187,7 +187,7 @@ class TestDecayFit:
             amps = amp * np.exp(-centers / tau)
         else:
             amps = amp * np.exp(-((centers / tau) ** 2))
-        return SpectralDecay(centers, amps, 49e3, 500e-6)
+        return SpectralDecay(centers, amps)
 
     def test_exponential_self_consistency(self):
         fit = decay_fit(self.synthetic("exponential", 1.0e-3),
@@ -219,40 +219,14 @@ class TestDecayFit:
 
     def test_non_decaying_flagged(self):
         centers = (np.arange(6) + 0.5) * 500e-6
-        sd = SpectralDecay(centers, np.linspace(1.0, 2.0, 6), 49e3, 500e-6)
+        sd = SpectralDecay(centers, np.linspace(1.0, 2.0, 6))
         fit = decay_fit(sd)
         assert not fit.reliable
-        assert sd.fitted_tau is None
 
     def test_too_few_windows_rejected(self):
-        sd = SpectralDecay(np.array([1e-4, 2e-4]), np.array([1.0, 0.5]),
-                           49e3, 500e-6)
+        sd = SpectralDecay(np.array([1e-4, 2e-4]), np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             decay_fit(sd)
-
-
-class TestCsvExport:
-    def test_count_record_header_carries_seed(self, tmp_path, cavity101):
-        rec = count_monte_carlo(flat_trace(1.0, duration=2e-3), cavity101,
-                                0.05, 1e-5, seed=31)
-        path = tmp_path / "counts.csv"
-        rec.to_csv(path)
-        text = path.read_text()
-        assert "seed: 31" in text.splitlines()[0]
-        data = np.loadtxt(path, delimiter=",")
-        assert np.array_equal(data[:, 1], rec.counts)
-
-    def test_spectral_decay_header_carries_seed_and_tau(self, tmp_path,
-                                                        cavity101):
-        rec = count_monte_carlo(flat_trace(1.0, duration=6e-3), cavity101,
-                                0.05, 1e-6, seed=8)
-        sd = windowed_fourier_amplitude(rec, 50e3, 1e-3)
-        assert sd.seed == 8
-        path = tmp_path / "decay.csv"
-        sd.to_csv(path)
-        head = path.read_text().splitlines()[:2]
-        assert "seed: 8" in head[0]
-        assert "fitted_tau_s" in head[1]
 
 
 class TestTriggerSequence:

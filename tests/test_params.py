@@ -221,6 +221,12 @@ class TestValidation:
             CavityParams(kappa=1.0, g0=1.0, gamma_atom=1.0, delta_ca=-1.0,
                          k_probe=5.0, k_trap=5.0)
 
+    def test_cavity_rejects_zero_delta_ca(self):
+        # Delta_N = N g0^2/(2 delta_ca): the dispersive regime needs delta_ca != 0
+        with pytest.raises(ValueError, match="delta_ca"):
+            CavityParams(kappa=1.0, g0=1.0, gamma_atom=1.0, delta_ca=0.0,
+                         k_probe=5.0, k_trap=6.0)
+
     def test_trap_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             TrapParams(omega_z=0.0)
