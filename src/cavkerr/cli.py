@@ -118,6 +118,10 @@ def _positive(parse):
     return _check(lambda x: x > 0, "positive", parse)
 
 
+def _nonnegative(parse):
+    return _check(lambda x: x >= 0, "nonnegative", parse)
+
+
 def _nonzero(parse):
     return _check(lambda x: x != 0, "nonzero", parse)
 
@@ -175,7 +179,7 @@ FIELDS = {
     "sweep.points": Field(_at_least(2), 1201),
     "threshold.beta": Field(_number, None),        # the drive's beta
     "ringdown.duration": Field(parse_time, "1 ms"),
-    "ringdown.level": Field(_number, None),        # params.drive.n_max
+    "ringdown.level": Field(_nonnegative(_number), None),  # params.drive.n_max
     "ringdown.level_mode": Field(_one_of("instantaneous", "nmax"),
                                  "instantaneous"),
     "ringdown.omega_z_spread": Field(parse_frequency, 0.0),
@@ -185,7 +189,7 @@ FIELDS = {
     "ringdown.bin_width": Field(_positive(parse_time), "2 us"),
     "ringdown.window_length": Field(_positive(parse_time), "500 us"),
     "ringdown.n_average": Field(_at_least(1), 1),
-    "ringdown.damping_rate": Field(_number, 0.0),
+    "ringdown.damping_rate": Field(_nonnegative(_number), 0.0),
     "ringdown.backaction": Field(_flag, True),
     "ringdown.linearized": Field(_flag, False),
     "ringdown.dt_per_period": Field(_positive(_number), 200),
@@ -193,16 +197,16 @@ FIELDS = {
     "ringdown.fit_model": Field(_one_of("gaussian", "exponential"), "gaussian"),
     "ringdown.field_model": Field(
         _one_of(*(m.value for m in dynamics.CavityFieldMode)), "adiabatic"),
-    "ringdown.ramp_time": Field(parse_time, 0.0),
+    "ringdown.ramp_time": Field(_nonnegative(parse_time), 0.0),
     "ringdown.use_trigger": Field(_flag, False),
     "trigger.n0": Field(_number),
-    "trigger.loss_rate": Field(_number),
+    "trigger.loss_rate": Field(_nonnegative(_number)),
     "trigger.threshold_rate": Field(_number),
-    "trigger.delay": Field(parse_time, "10 ms"),
+    "trigger.delay": Field(_nonnegative(parse_time), "10 ms"),
     "trigger.detection_level": Field(_number, None),  # params.drive.n_max
     "trigger.bin_width": Field(_positive(parse_time), "10 us"),
-    "trigger.horizon": Field(parse_time, "1 s"),
-    "trigger.smoothing_time": Field(parse_time, "100 us"),
+    "trigger.horizon": Field(_positive(parse_time), "1 s"),
+    "trigger.smoothing_time": Field(_nonnegative(parse_time), "100 us"),
     "trigger.efficiency": Field(_fraction, 0.05),
 }
 
@@ -452,12 +456,37 @@ def _out_base(out):
     return out[:-4] if out.endswith(".csv") else out
 
 
+def _check_ringdown(sec, omega_z, dt) -> None:
+    """Reject the ringdown settings that would only fail after the ring-up:
+    a ramp without backaction, and windows the decay fit cannot use (under
+    5 trap periods, or fewer than 4 in the binned record)."""
+    if sec["ramp_time"] > 0 and not sec["backaction"]:
+        raise ConfigError("ringdown.ramp_time needs ringdown.backaction: "
+                          "true; the one-way force is fixed at switch-on, "
+                          "where a ramped drive is zero")
+    if sec["window_length"] * (omega_z / TWO_PI) < 5.0:
+        raise ConfigError("ringdown.window_length must span at least 5 "
+                          "trap periods")
+    every = sec["record_every"]
+    t_end = (int(round(sec["duration"] / dt)) // every * every) * dt
+    n_bins = math.floor(t_end / sec["bin_width"])
+    per_window = round(sec["window_length"] / sec["bin_width"])
+    n_windows = n_bins // per_window if per_window else 0
+    if n_windows < 4:
+        raise ConfigError(
+            f"ringdown.window_length: {n_windows} windows fit in the "
+            f"{t_end * 1e3:.6g} ms record (ringdown.duration); the decay "
+            "fit needs at least 4")
+
+
 def cmd_ringdown(cfg, out, seed) -> int:
     sec = _resolve(cfg, "ringdown")
     trig_sec = _resolve(cfg, "trigger") if sec["use_trigger"] else None
     system, dn0 = _system(cfg)
     base = _out_base(out)
     cav, trap = system.cavity, system.trap
+    dt = TWO_PI / (sec["dt_per_period"] * trap.omega_z)
+    _check_ringdown(sec, trap.omega_z, dt)
     profile = steady_state.ResponseProfile.from_cavity(cav)
 
     if trig_sec is not None:
@@ -483,7 +512,6 @@ def cmd_ringdown(cfg, out, seed) -> int:
 
     drive = params.DriveParams(n_max=n_max, delta_pc=system.drive.delta_pc,
                                atom_number=system.drive.atom_number)
-    dt = TWO_PI / (sec["dt_per_period"] * trap.omega_z)
     trace = dynamics.ring_up(
         ensemble, cav, drive,
         field_model=dynamics.CavityFieldMode(sec["field_model"]),

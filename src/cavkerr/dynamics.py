@@ -5,10 +5,15 @@ field (1/2kappa ~ 120 ns), so by default the intracavity photon number
 adiabatically tracks the instantaneous collective shift; a first-order
 filter relaxing at 2*kappa is available to check that approximation.
 
-Integration is fixed-step velocity Verlet on the per-site collective
-coordinates (symplectic, so the energy bookkeeping test is meaningful),
-with the optional viscous damping applied as exact exponential half-step
-decays and the cavity filter sub-stepped by exact exponential relaxation.
+The linearized one-way ring-up (no backaction, undamped, unramped,
+adiabatic field) drives every site with a constant force, so it is solved
+in closed form: each site's contribution to Delta_N is a short harmonic
+series, summed at the sample times by blocked matrix products.  Every
+other model is integrated by fixed-step velocity Verlet on the per-site
+collective coordinates (symplectic, so the energy bookkeeping test is
+meaningful), with the optional viscous damping applied as exact
+exponential half-step decays and the cavity filter sub-stepped by exact
+exponential relaxation.
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
             backaction: bool = True, record_every: int = 1,
             record_sites: Sequence[int] = (),
             constants: PhysicalConstants = CONSTANTS) -> TransientTrace:
-    """Integrate the probe switch-on transient of the whole ensemble.
+    """Simulate the probe switch-on transient of the whole ensemble.
 
     Per site sub-ensemble j:
 
@@ -113,7 +118,9 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
     starting from the probe-off equilibrium (d = d' = 0).  nbar(t) follows
     the cavity model: adiabatic tracks n_max*V(delta_pc - Delta_N) exactly,
     the first-order filter relaxes toward it at 2*kappa.  ``ramp_time`` > 0
-    ramps the drive linearly instead of an instantaneous switch-on.
+    ramps the drive linearly instead of an instantaneous switch-on; it needs
+    ``backaction``, since the one-way force is fixed at switch-on, where a
+    ramped drive is zero (ValueError otherwise).
 
     ``backaction=False`` freezes the photon number entering the *force* at
     its switch-on value while the recorded transmission still follows the
@@ -121,33 +128,175 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
     expected-signal analysis.  ``linearized_force`` evaluates the force
     gradient at zero displacement.
 
+    The linearized one-way model (``linearized_force``, no backaction, no
+    damping, no ramp, adiabatic field) drives each row with a constant
+    force, so it is solved in closed form at the sample times; every other
+    model runs the velocity-Verlet loop.  ``dt`` (by default 1/200 of the
+    fastest row's period, at most 1/50) sets the sample times of both.
+
     Every ``record_every``-th step is a sample.  ``record_sites`` indexes
     the ensemble rows (negative from the end) whose displacement and
     velocity are kept at each sample; by default none are, so the trace
-    holds only per-sample series.  Each step evaluates the force once: the
-    end-of-step acceleration starts the next step.  Delta_N and nbar are
-    computed every step only when they feed back (backaction, or the
-    filter's memory); otherwise only at the samples.
+    holds only per-sample series.
+    """
+    if (linearized_force and not backaction and damping_rate == 0
+            and ramp_time == 0 and field_model is CavityFieldMode.ADIABATIC):
+        return _one_way_exact(ensemble, cavity, drive, duration=duration,
+                              dt=dt, profile=profile,
+                              record_every=record_every,
+                              record_sites=record_sites, constants=constants)
+    return _integrate(ensemble, cavity, drive, field_model=field_model,
+                      damping_rate=damping_rate, duration=duration, dt=dt,
+                      profile=profile, linearized_force=linearized_force,
+                      ramp_time=ramp_time, backaction=backaction,
+                      record_every=record_every, record_sites=record_sites,
+                      constants=constants)
+
+
+def _time_step(ensemble: LatticeEnsemble, dt: float | None) -> float:
+    """``dt``, by default 1/200 of the fastest row's period; more than 1/50
+    of it trips the Verlet stability guard (ValueError)."""
+    w_max = float(np.max(ensemble.omega_z))
+    if dt is None:
+        dt = TWO_PI / (200.0 * w_max)
+    if dt > TWO_PI / (50.0 * w_max):
+        raise ValueError("dt too large for the fastest site (stability guard)")
+    return dt
+
+
+def _force_per_photon_mass(cavity: CavityParams,
+                           constants: PhysicalConstants) -> float:
+    """f1/m: the force is f1 * sin(2(theta + k_p d)) * nbar."""
+    f1 = -constants.hbar * cavity.g0 ** 2 * cavity.k_probe / cavity.delta_ca
+    return f1 / constants.m_rb87
+
+
+# Closed-form sums: the samples go in blocks of _BLOCK and the blocks in
+# chunks of _CHUNK; at most _TERMS harmonics share one (terms, _BLOCK) table
+# (3 MB), so no temporary grows with the ensemble or the duration.
+_BLOCK, _CHUNK, _TERMS = 64, 16, 6000
+
+
+def _kept_harmonics(weight: np.ndarray, x: np.ndarray, tol: float) -> int:
+    """Smallest H with sum_j weight_j sum_{n>H} x_j^n/n! <= tol.
+
+    Past n = 2 max(x) each term is under half the one before, so twice the
+    first dropped term bounds the tail.
+    """
+    h, term, x_max = 0, weight.astype(float), float(np.max(x))
+    while True:
+        term = term * x / (h + 1)
+        if h + 1 >= 2.0 * x_max and 2.0 * float(np.sum(term)) <= tol:
+            return h
+        h += 1
+
+
+def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
+                   drive: DriveParams, *, duration: float, dt: float | None,
+                   profile: ResponseProfile | None, record_every: int,
+                   record_sites: Sequence[int],
+                   constants: PhysicalConstants) -> TransientTrace:
+    """The linearized one-way ring-up (see ring_up) in closed form.
+
+    Row j starts at rest under the constant switch-on force, so
+    d_j = A_j (1 - cos w_j t), A_j = f1 sin(2 theta_j) nbar0 / (m w_j^2).
+    Then N_j sin^2(theta_j + k_p d_j) is even and periodic in u = w_j t:
+    a cosine series whose harmonic n is bounded by N_j (k_p|A_j|)^n / n!
+    (Jacobi-Anger, |J_n(z)| <= (z/2)^n / n!).  One FFT per row over K
+    points per period gives its coefficients; H harmonics are kept, with
+    the dropped tail and, as K >= 2H + 2, the aliased tail each below
+    1e-16 of sum N_j.  So Delta_N(t) is g0^2/delta_ca times a constant
+    plus sum_p D_p cos(W_p t) over the kept harmonics W_p = n w_j.  At the
+    sample t = t_B + m tau, m < _BLOCK, that sum is
+    sum_p D_p [cos(W_p t_B) cos(W_p m tau) - sin(W_p t_B) sin(W_p m tau)]:
+    two real matrix products of per-block anchors with one fixed table.
+    """
+    if profile is None:
+        profile = ResponseProfile.from_cavity(cavity)
+    dt = _time_step(ensemble, dt)
+    theta, w, pop = ensemble.theta, ensemble.omega_z, ensemble.population
+    kp = cavity.k_probe
+    n_rec = int(round(duration / dt)) // record_every + 1
+    time = (np.arange(n_rec) * record_every) * dt    # the Verlet step times
+    tau = record_every * dt
+
+    dn0 = collective_shift_from_displacements(ensemble, np.zeros(len(w)),
+                                              cavity)
+    nbar0 = drive.n_max * float(profile_value(profile, drive.delta_pc - dn0))
+    amp = (_force_per_photon_mass(cavity, constants) * np.sin(2.0 * theta)
+           * nbar0 / w ** 2)
+
+    n_harm = _kept_harmonics(pop, kp * np.abs(amp), 1e-16 * np.sum(pop))
+    k = 64
+    while k < 2 * n_harm + 2:
+        k *= 2
+    u = np.arange(k) * (TWO_PI / k)
+    s = np.sin(theta[:, None] + kp * amp[:, None] * (1.0 - np.cos(u)))
+    coef = np.fft.rfft(pop[:, None] * s * s, axis=1).real[:, :n_harm + 1] / k
+    coef[:, 1:] *= 2.0                  # cos(n u) carries the +-n pair
+
+    freq = (w[:, None] * np.arange(1, n_harm + 1)).ravel()
+    coef_osc = coef[:, 1:].ravel()
+    n_blocks, block = -(-n_rec // _BLOCK), _BLOCK * tau
+    sums = np.full(n_blocks * _BLOCK, np.sum(coef[:, 0]))
+    for lo in range(0, freq.size, _TERMS):
+        f, c = freq[lo:lo + _TERMS], coef_osc[lo:lo + _TERMS]
+        cos_m = np.outer(f, np.arange(_BLOCK) * tau)
+        sin_m = np.sin(cos_m)
+        np.cos(cos_m, out=cos_m)
+        # D_p exp(i W_p t_B) for the blocks of a chunk: the chunk's first
+        # anchor times a fixed table of offsets, so no error accumulates
+        ahead = c * np.exp(1j * np.outer(np.arange(_CHUNK) * block, f))
+        for b in range(0, n_blocks, _CHUNK):
+            anchor = ahead[:n_blocks - b] * np.exp(1j * (b * block) * f)
+            part = anchor.real @ cos_m - anchor.imag @ sin_m
+            sums[b * _BLOCK:b * _BLOCK + part.size] += part.ravel()
+    delta_n = sums[:n_rec] * cavity.g0 ** 2 / cavity.delta_ca
+    nbar = drive.n_max * profile_value(profile, drive.delta_pc - delta_n)
+
+    sites = np.arange(len(w))[np.asarray(record_sites, dtype=int)]
+    if sites.size == 0:
+        return TransientTrace(time, delta_n, nbar)
+    phase = np.outer(time, w[sites])
+    return TransientTrace(time, delta_n, nbar,
+                          amp[sites] * (1.0 - np.cos(phase)),
+                          amp[sites] * w[sites] * np.sin(phase),
+                          tuple(int(j) for j in sites))
+
+
+def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
+               drive: DriveParams, *,
+               field_model: CavityFieldMode = CavityFieldMode.ADIABATIC,
+               damping_rate: float = 0.0, duration: float = 1e-3,
+               dt: float | None = None,
+               profile: ResponseProfile | None = None,
+               linearized_force: bool = False, ramp_time: float = 0.0,
+               backaction: bool = True, record_every: int = 1,
+               record_sites: Sequence[int] = (),
+               constants: PhysicalConstants = CONSTANTS) -> TransientTrace:
+    """ring_up by velocity Verlet, whatever the model.
+
+    Each step evaluates the force once: the end-of-step acceleration starts
+    the next step.  Delta_N and nbar are computed every step only when they
+    feed back (backaction, or the filter's memory); otherwise only at the
+    samples.
     """
     if profile is None:
         profile = ResponseProfile.from_cavity(cavity)
     theta = ensemble.theta
     w2 = ensemble.omega_z ** 2
     kp = cavity.k_probe
-    w_max = float(np.max(ensemble.omega_z))
     sites = np.arange(len(ensemble))[np.asarray(record_sites, dtype=int)]
 
-    if dt is None:
-        dt = TWO_PI / (200.0 * w_max)
-    if dt > TWO_PI / (50.0 * w_max):
-        raise ValueError("dt too large for the fastest site (stability guard)")
+    dt = _time_step(ensemble, dt)
     if damping_rate < 0:
         raise ValueError("damping_rate must be nonnegative")
+    if ramp_time > 0 and not backaction:
+        raise ValueError("a drive ramp needs backaction: the one-way force "
+                         "is fixed at switch-on, where the ramp is zero")
 
     n_steps = int(round(duration / dt))
-    # force = f1 * sin(2(theta + kp d)) * nbar, with f1 per photon
-    f1 = -constants.hbar * cavity.g0 ** 2 * kp / cavity.delta_ca
-    f1_m = f1 / constants.m_rb87
+    f1_m = _force_per_photon_mass(cavity, constants)
     f1_m_sin2_0 = f1_m * np.sin(2.0 * theta)     # the linearized force / m
 
     def drive_level(t):

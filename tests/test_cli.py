@@ -138,6 +138,18 @@ class TestConfigErrors:
         ("fig_ringdown.yaml", "ringdown", "ringdown.bin_width", 0),
         ("fig_ringdown.yaml", "ringdown", "ringdown.window_length", "-5 us"),
         ("fig_ringdown.yaml", "trigger", "trigger.bin_width", 0),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.damping_rate", -1),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.level", -1),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.ramp_time", "-1 us"),
+        ("fig_ringdown.yaml", "trigger", "trigger.loss_rate", -1),
+        ("fig_ringdown.yaml", "trigger", "trigger.horizon", 0),
+        ("fig_ringdown.yaml", "trigger", "trigger.smoothing_time", -1),
+        ("fig_ringdown.yaml", "trigger", "trigger.delay", "-5 ms"),
+        # a ramp without backaction: the one-way force stays zero
+        ("fig_ringdown.yaml", "ringdown", "ringdown.ramp_time", "0.5 ms"),
+        # under 5 trap periods; 3 windows in the 3 ms record
+        ("fig_ringdown.yaml", "ringdown", "ringdown.window_length", "50 us"),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.window_length", "1 ms"),
         ("fig_lineshapes.yaml", "lineshape", "lineshape.n_max", ["a"]),
     ])
     def test_bad_key_exit_2_before_any_output(self, tmp_path, capsys, config,
@@ -164,6 +176,24 @@ class TestConfigErrors:
         assert run_cli("--config", path, "--out", out / "run") == 2
         assert key in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("record_every, code", [(3, 2), (2, 0)])
+    def test_window_count_uses_the_recorded_span(self, tmp_path, capsys,
+                                                 record_every, code):
+        # 1 ms is 9800 steps: recording every 3rd step ends the trace at
+        # 0.9998 ms, which holds only 3 windows of 250 us; every 2nd, 4
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        cfg["ringdown"].update(duration="1 ms", window_length="250 us",
+                               record_every=record_every, subensembles=1,
+                               n_average=2)
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli("--config", path, "--out", out / "run") == code
+        if code == 2:
+            assert "ringdown.window_length" in capsys.readouterr().err
+            assert not any(out.iterdir())
 
     def test_numeric_failure_exit_3(self, tmp_path):
         cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import run_ringup, ringup_context, ringup_drive, RINGUP_DELTA_N0
 
+from cavkerr import dynamics
 from cavkerr import (
     CONSTANTS,
     AtomLossDrift,
@@ -22,6 +23,7 @@ from cavkerr import (
     reference_cavity,
     reference_trap,
     probe_potential,
+    profile_value,
     quasi_static_sweep,
     ring_up,
     steady_state_roots_profile,
@@ -212,30 +214,44 @@ class TestClosedFormOracle:
     # linearized, one-way, undamped: each row is a driven oscillator under
     # the constant switch-on force F_j = f1 sin(2 theta_j) nbar0, so
     # d_j(t) = F_j/(m w_j^2) (1 - cos w_j t) exactly.  The bound pins the
-    # error measured at 200 steps per period, 1.07e-3 kappa
+    # Verlet error measured at 200 steps per period, 1.07e-3 kappa
     BOUND_KAPPA = 1.1e-3
 
     @staticmethod
-    def _error_kappa(steps_per_period):
+    def _context(level):
         cavity = reference_cavity(delta_ca=-TWO_PI * 260e9)
         trap = reference_trap(omega_z=TWO_PI * 49e3)
         profile = ResponseProfile.from_cavity(cavity)
         ensemble = build_lattice(
             20, 5e4, trap.omega_z, omega_z_spread=TWO_PI * 2e3, seed=5,
-            k_ratio=cavity.k_probe / cavity.k_trap, subensembles=2)
+            k_ratio=cavity.k_probe / cavity.k_trap, subensembles=2,
+            tracer_thetas=(np.pi / 4,))
         ensemble = ensemble.scaled_to_shift(RINGUP_DELTA_N0, cavity)
-        drive = ringup_drive(6.5, "instantaneous", profile)
-        trace = ring_up(ensemble, cavity, drive, duration=1e-3,
-                        dt=TWO_PI / (steps_per_period * trap.omega_z),
-                        profile=profile, backaction=False,
-                        linearized_force=True)
+        drive = ringup_drive(level, "instantaneous", profile)
+        return cavity, trap, profile, ensemble, drive
+
+    @staticmethod
+    def _exact(ensemble, cavity, time, nbar0):
+        """Dense closed form at ``time``: (amplitudes, d, v, Delta_N)."""
         w = ensemble.omega_z
         f1 = -CONSTANTS.hbar * cavity.g0**2 * cavity.k_probe / cavity.delta_ca
-        d_eq = (f1 * np.sin(2 * ensemble.theta) * trace.nbar[0]
+        d_eq = (f1 * np.sin(2 * ensemble.theta) * nbar0
                 / (CONSTANTS.m_rb87 * w**2))
-        d = d_eq * (1.0 - np.cos(np.outer(trace.time, w)))
+        phase = np.outer(time, w)
+        d = d_eq * (1.0 - np.cos(phase))
         s = np.sin(ensemble.theta + cavity.k_probe * d)
-        exact = (s * s) @ ensemble.population * cavity.g0**2 / cavity.delta_ca
+        delta_n = ((s * s) @ ensemble.population
+                   * cavity.g0**2 / cavity.delta_ca)
+        return d_eq, d, d_eq * w * np.sin(phase), delta_n
+
+    @classmethod
+    def _error_kappa(cls, steps_per_period):
+        cavity, trap, profile, ensemble, drive = cls._context(6.5)
+        trace = dynamics._integrate(
+            ensemble, cavity, drive, duration=1e-3,
+            dt=TWO_PI / (steps_per_period * trap.omega_z), profile=profile,
+            backaction=False, linearized_force=True)
+        exact = cls._exact(ensemble, cavity, trace.time, trace.nbar[0])[3]
         return np.max(np.abs(trace.delta_n - exact)) / cavity.kappa
 
     def test_delta_n_matches_closed_form(self):
@@ -244,6 +260,41 @@ class TestClosedFormOracle:
     def test_second_order_in_dt(self):
         ratio = self._error_kappa(200) / self._error_kappa(400)
         assert ratio >= 3.5
+
+    @pytest.mark.parametrize("level, strong", [(6.5, False), (400.0, True)])
+    def test_ring_up_is_the_closed_form(self, level, strong):
+        # ring_up solves this model without steps: it matches the dense
+        # formula to rounding, at the 6.5-photon ring-up drive and where
+        # 2 k_p A >= 1 needs many harmonics, on the Verlet sample times
+        cavity, trap, profile, ensemble, drive = self._context(level)
+        common = dict(duration=1e-3, profile=profile, backaction=False,
+                      linearized_force=True, record_every=3,
+                      record_sites=[-1, 0])
+        trace = ring_up(ensemble, cavity, drive, **common)
+        verlet = dynamics._integrate(ensemble, cavity, drive, **common)
+        assert trace.time.tobytes() == verlet.time.tobytes()
+        d_eq, d, v, exact = self._exact(ensemble, cavity, trace.time,
+                                        verlet.nbar[0])
+        assert (2 * cavity.k_probe * np.max(np.abs(d_eq)) >= 1) == strong
+        err = np.max(np.abs(trace.delta_n - exact)) / cavity.kappa
+        assert err <= 1e-12
+        for got, want in ((trace.displacements, d), (trace.velocities, v)):
+            assert (np.max(np.abs(got - want[:, [-1, 0]]))
+                    <= 1e-12 * np.max(np.abs(want)))
+        assert trace.nbar == pytest.approx(
+            drive.n_max * profile_value(profile,
+                                        drive.delta_pc - trace.delta_n),
+            rel=1e-12)
+
+    @pytest.mark.parametrize("linearized", [True, False])
+    def test_one_way_ramp_rejected(self, linearized):
+        # the one-way force is the switch-on photon number, which a ramp
+        # makes zero: the atoms would never move
+        cavity, trap, profile, ensemble, drive = self._context(6.5)
+        with pytest.raises(ValueError, match="ramp"):
+            ring_up(ensemble, cavity, drive, duration=0.1e-3,
+                    profile=profile, backaction=False, ramp_time=50e-6,
+                    linearized_force=linearized)
 
 
 class TestDephasing:
