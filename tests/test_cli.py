@@ -1,13 +1,22 @@
 import json
+import math
+import os
 import re
+import string
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import cavkerr
 from cavkerr import cli
-from cavkerr.cli import main, parse_chirp, parse_frequency, parse_time, read_csv
+from cavkerr.cli import (ConfigError, main, parse_chirp, parse_frequency,
+                         parse_time, read_csv)
 
 TWO_PI = 2 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,9 +44,46 @@ class TestUnitParsing:
         assert parse_time("500 us") == pytest.approx(500e-6)
 
     def test_bad_unit(self):
-        from cavkerr.cli import ConfigError
         with pytest.raises(ConfigError):
             parse_frequency("3 parsec")
+
+
+# (parser, its suffixes with their factors, the scale of every value)
+UNIT_PARSERS = {
+    "frequency": (cli.parse_frequency, cli._FREQ, TWO_PI),
+    "time": (cli.parse_time, cli._TIME, 1.0),
+    "length": (cli.parse_length, cli._LEN, 1.0),
+    "temperature": (cli.parse_temperature, cli._TEMP, 1.0),
+    "chirp": (cli.parse_chirp, cli._CHIRP, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNIT_PARSERS))
+class TestUnitProperties:
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_suffix_scales_the_number(self, kind, x):
+        parse, units, scale = UNIT_PARSERS[kind]
+        for unit in units:
+            expected = scale * x * units[unit]
+            if math.isfinite(expected):
+                assert parse(f"{x!r} {unit}", "a.key") == expected
+            else:
+                with pytest.raises(ConfigError, match=r"^a\.key: .* not finite"):
+                    parse(f"{x!r} {unit}", "a.key")
+
+    def test_overflow_names_the_key(self, kind):
+        parse, units, _ = UNIT_PARSERS[kind]
+        unit = max(units, key=units.get)
+        value = "1e308 GHz" if kind == "frequency" else f"1e309 {unit}"
+        with pytest.raises(ConfigError, match=r"^a\.key: .* not finite"):
+            parse(value, "a.key")
+
+    @given(unit=st.text(string.ascii_letters + "/%", min_size=1, max_size=6))
+    def test_unknown_unit_names_the_key(self, kind, unit):
+        parse, units, _ = UNIT_PARSERS[kind]
+        assume(unit.lower() not in units)
+        with pytest.raises(ConfigError, match=r"^a\.key: unknown unit"):
+            parse(f"1.5 {unit}", "a.key")
 
 
 class TestDerived:
@@ -390,8 +436,8 @@ class TestSelfDescribingOutputs:
                     {"trigger": {"horizon": "0.1 s"}}),
     }
 
-    @pytest.mark.parametrize("scenario", sorted(CASES))
-    def test_every_output_embeds_config_and_seed(self, tmp_path, scenario):
+    def _config(self, tmp_path, scenario):
+        """The shrunk config, written to tmp_path; (config, path, --out)."""
         config, name, overrides = self.CASES[scenario]
         cfg = yaml.safe_load((ROOT / config).read_text())
         cfg["scenario"] = scenario
@@ -401,8 +447,13 @@ class TestSelfDescribingOutputs:
         path.write_text(yaml.safe_dump(cfg))
         out = tmp_path / "out"
         out.mkdir()
-        assert run_cli("--config", path, "--out", out / name) == 0
-        files = sorted(out.iterdir())
+        return cfg, path, out / name
+
+    @pytest.mark.parametrize("scenario", sorted(CASES))
+    def test_every_output_embeds_config_and_seed(self, tmp_path, scenario):
+        cfg, path, out = self._config(tmp_path, scenario)
+        assert run_cli("--config", path, "--out", out) == 0
+        files = sorted(out.parent.iterdir())
         assert files
         for f in files:
             if f.suffix == ".json":
@@ -413,6 +464,21 @@ class TestSelfDescribingOutputs:
                 config_text, seed = meta["config"], int(meta["seed"])
             assert json.loads(config_text) == cfg, f.name
             assert seed == cfg["seed"], f.name
+
+    @pytest.mark.parametrize("scenario", sorted(CASES))
+    def test_runs_without_scipy(self, tmp_path, scenario):
+        # SciPy is only a test dependency: every scenario runs with
+        # `import scipy` failing
+        _, path, out = self._config(tmp_path, scenario)
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "from cavkerr.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = Path(cavkerr.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "--config", str(path), "--out",
+             str(out)], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(out.parent.iterdir())
 
 
 class TestConfigTable:
