@@ -171,18 +171,20 @@ FIELDS = {
     "lineshape.delta_pc_start": Field(parse_frequency),
     "lineshape.delta_pc_stop": Field(parse_frequency),
     "lineshape.points": Field(_at_least(2), 801),
-    "lineshape.n_max": Field(_numbers, None),      # [params.drive.n_max]
+    "lineshape.n_max": Field(_check(lambda xs: min(xs, default=0) >= 0,
+                                    "a list of nonnegative numbers",
+                                    _numbers), None),  # [params.drive.n_max]
     "lineshape.direction": Field(_one_of("up", "down"), "up"),
     "sweep.chirp_rate": Field(_nonzero(parse_chirp)),   # sets nothing
     "sweep.delta_pc_start": Field(parse_frequency),
     "sweep.delta_pc_stop": Field(parse_frequency),
     "sweep.points": Field(_at_least(2), 1201),
     "threshold.beta": Field(_number, None),        # the drive's beta
-    "ringdown.duration": Field(parse_time, "1 ms"),
+    "ringdown.duration": Field(_nonnegative(parse_time), "1 ms"),
     "ringdown.level": Field(_nonnegative(_number), None),  # params.drive.n_max
     "ringdown.level_mode": Field(_one_of("instantaneous", "nmax"),
                                  "instantaneous"),
-    "ringdown.omega_z_spread": Field(parse_frequency, 0.0),
+    "ringdown.omega_z_spread": Field(_nonnegative(parse_frequency), 0.0),
     "ringdown.subensembles": Field(_at_least(1), 1),
     "ringdown.tracer_theta": Field(_number, None),  # no tracer site
     "ringdown.efficiency": Field(_fraction, 0.05),
@@ -199,7 +201,7 @@ FIELDS = {
         _one_of(*(m.value for m in dynamics.CavityFieldMode)), "adiabatic"),
     "ringdown.ramp_time": Field(_nonnegative(parse_time), 0.0),
     "ringdown.use_trigger": Field(_flag, False),
-    "trigger.n0": Field(_number),
+    "trigger.n0": Field(_positive(_number)),
     "trigger.loss_rate": Field(_nonnegative(_number)),
     "trigger.threshold_rate": Field(_number),
     "trigger.delay": Field(_nonnegative(parse_time), "10 ms"),
@@ -306,14 +308,15 @@ def _meta(cfg, seed) -> dict:
 
 
 def write_csv(path, colnames, columns, meta) -> None:
+    """One row template a file: text columns as is, numbers as %.17g."""
+    row_format = ",".join("%s" if len(col) and isinstance(col[0], str)
+                          else "%.17g" for col in columns) + "\n"
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(",".join(colnames) + "\n")
         for row in zip(*columns):
-            cells = [cell if isinstance(cell, str) else format(cell, ".17g")
-                     for cell in row]
-            fh.write(",".join(cells) + "\n")
+            fh.write(row_format % row)
 
 
 def read_csv(path):
@@ -467,8 +470,8 @@ def _check_ringdown(sec, omega_z, dt) -> None:
     if sec["window_length"] * (omega_z / TWO_PI) < 5.0:
         raise ConfigError("ringdown.window_length must span at least 5 "
                           "trap periods")
-    every = sec["record_every"]
-    t_end = (int(round(sec["duration"] / dt)) // every * every) * dt
+    t_end = dynamics.sample_times(sec["duration"], dt,
+                                  sec["record_every"])[-1]
     n_bins = math.floor(t_end / sec["bin_width"])
     per_window = round(sec["window_length"] / sec["bin_width"])
     n_windows = n_bins // per_window if per_window else 0
@@ -488,6 +491,17 @@ def cmd_ringdown(cfg, out, seed) -> int:
     dt = TWO_PI / (sec["dt_per_period"] * trap.omega_z)
     _check_ringdown(sec, trap.omega_z, dt)
     profile = steady_state.ResponseProfile.from_cavity(cav)
+    tracer = sec["tracer_theta"]
+    try:
+        ensemble = lattice.build_lattice(
+            num_sites=trap.num_sites,
+            total_atoms=max(system.drive.atom_number, 1.0),
+            omega_z_mean=trap.omega_z, omega_z_spread=sec["omega_z_spread"],
+            seed=seed, k_ratio=cav.k_probe / cav.k_trap,
+            subensembles=sec["subensembles"],
+            tracer_thetas=() if tracer is None else (tracer,))
+    except ValueError as exc:    # the spread drew a nonpositive frequency
+        raise ConfigError(f"ringdown.omega_z_spread: {exc}") from exc
 
     if trig_sec is not None:
         trig = _run_trigger(trig_sec, system, seed)
@@ -500,14 +514,6 @@ def cmd_ringdown(cfg, out, seed) -> int:
         n_max = dynamics.n_max_for_switch_on(n_max, profile,
                                              system.drive.delta_pc, dn0)
 
-    tracer = sec["tracer_theta"]
-    ensemble = lattice.build_lattice(
-        num_sites=trap.num_sites,
-        total_atoms=max(system.drive.atom_number, 1.0),
-        omega_z_mean=trap.omega_z, omega_z_spread=sec["omega_z_spread"],
-        seed=seed, k_ratio=cav.k_probe / cav.k_trap,
-        subensembles=sec["subensembles"],
-        tracer_thetas=() if tracer is None else (tracer,))
     ensemble = ensemble.scaled_to_shift(dn0, cav)
 
     drive = params.DriveParams(n_max=n_max, delta_pc=system.drive.delta_pc,

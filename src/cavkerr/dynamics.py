@@ -25,7 +25,8 @@ from enum import Enum
 import numpy as np
 
 from .lattice import LatticeEnsemble, collective_shift_from_displacements
-from .params import CONSTANTS, CavityParams, DriveParams, PhysicalConstants, TrapParams
+from .params import (CONSTANTS, CavityParams, DriveParams, TrapParams,
+                     force_per_photon)
 from .steady_state import ResponseProfile, lineshape_scan, profile_value
 
 TWO_PI = 2.0 * np.pi
@@ -52,16 +53,16 @@ class TransientTrace:
     ``delta_n`` and ``nbar`` are the collective shift and photon number at
     every sample.  ``sites`` holds the ensemble row indices whose motion was
     recorded; ``displacements`` and ``velocities`` are (n_samples,
-    len(sites)), column k belonging to row ``sites[k]``, or None when no
-    site was recorded.
+    len(sites)), column k belonging to row ``sites[k]``, so with no site
+    recorded they have zero columns.
     """
 
     time: np.ndarray
     delta_n: np.ndarray
     nbar: np.ndarray
-    displacements: np.ndarray | None = None
-    velocities: np.ndarray | None = None
-    sites: tuple[int, ...] = ()
+    displacements: np.ndarray
+    velocities: np.ndarray
+    sites: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.time)
@@ -70,7 +71,7 @@ class TransientTrace:
         if np.any(self.nbar < 0):
             raise ValueError("nbar must be nonnegative")
         for series in (self.displacements, self.velocities):
-            if series is not None and series.shape != (n, len(self.sites)):
+            if series.shape != (n, len(self.sites)):
                 raise ValueError("site series must be (n_samples, len(sites))")
 
 
@@ -107,8 +108,7 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
             dt: float | None = None, profile: ResponseProfile | None = None,
             linearized_force: bool = False, ramp_time: float = 0.0,
             backaction: bool = True, record_every: int = 1,
-            record_sites: Sequence[int] = (),
-            constants: PhysicalConstants = CONSTANTS) -> TransientTrace:
+            record_sites: Sequence[int] = ()) -> TransientTrace:
     """Simulate the probe switch-on transient of the whole ensemble.
 
     Per site sub-ensemble j:
@@ -131,44 +131,46 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
     The linearized one-way model (``linearized_force``, no backaction, no
     damping, no ramp, adiabatic field) drives each row with a constant
     force, so it is solved in closed form at the sample times; every other
-    model runs the velocity-Verlet loop.  ``dt`` (by default 1/200 of the
-    fastest row's period, at most 1/50) sets the sample times of both.
-
-    Every ``record_every``-th step is a sample.  ``record_sites`` indexes
-    the ensemble rows (negative from the end) whose displacement and
-    velocity are kept at each sample; by default none are, so the trace
-    holds only per-sample series.
+    model runs the velocity-Verlet loop.  Both get inputs resolved here:
+    ``profile`` defaults to ResponseProfile.from_cavity(cavity), ``dt`` to
+    1/200 of the fastest row's period (over 1/50 is a ValueError, the
+    stability guard), and the samples are sample_times(duration, dt,
+    record_every).  ``record_sites`` indexes the ensemble rows (negative
+    from the end) whose displacement and velocity are kept at each sample;
+    by default none are, and the site series have zero columns.
     """
-    if (linearized_force and not backaction and damping_rate == 0
-            and ramp_time == 0 and field_model is CavityFieldMode.ADIABATIC):
-        return _one_way_exact(ensemble, cavity, drive, duration=duration,
-                              dt=dt, profile=profile,
-                              record_every=record_every,
-                              record_sites=record_sites, constants=constants)
-    return _integrate(ensemble, cavity, drive, field_model=field_model,
-                      damping_rate=damping_rate, duration=duration, dt=dt,
-                      profile=profile, linearized_force=linearized_force,
-                      ramp_time=ramp_time, backaction=backaction,
-                      record_every=record_every, record_sites=record_sites,
-                      constants=constants)
-
-
-def _time_step(ensemble: LatticeEnsemble, dt: float | None) -> float:
-    """``dt``, by default 1/200 of the fastest row's period; more than 1/50
-    of it trips the Verlet stability guard (ValueError)."""
+    if profile is None:
+        profile = ResponseProfile.from_cavity(cavity)
     w_max = float(np.max(ensemble.omega_z))
     if dt is None:
         dt = TWO_PI / (200.0 * w_max)
     if dt > TWO_PI / (50.0 * w_max):
         raise ValueError("dt too large for the fastest site (stability guard)")
-    return dt
+    if damping_rate < 0:
+        raise ValueError("damping_rate must be nonnegative")
+    if ramp_time > 0 and not backaction:
+        raise ValueError("a drive ramp needs backaction: the one-way force "
+                         "is fixed at switch-on, where the ramp is zero")
+    time = sample_times(duration, dt, record_every)
+    sites = np.arange(len(ensemble))[np.asarray(record_sites, dtype=int)]
+    if (linearized_force and not backaction and damping_rate == 0
+            and ramp_time == 0 and field_model is CavityFieldMode.ADIABATIC):
+        return _one_way_exact(ensemble, cavity, drive, profile=profile,
+                              time=time, tau=record_every * dt, sites=sites)
+    return _integrate(ensemble, cavity, drive, profile=profile, time=time,
+                      dt=dt, record_every=record_every, sites=sites,
+                      field_model=field_model, damping_rate=damping_rate,
+                      linearized_force=linearized_force, ramp_time=ramp_time,
+                      backaction=backaction)
 
 
-def _force_per_photon_mass(cavity: CavityParams,
-                           constants: PhysicalConstants) -> float:
-    """f1/m: the force is f1 * sin(2(theta + k_p d)) * nbar."""
-    f1 = -constants.hbar * cavity.g0 ** 2 * cavity.k_probe / cavity.delta_ca
-    return f1 / constants.m_rb87
+def sample_times(duration: float, dt: float, record_every: int) -> np.ndarray:
+    """Ring-up sample times: t = 0 and every ``record_every``-th of the
+    round(duration/dt) steps of ``dt`` that follow."""
+    if duration < 0 or record_every < 1:
+        raise ValueError("need duration >= 0 and record_every >= 1")
+    n_samples = int(round(duration / dt)) // record_every + 1
+    return (np.arange(n_samples) * record_every) * dt
 
 
 # Closed-form sums: the samples go in blocks of _BLOCK and the blocks in
@@ -192,11 +194,11 @@ def _kept_harmonics(weight: np.ndarray, x: np.ndarray, tol: float) -> int:
 
 
 def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
-                   drive: DriveParams, *, duration: float, dt: float | None,
-                   profile: ResponseProfile | None, record_every: int,
-                   record_sites: Sequence[int],
-                   constants: PhysicalConstants) -> TransientTrace:
-    """The linearized one-way ring-up (see ring_up) in closed form.
+                   drive: DriveParams, *, profile: ResponseProfile,
+                   time: np.ndarray, tau: float,
+                   sites: np.ndarray) -> TransientTrace:
+    """The linearized one-way ring-up (see ring_up) in closed form at the
+    sample times ``time``, ``tau`` apart.
 
     Row j starts at rest under the constant switch-on force, so
     d_j = A_j (1 - cos w_j t), A_j = f1 sin(2 theta_j) nbar0 / (m w_j^2).
@@ -211,19 +213,14 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
     sum_p D_p [cos(W_p t_B) cos(W_p m tau) - sin(W_p t_B) sin(W_p m tau)]:
     two real matrix products of per-block anchors with one fixed table.
     """
-    if profile is None:
-        profile = ResponseProfile.from_cavity(cavity)
-    dt = _time_step(ensemble, dt)
     theta, w, pop = ensemble.theta, ensemble.omega_z, ensemble.population
     kp = cavity.k_probe
-    n_rec = int(round(duration / dt)) // record_every + 1
-    time = (np.arange(n_rec) * record_every) * dt    # the Verlet step times
-    tau = record_every * dt
+    n_rec = len(time)
 
     dn0 = collective_shift_from_displacements(ensemble, np.zeros(len(w)),
                                               cavity)
     nbar0 = drive.n_max * float(profile_value(profile, drive.delta_pc - dn0))
-    amp = (_force_per_photon_mass(cavity, constants) * np.sin(2.0 * theta)
+    amp = (force_per_photon(cavity) / CONSTANTS.m_rb87 * np.sin(2.0 * theta)
            * nbar0 / w ** 2)
 
     n_harm = _kept_harmonics(pop, kp * np.abs(amp), 1e-16 * np.sum(pop))
@@ -254,49 +251,31 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
     delta_n = sums[:n_rec] * cavity.g0 ** 2 / cavity.delta_ca
     nbar = drive.n_max * profile_value(profile, drive.delta_pc - delta_n)
 
-    sites = np.arange(len(w))[np.asarray(record_sites, dtype=int)]
-    if sites.size == 0:
-        return TransientTrace(time, delta_n, nbar)
     phase = np.outer(time, w[sites])
     return TransientTrace(time, delta_n, nbar,
                           amp[sites] * (1.0 - np.cos(phase)),
                           amp[sites] * w[sites] * np.sin(phase),
-                          tuple(int(j) for j in sites))
+                          tuple(sites.tolist()))
 
 
 def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
-               drive: DriveParams, *,
-               field_model: CavityFieldMode = CavityFieldMode.ADIABATIC,
-               damping_rate: float = 0.0, duration: float = 1e-3,
-               dt: float | None = None,
-               profile: ResponseProfile | None = None,
-               linearized_force: bool = False, ramp_time: float = 0.0,
-               backaction: bool = True, record_every: int = 1,
-               record_sites: Sequence[int] = (),
-               constants: PhysicalConstants = CONSTANTS) -> TransientTrace:
-    """ring_up by velocity Verlet, whatever the model.
+               drive: DriveParams, *, profile: ResponseProfile,
+               time: np.ndarray, dt: float, record_every: int,
+               sites: np.ndarray, field_model: CavityFieldMode,
+               damping_rate: float, linearized_force: bool, ramp_time: float,
+               backaction: bool) -> TransientTrace:
+    """ring_up by velocity Verlet, whatever the model: steps of ``dt``, a
+    sample every ``record_every``-th, up to the last of ``time``.
 
     Each step evaluates the force once: the end-of-step acceleration starts
     the next step.  Delta_N and nbar are computed every step only when they
     feed back (backaction, or the filter's memory); otherwise only at the
     samples.
     """
-    if profile is None:
-        profile = ResponseProfile.from_cavity(cavity)
     theta = ensemble.theta
     w2 = ensemble.omega_z ** 2
     kp = cavity.k_probe
-    sites = np.arange(len(ensemble))[np.asarray(record_sites, dtype=int)]
-
-    dt = _time_step(ensemble, dt)
-    if damping_rate < 0:
-        raise ValueError("damping_rate must be nonnegative")
-    if ramp_time > 0 and not backaction:
-        raise ValueError("a drive ramp needs backaction: the one-way force "
-                         "is fixed at switch-on, where the ramp is zero")
-
-    n_steps = int(round(duration / dt))
-    f1_m = _force_per_photon_mass(cavity, constants)
+    f1_m = force_per_photon(cavity) / CONSTANTS.m_rb87
     f1_m_sin2_0 = f1_m * np.sin(2.0 * theta)     # the linearized force / m
 
     def drive_level(t):
@@ -323,24 +302,22 @@ def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
         relax = np.exp(-2.0 * cavity.kappa * dt)
     feedback = backaction or filtered
 
-    n_rec = n_steps // record_every + 1
-    t_rec = np.empty(n_rec)
+    n_rec = len(time)
     dn_rec = np.empty(n_rec)
     nb_rec = np.empty(n_rec)
     disp_rec = np.empty((n_rec, sites.size))
     vel_rec = np.empty((n_rec, sites.size))
 
-    def record(i_rec, t):
-        t_rec[i_rec] = t
+    def record(i_rec):
         dn_rec[i_rec] = dn
         nb_rec[i_rec] = nbar
         disp_rec[i_rec] = d[sites]
         vel_rec[i_rec] = v[sites]
 
-    record(0, 0.0)
+    record(0)
     damp = np.exp(-0.5 * damping_rate * dt) if damping_rate > 0 else 1.0
     a = accel(d, nbar if backaction else nbar_force0)
-    for i in range(n_steps):
+    for i in range((n_rec - 1) * record_every):
         t_new = (i + 1) * dt
         sample = (i + 1) % record_every == 0
         if damping_rate > 0:
@@ -356,18 +333,14 @@ def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
         if damping_rate > 0:
             v = v * damp
         if sample:
-            record((i + 1) // record_every, t_new)
+            record((i + 1) // record_every)
 
-    kept = sites.size > 0
-    return TransientTrace(t_rec, dn_rec, nb_rec,
-                          disp_rec if kept else None,
-                          vel_rec if kept else None,
-                          tuple(int(j) for j in sites))
+    return TransientTrace(time, dn_rec, nb_rec, disp_rec, vel_rec,
+                          tuple(sites.tolist()))
 
 
 def impulse_modulation_estimate(cavity: CavityParams, trap: TrapParams,
-                                n_atoms: float, theta: float = np.pi / 4,
-                                constants: PhysicalConstants = CONSTANTS
+                                n_atoms: float, theta: float = np.pi / 4
                                 ) -> tuple[float, float]:
     """Velocity kick of one photon and the collective modulation it drives.
 
@@ -377,19 +350,17 @@ def impulse_modulation_estimate(cavity: CavityParams, trap: TrapParams,
     kick scaling with the local gradient, averaged over the wells) modulate
     the resonance by N g0^2 k_p/(2|delta_ca|) * v/omega_z.
     """
-    f = (-constants.hbar * cavity.g0 ** 2 * cavity.k_probe
-         * np.sin(2.0 * theta) / cavity.delta_ca)
-    v = f / (2.0 * cavity.kappa * constants.m_rb87)
+    f = force_per_photon(cavity) * np.sin(2.0 * theta)
+    v = f / (2.0 * cavity.kappa * CONSTANTS.m_rb87)
     modulation = (n_atoms * cavity.g0 ** 2 * cavity.k_probe
                   / (2.0 * abs(cavity.delta_ca)) * abs(v) / trap.omega_z)
     return float(v), float(modulation)
 
 
 def impulse_boundary_detuning(cavity: CavityParams, trap: TrapParams,
-                              n_atoms: float, theta: float = np.pi / 4,
-                              constants: PhysicalConstants = CONSTANTS) -> float:
+                              n_atoms: float, theta: float = np.pi / 4) -> float:
     """|delta_ca| below which the single-photon modulation exceeds kappa."""
-    num = (n_atoms * constants.hbar * cavity.g0 ** 4 * cavity.k_probe ** 2
+    num = (n_atoms * CONSTANTS.hbar * cavity.g0 ** 4 * cavity.k_probe ** 2
            * abs(np.sin(2.0 * theta)))
-    den = 4.0 * cavity.kappa ** 2 * constants.m_rb87 * trap.omega_z
+    den = 4.0 * cavity.kappa ** 2 * CONSTANTS.m_rb87 * trap.omega_z
     return float(np.sqrt(num / den))

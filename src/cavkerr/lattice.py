@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import CONSTANTS, CavityParams, PhysicalConstants, TrapParams
+from .params import CONSTANTS, CavityParams, TrapParams, force_per_photon
 
 
 @dataclass(frozen=True)
@@ -125,30 +125,26 @@ def collective_shift_from_displacements(ensemble: LatticeEnsemble,
                  / cavity.delta_ca)
 
 
-def per_site_force(theta, displacement, nbar: float, cavity: CavityParams,
-                   constants: PhysicalConstants = CONSTANTS):
+def per_site_force(theta, displacement, nbar: float, cavity: CavityParams):
     """Probe dipole force (N) on one collective coordinate:
-    -hbar g0^2 k_p sin(2(theta + k_p d)) nbar / delta_ca."""
+    f1 sin(2(theta + k_p d)) nbar, with f1 from params.force_per_photon."""
     phase = 2.0 * (np.asarray(theta, dtype=float)
                    + cavity.k_probe * np.asarray(displacement, dtype=float))
-    out = (-constants.hbar * cavity.g0 ** 2 * cavity.k_probe * np.sin(phase)
-           * nbar / cavity.delta_ca)
+    out = force_per_photon(cavity) * np.sin(phase) * nbar
     return out if out.ndim else float(out)
 
 
-def probe_potential(theta, displacement, nbar: float, cavity: CavityParams,
-                    constants: PhysicalConstants = CONSTANTS):
+def probe_potential(theta, displacement, nbar: float, cavity: CavityParams):
     """AC-Stark potential (J) whose negative gradient is per_site_force."""
     phase = (np.asarray(theta, dtype=float)
              + cavity.k_probe * np.asarray(displacement, dtype=float))
-    out = (constants.hbar * cavity.g0 ** 2 * np.sin(phase) ** 2 * nbar
+    out = (CONSTANTS.hbar * cavity.g0 ** 2 * np.sin(phase) ** 2 * nbar
            / cavity.delta_ca)
     return out if out.ndim else float(out)
 
 
 def effective_kerr_numeric(ensemble: LatticeEnsemble, cavity: CavityParams,
-                           trap: TrapParams,
-                           constants: PhysicalConstants = CONSTANTS) -> float:
+                           trap: TrapParams) -> float:
     """Small-signal Kerr coefficient of the ensemble, computed numerically.
 
     Displaces each site by its linearized equilibrium shift
@@ -162,11 +158,10 @@ def effective_kerr_numeric(ensemble: LatticeEnsemble, cavity: CavityParams,
     dn0 = collective_shift_from_displacements(ensemble, zero, cavity)
     if dn0 == 0.0:
         raise ValueError("degenerate ensemble: all sites at nodes")
-    m = constants.m_rb87
 
     def eps_at(nbar):
-        f = per_site_force(ensemble.theta, zero, nbar, cavity, constants)
-        d = f / (m * ensemble.omega_z ** 2)
+        f = per_site_force(ensemble.theta, zero, nbar, cavity)
+        d = f / (CONSTANTS.m_rb87 * ensemble.omega_z ** 2)
         dn = collective_shift_from_displacements(ensemble, d, cavity)
         return -((dn - dn0) / dn0) / nbar
 

@@ -267,7 +267,6 @@ class DecayFit:
     model: str                 # model used for A0 and the crossing abscissa
     tau_exponential: float
     tau_gaussian: float
-    amplitude0: float
     reliable: bool
 
 
@@ -309,7 +308,7 @@ def decay_fit(decay: SpectralDecay, model: str = "gaussian",
     cf, af = c[keep], a[keep]
     if len(af) < 2:
         return DecayFit(float("inf"), model, float("inf"), float("inf"),
-                        float(a[0]), False)
+                        False)
     log_a = np.log(af)
 
     s_exp, i_exp = np.polyfit(cf, log_a, 1)
@@ -321,5 +320,5 @@ def decay_fit(decay: SpectralDecay, model: str = "gaussian",
     tau = _crossing(c, a, a0, model)
     reliable = np.isfinite(tau) and (
         np.isfinite(tau_gau) if model == "gaussian" else np.isfinite(tau_exp))
-    return DecayFit(tau, model, float(tau_exp), float(tau_gau), a0,
+    return DecayFit(tau, model, float(tau_exp), float(tau_gau),
                     bool(reliable))

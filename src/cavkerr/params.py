@@ -30,15 +30,11 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA constants; never mutated."""
+    """CODATA constants; CONSTANTS is the one instance every formula reads."""
 
     hbar: float = 1.054571817e-34      # J s
     kB: float = 1.380649e-23           # J/K
     m_rb87: float = 1.4431609e-25      # kg (86.909180531 u)
-
-    def __post_init__(self):
-        if self.hbar <= 0 or self.kB <= 0 or self.m_rb87 <= 0:
-            raise ValueError("physical constants must be strictly positive")
 
 
 CONSTANTS = PhysicalConstants()
@@ -127,19 +123,16 @@ class SystemParams:
     cavity: CavityParams
     trap: TrapParams
     drive: DriveParams
-    constants: PhysicalConstants = CONSTANTS
 
     def recoil_frequency(self) -> float:
-        return recoil_frequency(self.cavity.k_probe, self.constants.m_rb87,
-                                self.constants)
+        return recoil_frequency(self.cavity.k_probe, CONSTANTS.m_rb87)
 
     def collective_shift(self) -> float:
         return collective_shift(self.drive.atom_number, self.cavity.g0,
                                 self.cavity.delta_ca)
 
     def kerr_coefficient(self, multi_well: bool = True) -> float:
-        return kerr_coefficient(self.cavity, self.trap, multi_well,
-                                self.constants)
+        return kerr_coefficient(self.cavity, self.trap, multi_well)
 
     def beta(self, n_max: float | None = None,
              delta_n: float | None = None) -> float:
@@ -149,12 +142,11 @@ class SystemParams:
                               self.cavity.kappa)
 
 
-def recoil_frequency(k: float, mass: float,
-                     constants: PhysicalConstants = CONSTANTS) -> float:
+def recoil_frequency(k: float, mass: float) -> float:
     """Single-photon recoil frequency hbar*k^2/(2m), rad/s."""
     if k <= 0 or mass <= 0:
         raise ValueError("recoil frequency needs k > 0 and mass > 0")
-    return constants.hbar * k * k / (2.0 * mass)
+    return CONSTANTS.hbar * k * k / (2.0 * mass)
 
 
 def collective_shift(n_atoms: float, g0: float, delta_ca: float) -> float:
@@ -177,8 +169,7 @@ def collective_shift_single_well(n_atoms: float, g0: float, delta_ca: float,
 
 
 def kerr_coefficient(cavity: CavityParams, trap: TrapParams,
-                     multi_well: bool = True,
-                     constants: PhysicalConstants = CONSTANTS) -> float:
+                     multi_well: bool = True) -> float:
     """Dimensionless Kerr coefficient epsilon.
 
     Single well (probe phase pi/4):  epsilon = 2 hbar k_p^2 g0^2 /
@@ -186,9 +177,15 @@ def kerr_coefficient(cavity: CavityParams, trap: TrapParams,
     With ``multi_well`` the value is halved to account for averaging over
     the many differently-phased wells.
     """
-    eps = (2.0 * constants.hbar * cavity.k_probe ** 2 * cavity.g0 ** 2
-           / (constants.m_rb87 * cavity.delta_ca * trap.omega_z ** 2))
+    eps = (2.0 * CONSTANTS.hbar * cavity.k_probe ** 2 * cavity.g0 ** 2
+           / (CONSTANTS.m_rb87 * cavity.delta_ca * trap.omega_z ** 2))
     return eps / 2.0 if multi_well else eps
+
+
+def force_per_photon(cavity: CavityParams) -> float:
+    """f1 = -hbar g0^2 k_p / delta_ca, N per photon: the probe dipole force
+    on a collective coordinate at probe phase phi is f1 sin(2 phi) nbar."""
+    return -CONSTANTS.hbar * cavity.g0 ** 2 * cavity.k_probe / cavity.delta_ca
 
 
 def beta_parameter(delta_n: float, epsilon: float, n_max: float,

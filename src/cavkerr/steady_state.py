@@ -74,9 +74,12 @@ class ResponseProfile:
             x = -1.0 / np.sqrt(3.0)
         else:
             # v'' changes sign once on x < 0, at the inflection point; the
-            # profile is convex ten (Lorentzian plus Gaussian) widths out
+            # profile is convex ten (Lorentzian plus Gaussian) widths out.
+            # v' is flat there, so x to 1e-10 gives v' to ~1e-20, and a
+            # tighter stop can stall on the rounding in v'' at small sigma
             far = -10.0 * (1.0 + self.sigma / self.kappa)
-            x = _bracketed_root(lambda x: (_curve(self, x, 2)[2], None), far, 0.0)
+            x = _bracketed_root(lambda x: _curve(self, x, 3)[2:], far, 0.0,
+                                xtol=1e-10)
         return float(x), float(_curve(self, x, 1)[1])
 
 
@@ -169,35 +172,40 @@ def profile_value(profile: ResponseProfile, delta):
 
 
 def _curve(profile: ResponseProfile, x, order: int) -> list:
-    """[v, v', ..., v^(order)] of v(x) = V(kappa*x), order <= 2.
+    """[v, v', ..., v^(order)] of v(x) = V(kappa*x), order <= 3.
 
     Lorentzian: v^(n) = Re n! i^n / (1 - ix)^(n+1).  Voigt: v = Re w(z)/peak
     at z = a(x + i), a = kappa/(sigma sqrt 2), with w' = -2zw + 2i/sqrt(pi)
-    and w'' = (4z^2 - 2)w - 4iz/sqrt(pi); each order cancels more at large
-    |z|.  With Weideman's w at a = 0.42 (the reference cavity), v, v' and
-    v'' stay within 3e-14 of their maxima of the wofz-based values for
-    |x| <= 20, and within 2e-13 for |x| <= 60.
+    and w^(n) = -2z w^(n-1) - 2(n-1) w^(n-2) for n >= 2; each order cancels
+    more at large |z|.  With Weideman's w at a = 0.42 (the reference cavity), v,
+    v' and v'' stay within 3e-14 of their maxima of the wofz-based values
+    for |x| <= 20, and within 2e-13 for |x| <= 60.
     """
     x = np.asarray(x, dtype=float)
     if profile.kind is ProfileKind.LORENTZIAN:
         r = 1.0 / (1.0 - 1j * x)
-        return [t.real for t in (r, 1j * r * r, -2.0 * r ** 3)[:order + 1]]
+        terms = (r, 1j * r * r, -2.0 * r ** 3, -6j * r ** 4)
+        return [t.real for t in terms[:order + 1]]
     a = profile.kappa / (profile.sigma * np.sqrt(2.0))
     z = a * (x + 1j)
-    w = _faddeeva(z)
-    w1 = -2.0 * z * w + 2j / np.sqrt(np.pi)
-    terms = (w, a * w1, a * a * (-2.0 * z * w1 - 2.0 * w))
-    return [t.real / profile._voigt_peak for t in terms[:order + 1]]
+    w = [_faddeeva(z)]
+    if order:
+        w.append(-2.0 * z * w[0] + 2j / np.sqrt(np.pi))
+    for n in range(2, order + 1):
+        w.append(-2.0 * z * w[n - 1] - 2.0 * (n - 1) * w[n - 2])
+    scale = (1.0, a, a * a, a * a * a)
+    return [(s * t).real / profile._voigt_peak for s, t in zip(scale, w)]
 
 
-def _bracketed_root(f, lo, hi, *data):
+def _bracketed_root(f, lo, hi, *data, xtol=4.0 * np.finfo(float).eps):
     """Zeros of f in [lo, hi], elementwise; f(lo), f(hi) must not share a sign.
 
-    ``f(x, *data)`` returns (value, derivative or None); each array in
-    ``data`` holds one value per entry and reaches ``f`` sliced like ``x``,
-    to the entries not yet converged.  A Newton step is taken if it is below
+    ``f(x, *data)`` returns (value, derivative); each array in ``data``
+    holds one value per entry and reaches ``f`` sliced like ``x``, to the
+    entries not yet converged.  A Newton step is taken if it is below
     tolerance, or stays in the shrinking bracket and is under half the step
-    before; otherwise, and without a derivative, it bisects.
+    before; otherwise it bisects.  An entry is done once its step is within
+    xtol*(1 + |x|).
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     shape = lo.shape
@@ -209,16 +217,14 @@ def _bracketed_root(f, lo, hi, *data):
         if not live.size:
             break
         fx, dfx = f(x, *data)
-        tol = 4.0 * np.finfo(float).eps * (1.0 + np.abs(x))
+        tol = xtol * (1.0 + np.abs(x))
         right = np.sign(fx) == sign_lo          # the zero lies right of x
         lo, hi = np.where(right, x, lo), np.where(right, hi, x)
-        new = 0.5 * (lo + hi)
-        if dfx is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = x - fx / dfx
-            dx = np.abs(newton - x)
-            fast = (lo < newton) & (newton < hi) & (dx < 0.5 * np.abs(step))
-            new = np.where(fast | (dx <= tol), newton, new)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - fx / dfx
+        dx = np.abs(newton - x)
+        fast = (lo < newton) & (newton < hi) & (dx < 0.5 * np.abs(step))
+        new = np.where(fast | (dx <= tol), newton, 0.5 * (lo + hi))
         x, step = new, new - x
         done = np.abs(step) <= tol
         if done.any():                          # converged entries leave

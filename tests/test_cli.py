@@ -197,6 +197,13 @@ class TestConfigErrors:
         ("fig_ringdown.yaml", "ringdown", "ringdown.window_length", "50 us"),
         ("fig_ringdown.yaml", "ringdown", "ringdown.window_length", "1 ms"),
         ("fig_lineshapes.yaml", "lineshape", "lineshape.n_max", ["a"]),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.omega_z_spread", "-1 Hz"),
+        # a spread this wide draws a nonpositive trap frequency
+        ("fig_ringdown.yaml", "ringdown", "ringdown.omega_z_spread",
+         "100 kHz"),
+        ("fig_ringdown.yaml", "trigger", "trigger.n0", 0),
+        ("fig_lineshapes.yaml", "lineshape", "lineshape.n_max", [-0.5, 0.2]),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.duration", "-1 ms"),
     ])
     def test_bad_key_exit_2_before_any_output(self, tmp_path, capsys, config,
                                               scenario, key, value):
@@ -222,6 +229,18 @@ class TestConfigErrors:
         assert run_cli("--config", path, "--out", out / "run") == 2
         assert key in capsys.readouterr().err
         assert not any(out.iterdir())
+
+    def test_spread_draw_checked_before_the_trigger(self, tmp_path, capsys,
+                                                    monkeypatch):
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        cfg["trigger"] = dict(TRIGGER)
+        cfg["ringdown"].update(use_trigger=True, omega_z_spread="100 kHz")
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        monkeypatch.setattr(cli, "_run_trigger",
+                            lambda *args: pytest.fail("the trigger ran"))
+        assert run_cli("--config", path, "--out", tmp_path / "run") == 2
+        assert "ringdown.omega_z_spread" in capsys.readouterr().err
 
     @pytest.mark.parametrize("record_every, code", [(3, 2), (2, 0)])
     def test_window_count_uses_the_recorded_span(self, tmp_path, capsys,
@@ -283,6 +302,34 @@ class TestLineshape:
                   {k: v for k, v in meta.items()})
         assert out.read_text().splitlines()[2:] == \
             out2.read_text().splitlines()[2:]
+
+
+class TestWriteCsv:
+    @staticmethod
+    def _reference(meta, names, columns):
+        """The file as written cell by cell with format(v, ".17g")."""
+        lines = [f"# {k}: {v}\n" for k, v in meta.items()]
+        lines.append(",".join(names) + "\n")
+        for row in zip(*columns):
+            lines.append(",".join(c if isinstance(c, str)
+                                  else format(c, ".17g") for c in row) + "\n")
+        return "".join(lines)
+
+    @pytest.mark.parametrize("columns", [
+        [["up", "down", "up", "up", "down", "up", "up", "down", "up"],
+         [-0.0, 1e-300, 1e300, float("nan"), float("inf"), -float("inf"),
+          3.0, 0.1, -2.5e-7],
+         [0, 1, -7, 2 ** 53 + 1, 10 ** 20, 42, 1, 2, 3],
+         [1e6, 123456789.0, -1.0, 0.0, 5e-324, 1.7976931348623157e308,
+          2.0 ** 60, 1 / 3, -2 / 3]],
+        [[], []],
+    ])
+    def test_bytes_match_per_cell_format(self, tmp_path, columns):
+        names = [f"c{i}" for i in range(len(columns))]
+        meta = {"config": "{}", "seed": 3}
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, names, columns, meta)
+        assert path.read_text() == self._reference(meta, names, columns)
 
 
 class TestSweep:

@@ -272,6 +272,46 @@ class TestFoldPoints:
             fold_points(ResponseProfile.lorentzian(KAPPA), 0.0)
 
 
+class TestSlopePeak:
+    @pytest.mark.parametrize("ratio", [0.1, 1.0, 1.67, 10.0])
+    def test_third_derivative_is_the_slope_of_the_second(self, ratio):
+        # v''' against a central difference of v'', both profile kinds
+        h = 1e-4
+        x = np.linspace(-8.0, 8.0, 161)
+        for p in (ResponseProfile.voigt(KAPPA, ratio * KAPPA),
+                  ResponseProfile.lorentzian(KAPPA)):
+            v3 = steady_state._curve(p, x, 3)[3]
+            diff = (steady_state._curve(p, x + h, 2)[2]
+                    - steady_state._curve(p, x - h, 2)[2]) / (2 * h)
+            assert np.max(np.abs(v3 - diff)) <= 1e-6 * np.max(np.abs(v3))
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.1, 0.178, 0.316, 0.562, 1.0,
+                                       1.67, 10.0, 50.0])
+    def test_voigt_slope_peak_by_newton(self, ratio, monkeypatch):
+        # the maximum of v' on x < 0, against a refined dense grid, found
+        # in a few curve evaluations (bisecting v'' took 55), also where
+        # rounding in v'' keeps Newton from 4 ulp in x (0.178 - 0.562)
+        curve, calls = steady_state._curve, []
+
+        def counted(*args):
+            calls.append(args[2])
+            return curve(*args)
+
+        monkeypatch.setattr(steady_state, "_curve", counted)
+        p = ResponseProfile.voigt(KAPPA, ratio * KAPPA)
+        x_pk, slope = p._slope_peak
+        assert len(calls) <= 15
+        x = np.linspace(-10.0 * (1.0 + ratio), 0.0, 20001)
+        i = np.argmax(curve(p, x, 1)[1])
+        fine = np.linspace(x[i - 1], x[i + 1], 20001)
+        v1 = curve(p, fine, 1)[1]
+        j = np.argmax(v1)
+        # v' is flat at its peak, so rounding in v' moves the grid maximum
+        # by up to 2e-7 at small sigma
+        assert x_pk == pytest.approx(fine[j], abs=1e-6)
+        assert slope == pytest.approx(v1[j], rel=1e-12)
+
+
 class TestBistabilityThreshold:
     def test_lorentzian_exact(self):
         p = ResponseProfile.lorentzian(KAPPA)
