@@ -9,12 +9,10 @@ from .params import (
     CONSTANTS,
     CavityParams,
     DriveParams,
-    PhysicalConstants,
     SystemParams,
     TrapParams,
     beta_parameter,
     collective_shift,
-    collective_shift_single_well,
     critical_numbers,
     kerr_coefficient,
     nonlinear_photon_threshold,
@@ -23,7 +21,6 @@ from .params import (
     recoil_frequency,
 )
 from .steady_state import (
-    ProfileKind,
     ResponseProfile,
     SteadyStateSolution,
     bistability_threshold,
@@ -59,7 +56,6 @@ from .measure import (
     averaged_counts,
     count_monte_carlo,
     decay_fit,
-    repeated_measurement_decay,
     trigger_sequence,
     windowed_fourier_amplitude,
 )

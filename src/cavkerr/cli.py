@@ -136,7 +136,8 @@ _fraction = _check(lambda x: 0.0 <= x <= 1.0, "in [0, 1]", _number)
 # ---------------------------------------------------------------------------
 # the config table: dotted key -> (parser, default).  A default is parsed
 # like a config value; ... marks a required key, and None means "unset" (the
-# comment says what unset stands for).
+# comment says what unset stands for).  A key marked "recorded only" is
+# checked and kept in every output's config, but sets nothing.
 
 class Field(NamedTuple):
     parse: Callable
@@ -150,23 +151,23 @@ FIELDS = {
     "scenario": Field(_one_of(*SCENARIOS), None),
     "seed": Field(_integer, 0),
     "out": Field(_text, None),
-    "params.cavity.kappa": Field(parse_frequency),
-    "params.cavity.g0": Field(parse_frequency),
-    "params.cavity.gamma_atom": Field(parse_frequency),
+    "params.cavity.kappa": Field(_positive(parse_frequency)),
+    "params.cavity.g0": Field(_positive(parse_frequency)),
+    "params.cavity.gamma_atom": Field(_positive(parse_frequency)),
     "params.cavity.delta_ca": Field(_nonzero(parse_frequency)),
-    "params.cavity.probe_wavelength": Field(parse_length),
-    "params.cavity.trap_wavelength": Field(parse_length),
-    "params.cavity.sigma_jitter": Field(parse_frequency, 0.0),
-    "params.cavity.waist": Field(parse_length, 0.0),
-    "params.cavity.finesse": Field(_number, 0.0),
-    "params.trap.omega_z": Field(parse_frequency),
-    "params.trap.omega_radial": Field(parse_frequency, 0.0),
-    "params.trap.trap_depth": Field(parse_temperature, 0.0),
-    "params.trap.temperature": Field(parse_temperature, 0.0),
-    "params.trap.num_sites": Field(_integer, 1),
-    "params.drive.n_max": Field(_number),
+    "params.cavity.probe_wavelength": Field(_positive(parse_length)),
+    "params.cavity.trap_wavelength": Field(_positive(parse_length)),
+    "params.cavity.sigma_jitter": Field(_nonnegative(parse_frequency), 0.0),
+    "params.cavity.waist": Field(parse_length, 0.0),            # recorded only
+    "params.cavity.finesse": Field(_number, 0.0),               # recorded only
+    "params.trap.omega_z": Field(_positive(parse_frequency)),
+    "params.trap.omega_radial": Field(parse_frequency, 0.0),    # recorded only
+    "params.trap.trap_depth": Field(parse_temperature, 0.0),    # recorded only
+    "params.trap.temperature": Field(parse_temperature, 0.0),   # recorded only
+    "params.trap.num_sites": Field(_at_least(1), 1),
+    "params.drive.n_max": Field(_nonnegative(_number)),
     "params.drive.delta_pc": Field(parse_frequency),
-    "params.drive.atom_number": Field(_number, 0.0),
+    "params.drive.atom_number": Field(_nonnegative(_number), 0.0),
     "params.drive.delta_n": Field(parse_frequency, None),  # N g0^2/(2 delta_ca)
     "lineshape.delta_pc_start": Field(parse_frequency),
     "lineshape.delta_pc_stop": Field(parse_frequency),
@@ -273,17 +274,24 @@ def _resolve(cfg: dict, section: str, keys=None) -> dict:
     return out
 
 
+_RECORDED_ONLY = ("waist", "finesse", "omega_radial", "trap_depth",
+                  "temperature")
+
+
 def build_system(cfg: dict) -> params.SystemParams:
-    cav = _resolve(cfg, "params.cavity")
-    trap = _resolve(cfg, "params.trap")
-    drive = _resolve(cfg, "params.drive")
+    cav, trap, drive = (
+        {k: v for k, v in _resolve(cfg, f"params.{name}").items()
+         if k not in _RECORDED_ONLY}
+        for name in ("cavity", "trap", "drive"))
     del drive["delta_n"]                                # read by _system
-    trap["trap_depth"] *= params.CONSTANTS.kB          # K -> J
+    probe_wl, trap_wl = cav.pop("probe_wavelength"), cav.pop("trap_wavelength")
+    if probe_wl == trap_wl:
+        raise ConfigError("params.cavity.probe_wavelength and "
+                          "params.cavity.trap_wavelength must differ")
     try:
         return params.SystemParams(
-            params.CavityParams(k_probe=TWO_PI / cav.pop("probe_wavelength"),
-                                k_trap=TWO_PI / cav.pop("trap_wavelength"),
-                                **cav),
+            params.CavityParams(k_probe=TWO_PI / probe_wl,
+                                k_trap=TWO_PI / trap_wl, **cav),
             params.TrapParams(**trap), params.DriveParams(**drive))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -437,7 +445,7 @@ def cmd_threshold(cfg, out, seed) -> int:
     lor = steady_state.ResponseProfile.lorentzian(system.cavity.kappa)
     report = {
         "lorentzian_threshold": steady_state.bistability_threshold(lor),
-        "profile_kind": profile.kind.value,
+        "profile_kind": profile.kind,
         "profile_threshold": steady_state.bistability_threshold(profile),
     }
     if beta is None and (dn != 0 or system.drive.atom_number > 0):
@@ -502,6 +510,13 @@ def cmd_ringdown(cfg, out, seed) -> int:
             tracer_thetas=() if tracer is None else (tracer,))
     except ValueError as exc:    # the spread drew a nonpositive frequency
         raise ConfigError(f"ringdown.omega_z_spread: {exc}") from exc
+    dt_max = dynamics.max_stable_dt(ensemble.omega_z)
+    if dt > dt_max:
+        need = TWO_PI / (dt_max * trap.omega_z)
+        raise ConfigError(
+            "ringdown.dt_per_period must be at least "
+            f"{math.ceil(100.0 * need) / 100.0:g} for the fastest drawn trap "
+            "frequency (the ring-up stability guard)")
 
     if trig_sec is not None:
         trig = _run_trigger(trig_sec, system, seed)

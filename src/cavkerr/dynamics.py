@@ -133,18 +133,17 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
     force, so it is solved in closed form at the sample times; every other
     model runs the velocity-Verlet loop.  Both get inputs resolved here:
     ``profile`` defaults to ResponseProfile.from_cavity(cavity), ``dt`` to
-    1/200 of the fastest row's period (over 1/50 is a ValueError, the
-    stability guard), and the samples are sample_times(duration, dt,
-    record_every).  ``record_sites`` indexes the ensemble rows (negative
-    from the end) whose displacement and velocity are kept at each sample;
-    by default none are, and the site series have zero columns.
+    1/200 of the fastest row's period (over max_stable_dt is a ValueError),
+    and the samples are sample_times(duration, dt, record_every).
+    ``record_sites`` indexes the ensemble rows (negative from the end)
+    whose displacement and velocity are kept at each sample; by default
+    none are, and the site series have zero columns.
     """
     if profile is None:
         profile = ResponseProfile.from_cavity(cavity)
-    w_max = float(np.max(ensemble.omega_z))
     if dt is None:
-        dt = TWO_PI / (200.0 * w_max)
-    if dt > TWO_PI / (50.0 * w_max):
+        dt = TWO_PI / (200.0 * float(np.max(ensemble.omega_z)))
+    if dt > max_stable_dt(ensemble.omega_z):
         raise ValueError("dt too large for the fastest site (stability guard)")
     if damping_rate < 0:
         raise ValueError("damping_rate must be nonnegative")
@@ -162,6 +161,12 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
                       field_model=field_model, damping_rate=damping_rate,
                       linearized_force=linearized_force, ramp_time=ramp_time,
                       backaction=backaction)
+
+
+def max_stable_dt(omega_z) -> float:
+    """The stability guard: the largest ring-up step, 1/50 of the period of
+    the fastest trap frequency in ``omega_z``."""
+    return TWO_PI / (50.0 * float(np.max(omega_z)))
 
 
 def sample_times(duration: float, dt: float, record_every: int) -> np.ndarray:
@@ -340,27 +345,26 @@ def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
 
 
 def impulse_modulation_estimate(cavity: CavityParams, trap: TrapParams,
-                                n_atoms: float, theta: float = np.pi / 4
-                                ) -> tuple[float, float]:
+                                n_atoms: float) -> tuple[float, float]:
     """Velocity kick of one photon and the collective modulation it drives.
 
-    A photon transiting in ~1/2kappa imparts impulse f(theta)/(2 kappa) to
-    an atom at probe phase theta, i.e. velocity v = f/(2 kappa m).  All N
-    atoms oscillating with displacement amplitude v/omega_z (their local
-    kick scaling with the local gradient, averaged over the wells) modulate
-    the resonance by N g0^2 k_p/(2|delta_ca|) * v/omega_z.
+    A photon transiting in ~1/2kappa imparts impulse f/(2 kappa) to an atom
+    at probe phase pi/4, where the force f = f1 sin(2 theta) peaks, i.e.
+    velocity v = f1/(2 kappa m).  All N atoms oscillating with displacement
+    amplitude v/omega_z (their local kick scaling with the local gradient,
+    averaged over the wells) modulate the resonance by
+    N g0^2 k_p/(2|delta_ca|) * v/omega_z.
     """
-    f = force_per_photon(cavity) * np.sin(2.0 * theta)
-    v = f / (2.0 * cavity.kappa * CONSTANTS.m_rb87)
+    v = force_per_photon(cavity) / (2.0 * cavity.kappa * CONSTANTS.m_rb87)
     modulation = (n_atoms * cavity.g0 ** 2 * cavity.k_probe
                   / (2.0 * abs(cavity.delta_ca)) * abs(v) / trap.omega_z)
     return float(v), float(modulation)
 
 
 def impulse_boundary_detuning(cavity: CavityParams, trap: TrapParams,
-                              n_atoms: float, theta: float = np.pi / 4) -> float:
-    """|delta_ca| below which the single-photon modulation exceeds kappa."""
-    num = (n_atoms * CONSTANTS.hbar * cavity.g0 ** 4 * cavity.k_probe ** 2
-           * abs(np.sin(2.0 * theta)))
+                              n_atoms: float) -> float:
+    """|delta_ca| below which the single-photon modulation of
+    impulse_modulation_estimate exceeds kappa."""
+    num = n_atoms * CONSTANTS.hbar * cavity.g0 ** 4 * cavity.k_probe ** 2
     den = 4.0 * cavity.kappa ** 2 * CONSTANTS.m_rb87 * trap.omega_z
     return float(np.sqrt(num / den))

@@ -44,10 +44,6 @@ class LatticeEnsemble:
     def __len__(self) -> int:
         return len(self.theta)
 
-    @property
-    def total_atoms(self) -> float:
-        return float(np.sum(self.population))
-
     def scaled_to_shift(self, delta_n: float, cavity: CavityParams) -> "LatticeEnsemble":
         """Rescale populations so the zero-displacement shift is delta_n."""
         current = collective_shift_from_displacements(
@@ -59,16 +55,14 @@ class LatticeEnsemble:
 
 
 def build_lattice(num_sites: int, total_atoms: float, omega_z_mean: float,
-                  omega_z_spread: float = 0.0, population_model: str = "uniform",
-                  seed: int | None = None, *, phase_model: str = "walk",
+                  omega_z_spread: float = 0.0, seed: int | None = None, *,
                   k_ratio: float = 850.0 / 780.0, subensembles: int = 1,
                   tracer_thetas=()) -> LatticeEnsemble:
     """Build the multi-well ensemble.
 
-    phase_model "walk" assigns the deterministic incommensurate sequence
-    theta_j = j*pi*k_ratio mod pi (k_ratio = k_p/k_t); "random" draws
-    uniform phases.  Populations are "uniform" or "gaussian" (axial density
-    profile with rms num_sites/4).  Each of the ``subensembles`` rows per
+    Site j sits at the deterministic incommensurate probe phase
+    theta_j = j*pi*k_ratio mod pi (k_ratio = k_p/k_t) and holds
+    total_atoms/num_sites atoms.  Each of the ``subensembles`` rows per
     site draws its own omega_z from N(mean, spread^2).  ``tracer_thetas``
     appends zero-population probe sites whose motion is integrated but which
     do not pull the cavity.  Reproducible from seed.
@@ -79,26 +73,10 @@ def build_lattice(num_sites: int, total_atoms: float, omega_z_mean: float,
         raise ValueError("omega_z_spread must be nonnegative")
     if subensembles < 1:
         raise ValueError("subensembles must be >= 1")
+    theta = np.repeat(np.mod(np.arange(num_sites) * np.pi * k_ratio, np.pi),
+                      subensembles)
+    pop = np.full(len(theta), total_atoms / num_sites / subensembles)
     rng = np.random.default_rng(seed)
-
-    if phase_model == "walk":
-        theta = np.mod(np.arange(num_sites) * np.pi * k_ratio, np.pi)
-    elif phase_model == "random":
-        theta = rng.uniform(0.0, np.pi, size=num_sites)
-    else:
-        raise ValueError(f"unknown phase_model {phase_model!r}")
-
-    if population_model == "uniform":
-        pop = np.full(num_sites, total_atoms / num_sites)
-    elif population_model == "gaussian":
-        j = np.arange(num_sites) - (num_sites - 1) / 2.0
-        w = np.exp(-0.5 * (j / (num_sites / 4.0)) ** 2)
-        pop = total_atoms * w / np.sum(w)
-    else:
-        raise ValueError(f"unknown population_model {population_model!r}")
-
-    theta = np.repeat(theta, subensembles)
-    pop = np.repeat(pop / subensembles, subensembles)
     omega = omega_z_mean + omega_z_spread * rng.standard_normal(len(theta))
     if np.any(omega <= 0):
         raise ValueError("omega_z_spread too large: drew a nonpositive frequency")

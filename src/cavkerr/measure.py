@@ -69,20 +69,17 @@ def _as_rate_series(source) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expected_counts(nbar_trace, cavity: CavityParams, efficiency: float,
-                     bin_width: float, dark_rate: float = 0.0
-                     ) -> tuple[float, np.ndarray, np.ndarray]:
+                     bin_width: float) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean detected counts per bin, the trapezoid integral of the rate
-    2*kappa*nbar*efficiency (plus the dark-count rate) over the bin.
+    2*kappa*nbar*efficiency over the bin.
     Returns (record start, bin centers, means).
     """
     if not (0.0 <= efficiency <= 1.0):
         raise ValueError("efficiency must lie in [0, 1]")
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    if dark_rate < 0:
-        raise ValueError("dark_rate must be nonnegative")
     time, nbar = _as_rate_series(nbar_trace)
-    rate = 2.0 * cavity.kappa * np.asarray(nbar) * efficiency + dark_rate
+    rate = 2.0 * cavity.kappa * np.asarray(nbar) * efficiency
     n_bins = int(np.floor((time[-1] - time[0]) / bin_width))
     if n_bins < 1:
         raise ValueError("trace shorter than one bin")
@@ -94,16 +91,14 @@ def _expected_counts(nbar_trace, cavity: CavityParams, efficiency: float,
 
 
 def count_monte_carlo(nbar_trace, cavity: CavityParams, efficiency: float,
-                      bin_width: float, seed: int,
-                      dark_rate: float = 0.0) -> CountRecord:
+                      bin_width: float, seed: int) -> CountRecord:
     """Poisson photon-count record of a transmission trace.
 
-    The detected rate is r(t) = 2*kappa*nbar(t)*efficiency (plus the
-    optional dark-count rate); each bin draws a Poisson count with mean
-    equal to the rate integral over the bin.
+    The detected rate is r(t) = 2*kappa*nbar(t)*efficiency; each bin draws
+    a Poisson count with mean equal to the rate integral over the bin.
     """
     t0, _, means = _expected_counts(nbar_trace, cavity, efficiency,
-                                    bin_width, dark_rate)
+                                    bin_width)
     rng = np.random.default_rng(seed)
     return CountRecord(bin_width, rng.poisson(means), t_start=t0)
 
@@ -123,38 +118,6 @@ def averaged_counts(nbar_trace, cavity: CavityParams, efficiency: float,
     for child in master.spawn(n_average):
         acc += child.poisson(means)
     return centers, acc / n_average
-
-
-def repeated_measurement_decay(nbar_trace, cavity: CavityParams,
-                               efficiency: float, bin_width: float,
-                               seed: int, n_average: int, frequency: float,
-                               window_length: float,
-                               order: str = "traces") -> "SpectralDecay":
-    """Windowed spectral decay of repeated detections of one trace.
-
-    ``order="traces"`` (default) sums the transmission records first and
-    Fourier-analyses the average; ``order="spectra"`` analyses every record
-    and averages the window amplitudes.  Trace-averaging suppresses the
-    shot-noise floor by sqrt(n_average); spectra-averaging does not (the
-    per-record noise amplitude is positive and survives the mean).
-    """
-    if order == "traces":
-        centers, mean_counts = averaged_counts(nbar_trace, cavity, efficiency,
-                                               bin_width, seed, n_average)
-        return windowed_fourier_amplitude((centers, mean_counts / bin_width),
-                                          frequency, window_length)
-    if order != "spectra":
-        raise ValueError("order must be 'traces' or 'spectra'")
-    _, centers, means = _expected_counts(nbar_trace, cavity, efficiency,
-                                         bin_width)
-    master = np.random.default_rng(seed)
-    acc = None
-    for child in master.spawn(n_average):
-        counts = child.poisson(means)
-        sd = windowed_fourier_amplitude((centers, counts / bin_width),
-                                        frequency, window_length)
-        acc = sd.amplitudes if acc is None else acc + sd.amplitudes
-    return SpectralDecay(sd.window_centers, acc / n_average)
 
 
 @dataclass(frozen=True)
@@ -188,7 +151,6 @@ class TriggerResult:
 def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
                      drive: DriveParams, threshold_rate: float,
                      delay: float, detection_level: float, *,
-                     profile: ResponseProfile | None = None,
                      efficiency: float = 0.05, bin_width: float = 10e-6,
                      horizon: float = 1.0, seed: int = 0,
                      smoothing_time: float = 100e-6) -> TriggerResult:
@@ -201,8 +163,7 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
     conditioned Delta_N is reported, the probe is scheduled off for
     ``delay`` and back on at ``detection_level``.
     """
-    if profile is None:
-        profile = ResponseProfile.from_cavity(cavity)
+    profile = ResponseProfile.from_cavity(cavity)
     edges = np.arange(0.0, horizon + bin_width, bin_width)
     centers = 0.5 * (edges[1:] + edges[:-1])
     dn = collective_shift(drift.atoms(centers), cavity.g0, cavity.delta_ca)
@@ -285,13 +246,12 @@ def _crossing(centers, amps, a0, model):
     return float("inf")
 
 
-def decay_fit(decay: SpectralDecay, model: str = "gaussian",
-              floor: float = 0.1) -> DecayFit:
+def decay_fit(decay: SpectralDecay, model: str = "gaussian") -> DecayFit:
     """Fit the window-amplitude envelope and return its 1/e time.
 
     Least squares on log-amplitude against both envelope models
     (exponential exp(-t/tau) and Gaussian-in-time exp(-(t/tau)^2), the
-    static-spread dephasing form); windows below ``floor`` times the peak
+    static-spread dephasing form); windows below a tenth of the peak
     amplitude are excluded from the fit (finite-ensemble/shot floor).  The
     returned ``tau`` interpolates the crossing of the fitted amplitude(0)/e
     through the window series; non-decaying data is flagged unreliable.
@@ -303,8 +263,7 @@ def decay_fit(decay: SpectralDecay, model: str = "gaussian",
     if len(a) < 4:
         raise ValueError("need at least 4 windows to fit a decay")
 
-    keep = a > floor * np.max(a)
-    keep &= a > 0
+    keep = a > 0.1 * np.max(a)
     cf, af = c[keep], a[keep]
     if len(af) < 2:
         return DecayFit(float("inf"), model, float("inf"), float("inf"),

@@ -23,21 +23,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class PhysicalConstants:
+class _Constants:
     """CODATA constants; CONSTANTS is the one instance every formula reads."""
 
     hbar: float = 1.054571817e-34      # J s
-    kB: float = 1.380649e-23           # J/K
     m_rb87: float = 1.4431609e-25      # kg (86.909180531 u)
 
 
-CONSTANTS = PhysicalConstants()
+CONSTANTS = _Constants()
 
 
 def _require_finite(params) -> None:
@@ -57,8 +54,6 @@ class CavityParams:
     k_probe: float             # probe wavenumber, rad/m
     k_trap: float              # trap wavenumber, rad/m
     sigma_jitter: float = 0.0  # rms Gaussian technical broadening, rad/s
-    waist: float = 0.0         # mode waist, m (informational)
-    finesse: float = 0.0       # informational
 
     def __post_init__(self):
         _require_finite(self)
@@ -83,9 +78,6 @@ class TrapParams:
     """Optical-lattice trap parameters."""
 
     omega_z: float             # axial trap frequency, rad/s
-    omega_radial: float = 0.0  # rad/s (informational)
-    trap_depth: float = 0.0    # J (informational)
-    temperature: float = 0.0   # K (informational)
     num_sites: int = 1         # occupied lattice sites
 
     def __post_init__(self):
@@ -134,12 +126,10 @@ class SystemParams:
     def kerr_coefficient(self, multi_well: bool = True) -> float:
         return kerr_coefficient(self.cavity, self.trap, multi_well)
 
-    def beta(self, n_max: float | None = None,
-             delta_n: float | None = None) -> float:
-        n = self.drive.n_max if n_max is None else n_max
-        dn = self.collective_shift() if delta_n is None else delta_n
-        return beta_parameter(dn, self.kerr_coefficient(), n,
-                              self.cavity.kappa)
+    def beta(self, delta_n: float) -> float:
+        """beta of the drive at the collective shift ``delta_n``."""
+        return beta_parameter(delta_n, self.kerr_coefficient(),
+                              self.drive.n_max, self.cavity.kappa)
 
 
 def recoil_frequency(k: float, mass: float) -> float:
@@ -158,14 +148,6 @@ def collective_shift(n_atoms: float, g0: float, delta_ca: float) -> float:
     if delta_ca == 0:
         raise ValueError("delta_ca must be nonzero in the dispersive regime")
     return n_atoms * g0 * g0 / (2.0 * delta_ca)
-
-
-def collective_shift_single_well(n_atoms: float, g0: float, delta_ca: float,
-                                 theta: float) -> float:
-    """Shift for all atoms at one well with probe phase theta = k_p z0."""
-    if delta_ca == 0:
-        raise ValueError("delta_ca must be nonzero in the dispersive regime")
-    return n_atoms * (g0 * np.sin(theta)) ** 2 / delta_ca
 
 
 def kerr_coefficient(cavity: CavityParams, trap: TrapParams,
@@ -239,17 +221,9 @@ def reference_cavity(delta_ca: float = -TWO_PI * 30e9) -> CavityParams:
         k_probe=TWO_PI / 780e-9,
         k_trap=TWO_PI / 850e-9,
         sigma_jitter=TWO_PI * 1.1e6,
-        waist=23.4e-6,
-        finesse=5.8e5,
     )
 
 
 def reference_trap(omega_z: float = TWO_PI * 42e3) -> TrapParams:
     """Trap parameters of the reference experiment."""
-    return TrapParams(
-        omega_z=omega_z,
-        omega_radial=TWO_PI * 0.3e3,
-        trap_depth=CONSTANTS.kB * 6.6e-6,
-        temperature=0.8e-6,
-        num_sites=300,
-    )
+    return TrapParams(omega_z=omega_z, num_sites=300)

@@ -22,45 +22,44 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 
-class ProfileKind(Enum):
-    LORENTZIAN = "lorentzian"
-    VOIGT = "voigt"
-
-
 @dataclass(frozen=True)
 class ResponseProfile:
-    """Normalized (unit-peak) cavity frequency response."""
+    """Normalized (unit-peak) cavity frequency response: Voigt exactly when
+    sigma > 0, else Lorentzian."""
 
-    kind: ProfileKind
     kappa: float               # Lorentzian half-linewidth, rad/s
-    sigma: float = 0.0         # Gaussian rms width, rad/s (Voigt only)
+    sigma: float = 0.0         # Gaussian rms width, rad/s
 
     def __post_init__(self):
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        if self.kind is ProfileKind.VOIGT and self.sigma <= 0:
-            raise ValueError("Voigt profile needs sigma > 0")
+        if not self.sigma >= 0:
+            raise ValueError("sigma must be nonnegative")
+
+    @property
+    def kind(self) -> str:
+        """"voigt" or "lorentzian", the name the threshold report gives."""
+        return "voigt" if self.sigma > 0 else "lorentzian"
 
     @classmethod
     def lorentzian(cls, kappa: float) -> "ResponseProfile":
-        return cls(ProfileKind.LORENTZIAN, kappa)
+        return cls(kappa)
 
     @classmethod
     def voigt(cls, kappa: float, sigma: float) -> "ResponseProfile":
-        return cls(ProfileKind.VOIGT, kappa, sigma)
+        if not sigma > 0:
+            raise ValueError("Voigt profile needs sigma > 0")
+        return cls(kappa, sigma)
 
     @classmethod
     def from_cavity(cls, cavity) -> "ResponseProfile":
         """Voigt when the cavity records technical jitter, else Lorentzian."""
-        if cavity.sigma_jitter > 0:
-            return cls.voigt(cavity.kappa, cavity.sigma_jitter)
-        return cls.lorentzian(cavity.kappa)
+        return cls(cavity.kappa, cavity.sigma_jitter)
 
     @cached_property
     def _voigt_peak(self):
@@ -70,7 +69,7 @@ class ResponseProfile:
     @cached_property
     def _slope_peak(self) -> tuple[float, float]:
         """(x, v'(x)) at the maximum of v' = d/dx V(kappa*x), on x < 0."""
-        if self.kind is ProfileKind.LORENTZIAN:
+        if not self.sigma:
             x = -1.0 / np.sqrt(3.0)
         else:
             # v'' changes sign once on x < 0, at the inflection point; the
@@ -164,7 +163,7 @@ def _voigt_raw(delta, kappa, sigma):
 def profile_value(profile: ResponseProfile, delta):
     """Profile value V(delta) in (0, 1], V(0) = 1, even in delta."""
     delta = np.asarray(delta, dtype=float)
-    if profile.kind is ProfileKind.LORENTZIAN:
+    if not profile.sigma:
         out = 1.0 / (1.0 + (delta / profile.kappa) ** 2)
     else:
         out = _voigt_raw(delta, profile.kappa, profile.sigma) / profile._voigt_peak
@@ -182,7 +181,7 @@ def _curve(profile: ResponseProfile, x, order: int) -> list:
     for |x| <= 20, and within 2e-13 for |x| <= 60.
     """
     x = np.asarray(x, dtype=float)
-    if profile.kind is ProfileKind.LORENTZIAN:
+    if not profile.sigma:
         r = 1.0 / (1.0 - 1j * x)
         terms = (r, 1j * r * r, -2.0 * r ** 3, -6j * r ** 4)
         return [t.real for t in terms[:order + 1]]
@@ -246,8 +245,6 @@ class SteadyStateSolution:
     """
 
     roots: tuple[tuple[float, bool], ...]
-    delta0: float
-    beta: float
 
     @property
     def stable(self) -> tuple[float, ...]:
@@ -264,8 +261,7 @@ def steady_state_roots_lorentzian(delta0: float, beta: float) -> SteadyStateSolu
     if not np.isfinite(delta0) or not np.isfinite(beta):
         raise ValueError("delta0 and beta must be finite")
     if beta == 0.0:
-        return SteadyStateSolution(((1.0 / (1.0 + delta0 ** 2), True),),
-                                   delta0, beta)
+        return SteadyStateSolution(((1.0 / (1.0 + delta0 ** 2), True),))
 
     a = beta ** 2
     b = 2.0 * delta0 * beta
@@ -329,7 +325,7 @@ def steady_state_roots_lorentzian(delta0: float, beta: float) -> SteadyStateSolu
             continue  # double root at a fold: report once
         stable = bool(fp(u) > stab_tol)   # d/du of the cubic > 0: stable
         out.append((u, stable))
-    return SteadyStateSolution(tuple(out), delta0, beta)
+    return SteadyStateSolution(tuple(out))
 
 
 def _folds(profile: ResponseProfile, beta: float) -> list[tuple[float, float]]:
@@ -386,15 +382,14 @@ def steady_state_roots_profile(profile: ResponseProfile, delta0: float,
     """
     if beta == 0.0:
         u = float(profile_value(profile, profile.kappa * delta0))
-        return SteadyStateSolution(((u, True),), delta0, beta)
+        return SteadyStateSolution(((u, True),))
     if beta < 0.0:
-        mirror = steady_state_roots_profile(profile, -delta0, -beta)
-        return SteadyStateSolution(mirror.roots, delta0, beta)
+        return steady_state_roots_profile(profile, -delta0, -beta)
     roots = [(float(u), k % 2 == 0)
              for k, segment in enumerate(_segments(profile, beta))
              for u in _segment_roots(profile, beta, np.array([delta0]), segment)
              if np.isfinite(u)]
-    return SteadyStateSolution(tuple(sorted(roots)), delta0, beta)
+    return SteadyStateSolution(tuple(sorted(roots)))
 
 
 def fold_points(profile: ResponseProfile, beta: float) -> list[tuple[float, float]]:

@@ -170,6 +170,19 @@ class TestConfigErrors:
         ("derived.yaml", "derived", "params.drive.n_max", float("nan")),
         ("derived.yaml", "derived", "params.drive.atom_number", float("inf")),
         ("derived.yaml", "derived", "params.cavity.delta_ca", 0),
+        ("derived.yaml", "derived", "params.cavity.kappa", "-0.66 MHz"),
+        ("derived.yaml", "derived", "params.cavity.g0", 0),
+        ("derived.yaml", "derived", "params.cavity.gamma_atom", "-3 MHz"),
+        ("derived.yaml", "derived", "params.cavity.sigma_jitter", "-1 MHz"),
+        ("derived.yaml", "derived", "params.cavity.probe_wavelength",
+         "-780 nm"),
+        # equal to the probe wavelength: the message names both keys
+        ("derived.yaml", "derived", "params.cavity.trap_wavelength",
+         "780 nm"),
+        ("derived.yaml", "derived", "params.trap.omega_z", 0),
+        ("derived.yaml", "derived", "params.trap.num_sites", 0),
+        ("derived.yaml", "derived", "params.drive.n_max", -1),
+        ("derived.yaml", "derived", "params.drive.atom_number", -1),
         ("fig_ringdown.yaml", "ringdown", "params.cavity.delta_ca", "0 GHz"),
         ("fig_ringdown.yaml", "ringdown", "ringdown.field_model", "bogus"),
         ("fig_ringdown.yaml", "ringdown", "ringdown.fit_model", "bogus"),
@@ -181,6 +194,10 @@ class TestConfigErrors:
         ("fig_ringdown.yaml", "ringdown", "ringdown.subensembles", 0),
         ("fig_ringdown.yaml", "ringdown", "ringdown.dt_per_period", 0),
         ("fig_ringdown.yaml", "ringdown", "ringdown.dt_per_period", -200),
+        # over 1/50 of the fastest drawn trap period: the ring-up's
+        # stability guard, checked once the lattice is drawn
+        ("fig_ringdown.yaml", "ringdown", "ringdown.dt_per_period", 50.5),
+        ("fig_ringdown.yaml", "ringdown", "ringdown.dt_per_period", 5),
         ("fig_ringdown.yaml", "ringdown", "ringdown.bin_width", 0),
         ("fig_ringdown.yaml", "ringdown", "ringdown.window_length", "-5 us"),
         ("fig_ringdown.yaml", "trigger", "trigger.bin_width", 0),
@@ -242,6 +259,24 @@ class TestConfigErrors:
         assert run_cli("--config", path, "--out", tmp_path / "run") == 2
         assert "ringdown.omega_z_spread" in capsys.readouterr().err
 
+    def test_step_checked_before_the_trigger(self, tmp_path, capsys,
+                                             monkeypatch):
+        # dt comes from the mean trap frequency, the guard reads the
+        # fastest drawn row, which needs 50.8 steps per mean period here
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        cfg["trigger"] = dict(TRIGGER)
+        cfg["ringdown"].update(use_trigger=True, duration="0.6 ms",
+                               window_length="120 us", n_average=2,
+                               dt_per_period=50.5)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        monkeypatch.setattr(cli, "_run_trigger",
+                            lambda *args: pytest.fail("the trigger ran"))
+        assert run_cli("--config", path, "--out", tmp_path / "run") == 2
+        err = capsys.readouterr().err
+        assert "ringdown.dt_per_period must be at least 50.8 " in err
+        assert not list(tmp_path.glob("run*"))
+
     @pytest.mark.parametrize("record_every, code", [(3, 2), (2, 0)])
     def test_window_count_uses_the_recorded_span(self, tmp_path, capsys,
                                                  record_every, code):
@@ -260,13 +295,15 @@ class TestConfigErrors:
             assert "ringdown.window_length" in capsys.readouterr().err
             assert not any(out.iterdir())
 
-    def test_numeric_failure_exit_3(self, tmp_path):
+    def test_numeric_failure_exit_3(self, tmp_path, capsys):
+        # a threshold above the peak detected rate is never crossed
         cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
-        cfg["ringdown"]["dt_per_period"] = 5   # violates the stability guard
-        cfg["ringdown"]["n_average"] = 1
-        path = tmp_path / "unstable.yaml"
+        cfg["trigger"] = dict(TRIGGER, threshold_rate=1.0e7)
+        cfg["ringdown"]["use_trigger"] = True
+        path = tmp_path / "untriggered.yaml"
         path.write_text(yaml.safe_dump(cfg))
         assert run_cli("--config", path, "--out", tmp_path / "x") == 3
+        assert "trigger threshold never crossed" in capsys.readouterr().err
 
 
 class TestLineshape:
@@ -496,6 +533,15 @@ class TestSelfDescribingOutputs:
         out.mkdir()
         return cfg, path, out / name
 
+    @staticmethod
+    def _embedded(f):
+        """(config, seed) that the output file ``f`` records."""
+        if f.suffix == ".json":
+            report = json.loads(f.read_text())
+            return json.loads(report["_config"]), report["_seed"]
+        meta, _, _ = read_csv(f)
+        return json.loads(meta["config"]), int(meta["seed"])
+
     @pytest.mark.parametrize("scenario", sorted(CASES))
     def test_every_output_embeds_config_and_seed(self, tmp_path, scenario):
         cfg, path, out = self._config(tmp_path, scenario)
@@ -503,14 +549,29 @@ class TestSelfDescribingOutputs:
         files = sorted(out.parent.iterdir())
         assert files
         for f in files:
-            if f.suffix == ".json":
-                report = json.loads(f.read_text())
-                config_text, seed = report["_config"], report["_seed"]
-            else:
-                meta, _, _ = read_csv(f)
-                config_text, seed = meta["config"], int(meta["seed"])
-            assert json.loads(config_text) == cfg, f.name
-            assert seed == cfg["seed"], f.name
+            assert self._embedded(f) == (cfg, cfg["seed"]), f.name
+
+    @pytest.mark.parametrize("scenario", sorted(CASES))
+    def test_run_reproduces_from_its_own_output(self, tmp_path, capsys,
+                                                scenario):
+        # YAML, not JSON text, carries the config back: PyYAML reads a
+        # JSON number like 1e-05 as a string
+        _, path, out = self._config(tmp_path, scenario)
+        assert run_cli("--config", path, "--out", out) == 0
+        stdout = capsys.readouterr().out
+        files = sorted(out.parent.iterdir())
+        cfg, seed = self._embedded(files[0])
+        replay = tmp_path / "replay.yaml"
+        replay.write_text(yaml.safe_dump(cfg))
+        again = tmp_path / "again"
+        again.mkdir()
+        assert run_cli("--config", replay, "--out", again / out.name,
+                       "--seed", seed) == 0
+        assert capsys.readouterr().out == stdout
+        assert sorted(f.name for f in again.iterdir()) == \
+            [f.name for f in files]
+        for f in files:
+            assert (again / f.name).read_bytes() == f.read_bytes(), f.name
 
     @pytest.mark.parametrize("scenario", sorted(CASES))
     def test_runs_without_scipy(self, tmp_path, scenario):

@@ -473,12 +473,6 @@ class TestImpulseEstimates:
         _, m_out = impulse_modulation_estimate(just_out, trap42, 5e4)
         assert m_in > cavity.kappa > m_out
 
-    def test_antinode_zero_impulse(self, cavity101, trap42):
-        v, mod = impulse_modulation_estimate(cavity101, trap42, 5e4,
-                                             theta=np.pi / 2)
-        assert v == pytest.approx(0.0, abs=1e-20)
-        assert mod == pytest.approx(0.0, abs=1e-10)
-
     def test_modulation_linear_in_atom_number(self, cavity101, trap42):
         _, m1 = impulse_modulation_estimate(cavity101, trap42, 2e4)
         _, m2 = impulse_modulation_estimate(cavity101, trap42, 4e4)

@@ -3,6 +3,7 @@ import pytest
 
 from cavkerr import (
     CONSTANTS,
+    LatticeEnsemble,
     build_lattice,
     collective_shift,
     collective_shift_from_displacements,
@@ -15,6 +16,13 @@ from cavkerr import (
 
 TWO_PI = 2 * np.pi
 WZ = TWO_PI * 42e3
+
+
+def random_phase_lattice(num_sites, total_atoms, omega_z, seed):
+    """Evenly populated sites at uniformly drawn probe phases."""
+    theta = np.random.default_rng(seed).uniform(0.0, np.pi, num_sites)
+    return LatticeEnsemble(theta, np.full(num_sites, total_atoms / num_sites),
+                           np.full(num_sites, omega_z))
 
 
 def test_phase_walk_equidistributes():
@@ -34,10 +42,8 @@ def test_single_well_pi_over_4():
 
 
 def test_seed_determinism():
-    a = build_lattice(200, 1e4, WZ, omega_z_spread=0.01 * WZ,
-                      phase_model="random", seed=99)
-    b = build_lattice(200, 1e4, WZ, omega_z_spread=0.01 * WZ,
-                      phase_model="random", seed=99)
+    a = build_lattice(200, 1e4, WZ, omega_z_spread=0.01 * WZ, seed=99)
+    b = build_lattice(200, 1e4, WZ, omega_z_spread=0.01 * WZ, seed=99)
     assert np.array_equal(a.theta, b.theta)
     assert np.array_equal(a.omega_z, b.omega_z)
 
@@ -45,12 +51,6 @@ def test_seed_determinism():
 def test_invalid_spread_rejected():
     with pytest.raises(ValueError):
         build_lattice(10, 1e3, WZ, omega_z_spread=-1.0)
-
-
-def test_gaussian_population_profile():
-    ens = build_lattice(101, 1e4, WZ, population_model="gaussian")
-    assert ens.total_atoms == pytest.approx(1e4, rel=1e-12)
-    assert ens.population[50] > ens.population[0]
 
 
 class TestCollectiveShiftFromDisplacements:
@@ -76,7 +76,7 @@ class TestCollectiveShiftFromDisplacements:
             collective_shift_from_displacements(ens, np.zeros(9), cavity101)
 
     def test_permutation_invariance(self, cavity101):
-        ens = build_lattice(50, 1e3, WZ, phase_model="random", seed=3)
+        ens = random_phase_lattice(50, 1e3, WZ, seed=3)
         dn = collective_shift_from_displacements(ens, np.zeros(50), cavity101)
         perm = np.random.default_rng(0).permutation(50)
         shuffled = type(ens)(ens.theta[perm], ens.population[perm],
@@ -118,7 +118,7 @@ class TestPerSiteForce:
 
     def test_displacement_increases_coupling_red_detuned(self, cavity101):
         # every per-photon equilibrium displacement raises sin^2(theta + kp d)
-        ens = build_lattice(500, 1e4, WZ, phase_model="random", seed=8)
+        ens = random_phase_lattice(500, 1e4, WZ, seed=8)
         f = per_site_force(ens.theta, np.zeros(len(ens)), 1e-3, cavity101)
         d = f / (CONSTANTS.m_rb87 * ens.omega_z**2)
         before = np.sin(ens.theta) ** 2
@@ -134,7 +134,6 @@ class TestEffectiveKerr:
         assert eps_eff == pytest.approx(eps_half, rel=5e-3)
 
     def test_single_site_at_pi_over_4(self, cavity101, trap42):
-        from cavkerr import LatticeEnsemble
         ens = LatticeEnsemble(np.array([np.pi / 4]), np.array([1e4]),
                               np.array([trap42.omega_z]))
         eps_eff = effective_kerr_numeric(ens, cavity101, trap42)
@@ -151,13 +150,11 @@ class TestEffectiveKerr:
     def test_halving_across_random_seeds(self, cavity101, trap42):
         eps_half = kerr_coefficient(cavity101, trap42, multi_well=False) / 2
         for seed in (1, 2, 3):
-            ens = build_lattice(20000, 7e4, trap42.omega_z,
-                                phase_model="random", seed=seed)
+            ens = random_phase_lattice(20000, 7e4, trap42.omega_z, seed)
             eps_eff = effective_kerr_numeric(ens, cavity101, trap42)
             assert eps_eff == pytest.approx(eps_half, rel=0.03)
 
     def test_all_nodes_rejected(self, cavity101, trap42):
-        from cavkerr import LatticeEnsemble
         ens = LatticeEnsemble(np.zeros(3), np.full(3, 10.0),
                               np.full(3, trap42.omega_z))
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from cavkerr import (
     TrapParams,
     beta_parameter,
     collective_shift,
-    collective_shift_single_well,
     critical_numbers,
     kerr_coefficient,
     nonlinear_photon_threshold,
@@ -55,11 +54,6 @@ class TestCollectiveShift:
     def test_zero_detuning_rejected(self):
         with pytest.raises(ValueError):
             collective_shift(1e4, 1e8, 0.0)
-
-    def test_single_well_node_and_antinode(self):
-        assert collective_shift_single_well(1e4, 1e8, -2e11, 0.0) == 0.0
-        full = collective_shift_single_well(1e4, 1e8, -2e11, np.pi / 2)
-        assert full == pytest.approx(2 * collective_shift(1e4, 1e8, -2e11))
 
 
 class TestKerrCoefficient:
@@ -241,9 +235,9 @@ class TestValidation:
             CavityParams(kappa=float("nan"), g0=1.0, gamma_atom=1.0,
                          delta_ca=-1.0, k_probe=5.0, k_trap=6.0)
 
-    def test_trap_rejects_infinite_temperature(self):
-        with pytest.raises(ValueError, match="temperature"):
-            TrapParams(omega_z=1.0, temperature=float("inf"))
+    def test_trap_rejects_infinite_omega_z(self):
+        with pytest.raises(ValueError, match="omega_z"):
+            TrapParams(omega_z=float("inf"))
 
     @pytest.mark.parametrize("field", ["n_max", "atom_number"])
     def test_drive_rejects_non_finite(self, field):

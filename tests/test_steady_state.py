@@ -12,7 +12,6 @@ from scipy.special import wofz
 
 import cavkerr
 from cavkerr import (
-    ProfileKind,
     ResponseProfile,
     bistability_threshold,
     fold_points,
@@ -92,8 +91,9 @@ class TestProfileValue:
             profile_value(p, 3 * KAPPA), rel=1e-12)   # even
 
     def test_voigt_requires_sigma(self):
-        with pytest.raises(ValueError):
-            ResponseProfile(ProfileKind.VOIGT, KAPPA, 0.0)
+        for sigma in (0.0, -SIGMA):
+            with pytest.raises(ValueError, match="sigma > 0"):
+                ResponseProfile.voigt(KAPPA, sigma)
 
 
 class TestFaddeeva:
