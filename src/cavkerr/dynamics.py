@@ -8,7 +8,11 @@ filter relaxing at 2*kappa is available to check that approximation.
 The linearized one-way ring-up (no backaction, undamped, unramped,
 adiabatic field) drives every site with a constant force, so it is solved
 in closed form: each site's contribution to Delta_N is a short harmonic
-series, summed at the sample times by blocked matrix products.  Every
+series.  Harmonic n of every site lies in the band n [min w, max w], so
+each band is replaced by a few terms at Chebyshev frequencies of the band
+(interpolation error bounded by Jacobi-Anger, within 1e-16 of the total
+population), and the terms are summed at the sample times by blocked
+matrix products.  Every
 other model is integrated by fixed-step velocity Verlet on the per-site
 collective coordinates (symplectic, so the energy bookkeeping test is
 meaningful), with the optional viscous damping applied as exact
@@ -18,6 +22,7 @@ exponential relaxation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -179,8 +184,10 @@ def sample_times(duration: float, dt: float, record_every: int) -> np.ndarray:
 
 
 # Closed-form sums: the samples go in blocks of _BLOCK and the blocks in
-# chunks of _CHUNK; at most _TERMS harmonics share one (terms, _BLOCK) table
-# (3 MB), so no temporary grows with the ensemble or the duration.
+# chunks of _CHUNK; at most _TERMS terms share one (terms, _BLOCK) table
+# (3 MB), so no temporary grows with the ensemble or the duration.  Harmonic
+# band n brings min(rows, K_n) terms (_band_terms); 3001 rows x 6 harmonics
+# over 3 ms at a 225 Hz spread make 521 terms, a single chunk.
 _BLOCK, _CHUNK, _TERMS = 64, 16, 6000
 
 
@@ -198,6 +205,65 @@ def _kept_harmonics(weight: np.ndarray, x: np.ndarray, tol: float) -> int:
         h += 1
 
 
+def _band_terms(w: np.ndarray, coef: np.ndarray, t_max: float,
+                tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine terms (W_p, D_p) for sum_jn D_jn cos(n w_j t), 0 <= t <= t_max.
+
+    ``coef`` is (rows, H), column n - 1 holding harmonic n.  Harmonic n's
+    band puts n w_j = n (c + h x_j), x_j in [-1, 1], with c and h the centre
+    and half-width of [min w, max w], so its sum is
+    Re e^{inct} sum_j D_jn f(x_j), f(x) = exp(i n h t x).  Interpolating f
+    at the K first-kind Chebyshev nodes x_k = cos theta_k,
+    theta_k = (k + 1/2) pi/K, replaces the rows by K terms at n (c + h x_k)
+    with weights sum_j D_jn l_k(x_j).  By the discrete orthogonality of
+    T_q(x_k) = cos(q theta_k) those weights are
+    (m_0 + 2 sum_{0<q<K} cos(q theta_k) m_q) / K, from the moments
+    m_q = sum_j D_jn T_q(x_j), which the three-term recurrence gives for
+    all bands in one pass.  Jacobi-Anger makes f's Chebyshev coefficients
+    2 i^q J_q(n h t), and each aliased one moves the interpolant by at most
+    twice its size, so with z = n h t_max the band's error is at most
+    sum_j |D_jn| 4 sum_{q>=K} (z/2)^q/q! <= sum_j |D_jn| 8 (z/2)^K/K!
+    for K >= z.  K_n is the smallest K >= z that puts this under ``tol``;
+    a band with K_n >= rows keeps its rows, in row-major order, ahead of
+    the compressed bands.  A zero-width band (h = 0) is one term at n c
+    carrying sum_j D_jn.  (The low-rank step of Ruiz-Antolin & Townsend,
+    SIAM J. Sci. Comput. 40, A529 (2018).)
+    """
+    rows, n_harm = coef.shape
+    lo, hi = float(np.min(w)), float(np.max(w))
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    scale = np.sum(np.abs(coef), axis=0)
+    counts = np.ones(n_harm, dtype=int)
+    for i in range(n_harm):
+        z = (i + 1) * h * t_max
+        if z > 0 and scale[i] > 0:
+            k = math.ceil(z)
+            log_bound = math.log(tol / (8.0 * scale[i]))
+            while (k < rows
+                   and k * math.log(z / 2) - math.lgamma(k + 1) > log_bound):
+                k += 1
+            counts[i] = k
+    keep = counts >= rows
+    freq = [(w[:, None] * np.arange(1, n_harm + 1)[keep]).ravel()]
+    weight = [coef[:, keep].ravel()]
+
+    bands = np.flatnonzero(~keep)
+    x = (w - c) / h if h > 0 else np.zeros(rows)
+    d = coef[:, bands]
+    moments = np.empty((int(counts[bands].max(initial=0)), bands.size))
+    t_prev, t_q = x, np.ones(rows)          # T_{-1} = T_1 starts T_0, T_1
+    for q in range(len(moments)):
+        moments[q] = t_q @ d
+        t_prev, t_q = t_q, 2.0 * x * t_q - t_prev
+    for b, i in enumerate(bands):
+        k = counts[i]
+        theta = (np.arange(k) + 0.5) * (np.pi / k)
+        cos_q = np.cos(np.outer(theta, np.arange(1, k)))
+        freq.append((i + 1) * (c + h * np.cos(theta)))
+        weight.append((moments[0, b] + 2.0 * cos_q @ moments[1:k, b]) / k)
+    return np.concatenate(freq), np.concatenate(weight)
+
+
 def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
                    drive: DriveParams, *, profile: ResponseProfile,
                    time: np.ndarray, tau: float,
@@ -213,7 +279,11 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
     points per period gives its coefficients; H harmonics are kept, with
     the dropped tail and, as K >= 2H + 2, the aliased tail each below
     1e-16 of sum N_j.  So Delta_N(t) is g0^2/delta_ca times a constant
-    plus sum_p D_p cos(W_p t) over the kept harmonics W_p = n w_j.  At the
+    plus sum_p D_p cos(W_p t) over the kept harmonics W_p = n w_j.
+    _band_terms then puts each harmonic band n [min w, max w] on K_n
+    Chebyshev frequencies, with an error at most 1e-16 sum N_j per band
+    (its bound is in _band_terms); a band with K_n >= rows keeps its rows,
+    so a small ensemble keeps its exact terms.  At the
     sample t = t_B + m tau, m < _BLOCK, that sum is
     sum_p D_p [cos(W_p t_B) cos(W_p m tau) - sin(W_p t_B) sin(W_p m tau)]:
     two real matrix products of per-block anchors with one fixed table.
@@ -228,7 +298,8 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
     amp = (force_per_photon(cavity) / CONSTANTS.m_rb87 * np.sin(2.0 * theta)
            * nbar0 / w ** 2)
 
-    n_harm = _kept_harmonics(pop, kp * np.abs(amp), 1e-16 * np.sum(pop))
+    tol = 1e-16 * np.sum(pop)
+    n_harm = _kept_harmonics(pop, kp * np.abs(amp), tol)
     k = 64
     while k < 2 * n_harm + 2:
         k *= 2
@@ -237,8 +308,7 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
     coef = np.fft.rfft(pop[:, None] * s * s, axis=1).real[:, :n_harm + 1] / k
     coef[:, 1:] *= 2.0                  # cos(n u) carries the +-n pair
 
-    freq = (w[:, None] * np.arange(1, n_harm + 1)).ravel()
-    coef_osc = coef[:, 1:].ravel()
+    freq, coef_osc = _band_terms(w, coef[:, 1:], float(time[-1]), tol)
     n_blocks, block = -(-n_rec // _BLOCK), _BLOCK * tau
     sums = np.full(n_blocks * _BLOCK, np.sum(coef[:, 0]))
     for lo in range(0, freq.size, _TERMS):

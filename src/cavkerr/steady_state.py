@@ -36,10 +36,10 @@ class ResponseProfile:
     sigma: float = 0.0         # Gaussian rms width, rad/s
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative and finite")
 
     @property
     def kind(self) -> str:

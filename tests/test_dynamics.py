@@ -300,6 +300,72 @@ class TestClosedFormOracle:
                                         drive.delta_pc - trace.delta_n),
             rel=1e-12)
 
+    @pytest.mark.parametrize("spread, n_sites",
+                             [(TWO_PI * 225.08, 300), (0.0, 200)],
+                             ids=["spread", "no-spread"])
+    def test_compressed_bands_are_the_closed_form(self, monkeypatch, spread,
+                                                  n_sites):
+        # the shipped ringdown scale (300 sites x 10 rows + tracer, 3 ms):
+        # each harmonic band goes to a few Chebyshev frequencies; with no
+        # spread (200 x 10 rows) each band is a single term
+        cavity = reference_cavity(delta_ca=-TWO_PI * 260e9)
+        profile = ResponseProfile.from_cavity(cavity)
+        ensemble = build_lattice(
+            n_sites, 5e4, TWO_PI * 49e3, omega_z_spread=spread, seed=7,
+            k_ratio=cavity.k_probe / cavity.k_trap, subensembles=10,
+            tracer_thetas=(np.pi / 4,)).scaled_to_shift(RINGUP_DELTA_N0,
+                                                        cavity)
+        drive = ringup_drive(6.5, "instantaneous", profile)
+        shapes, band_terms = [], dynamics._band_terms
+
+        def spy(w, coef, t_max, tol):
+            freq, weight = band_terms(w, coef, t_max, tol)
+            shapes.append((coef.shape, freq.size))
+            return freq, weight
+
+        monkeypatch.setattr(dynamics, "_band_terms", spy)
+        trace = ring_up(ensemble, cavity, drive, duration=3e-3,
+                        profile=profile, backaction=False,
+                        linearized_force=True, record_every=2,
+                        record_sites=[-1])
+        [((rows, n_harm), n_terms)] = shapes
+        assert rows == len(ensemble) and n_harm >= 1
+        assert n_terms == n_harm if spread == 0 else n_terms < rows * n_harm
+
+        # the dense formula in chunks of samples; at t = 0 it does not
+        # depend on the switch-on photon number
+        dn_0 = self._exact(ensemble, cavity, trace.time[:1], 0.0)[3][0]
+        nbar0 = drive.n_max * profile_value(profile, drive.delta_pc - dn_0)
+        parts = [self._exact(ensemble, cavity, trace.time[i:i + 500], nbar0)
+                 for i in range(0, len(trace.time), 500)]
+        exact = np.concatenate([p[3] for p in parts])
+        assert np.max(np.abs(trace.delta_n - exact)) / cavity.kappa <= 1e-12
+        for got, k in ((trace.displacements, 1), (trace.velocities, 2)):
+            want = np.concatenate([p[k][:, -1:] for p in parts])
+            assert (np.max(np.abs(got - want))
+                    <= 1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("spread", [0.0, TWO_PI * 225.0],
+                             ids=["no-spread", "spread"])
+    def test_band_terms_are_the_row_sum(self, spread):
+        # 60 rows, 4 harmonics, 3 ms: with a spread the low bands go to
+        # Chebyshev nodes and the top ones keep their rows; with none each
+        # band is one term at n w carrying sum_j D_jn.  Phases reach 3.7e3
+        # rad, so rounding alone puts the two sums about 1e-12 apart
+        rng = np.random.default_rng(3)
+        w = TWO_PI * 49e3 + spread * rng.standard_normal(60)
+        coef = rng.standard_normal((60, 4)) / [1.0, 2.0, 6.0, 24.0]
+        freq, weight = dynamics._band_terms(w, coef, 3e-3, 1e-14)
+        t = np.linspace(0.0, 3e-3, 2001)
+        rows = np.cos(np.outer(t, (w[:, None] * np.arange(1, 5)).ravel()))
+        assert (np.max(np.abs(np.cos(np.outer(t, freq)) @ weight
+                              - rows @ coef.ravel())) <= 1e-11)
+        if spread == 0:
+            assert freq.tolist() == (w[0] * np.arange(1, 5)).tolist()
+            assert weight == pytest.approx(coef.sum(axis=0), rel=1e-12)
+        else:
+            assert 60 < freq.size < 240
+
     @pytest.mark.parametrize("linearized", [True, False])
     def test_one_way_ramp_rejected(self, linearized):
         # the one-way force is the switch-on photon number, which a ramp

@@ -95,6 +95,14 @@ class TestProfileValue:
             with pytest.raises(ValueError, match="sigma > 0"):
                 ResponseProfile.voigt(KAPPA, sigma)
 
+    @pytest.mark.parametrize("kappa, sigma, name", [
+        (float("nan"), 0.0, "kappa"), (float("inf"), 0.0, "kappa"),
+        (0.0, 0.0, "kappa"), (KAPPA, float("inf"), "sigma"),
+        (KAPPA, float("nan"), "sigma"), (KAPPA, -SIGMA, "sigma")])
+    def test_rejects_nonfinite_or_nonpositive_widths(self, kappa, sigma, name):
+        with pytest.raises(ValueError, match=name):
+            ResponseProfile(kappa, sigma)
+
 
 class TestFaddeeva:
     """Weideman's expansion against scipy.special.wofz, the independent oracle."""
