@@ -315,10 +315,17 @@ def _meta(cfg, seed) -> dict:
             "seed": seed}
 
 
+def _cell_format(col) -> str:
+    first = col[0] if len(col) else None
+    if isinstance(first, str):
+        return "%s"
+    return "%d" if isinstance(first, int) else "%.17g"
+
+
 def write_csv(path, colnames, columns, meta) -> None:
-    """One row template a file: text columns as is, numbers as %.17g."""
-    row_format = ",".join("%s" if len(col) and isinstance(col[0], str)
-                          else "%.17g" for col in columns) + "\n"
+    """One row template a file, set by each column's first cell: text as
+    is, Python ints as %d, floats as %.17g."""
+    row_format = ",".join(map(_cell_format, columns)) + "\n"
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
@@ -347,6 +354,21 @@ def read_csv(path):
                         cells.append(cell)
                 rows.append(tuple(cells))
     return meta, colnames, rows
+
+
+def _write_counts(path, record: measure.CountRecord, meta) -> None:
+    """A count record on its implicit time grid: an integer ``bin`` column,
+    and ``t0_s`` and ``bin_width_s`` in the header, so bin k is centred at
+    t0_s + (k + 0.5) * bin_width_s, bit for bit ``record.times``.  Integer
+    counts are written as ``counts``, mean counts as ``mean_rate_s``."""
+    if np.issubdtype(record.counts.dtype, np.integer):
+        name, values = "counts", record.counts
+    else:
+        name, values = "mean_rate_s", record.rates
+    grid = {"t0_s": "%.17g" % record.t_start,
+            "bin_width_s": "%.17g" % record.bin_width}
+    write_csv(path, ["bin", name], [range(len(values)), values.tolist()],
+              dict(meta, **grid))
 
 
 def _emit_json(report, path, meta=None) -> None:
@@ -545,26 +567,23 @@ def cmd_ringdown(cfg, out, seed) -> int:
 
     efficiency, bin_width = sec["efficiency"], sec["bin_width"]
     if sec["n_average"] > 1:
-        centers, mean_counts = measure.averaged_counts(
+        _, mean_counts = measure.averaged_counts(
             trace, cav, efficiency, bin_width, seed, sec["n_average"])
-        counts_cols = [centers.tolist(), (mean_counts / bin_width).tolist()]
-        counts_names = ["time_s", "mean_rate_s"]
-        spectral_src = (centers, mean_counts / bin_width)
+        record = measure.CountRecord(bin_width, mean_counts,
+                                     t_start=float(trace.time[0]))
     else:
-        rec = measure.count_monte_carlo(trace, cav, efficiency, bin_width, seed)
-        counts_cols = [rec.times.tolist(), rec.counts.astype(float).tolist()]
-        counts_names = ["time_s", "counts"]
-        spectral_src = rec
+        record = measure.count_monte_carlo(trace, cav, efficiency, bin_width,
+                                           seed)
 
     decay = measure.windowed_fourier_amplitude(
-        spectral_src, trap.omega_z / TWO_PI, sec["window_length"])
+        record, trap.omega_z / TWO_PI, sec["window_length"])
     fit = measure.decay_fit(decay, model=sec["fit_model"])
 
     meta = _meta(cfg, seed)
     write_csv(base + "_trace.csv", ["time_s", "deltaN_rad_s", "nbar"],
               [trace.time.tolist(), trace.delta_n.tolist(),
                trace.nbar.tolist()], meta)
-    write_csv(base + "_counts.csv", counts_names, counts_cols, meta)
+    _write_counts(base + "_counts.csv", record, meta)
     write_csv(base + "_windows.csv", ["window_center_s", "amplitude"],
               [decay.window_centers.tolist(), decay.amplitudes.tolist()], meta)
 
@@ -611,9 +630,7 @@ def cmd_trigger(cfg, out, seed) -> int:
         "detection_level": result.detection_level,
     }
     if base:
-        write_csv(base + "_counts.csv", ["time_s", "counts"],
-                  [result.counts.times.tolist(),
-                   result.counts.counts.astype(float).tolist()], meta)
+        _write_counts(base + "_counts.csv", result.counts, meta)
     _emit_json(report, base and base + "_summary.json", meta)
     return 0
 

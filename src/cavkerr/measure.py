@@ -12,6 +12,7 @@ trap-frequency spread, exponential for viscous damping).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,12 @@ from .params import CavityParams, DriveParams, collective_shift
 from .steady_state import ResponseProfile, profile_value
 
 TWO_PI = 2.0 * np.pi
+
+
+def _bin_centers(t_start: float, bin_width: float, n_bins: int) -> np.ndarray:
+    """Centre of bin k: t_start + (k + 0.5) * bin_width, the one bin grid
+    of every count record (a counts file stores t_start, bin_width and k)."""
+    return t_start + (np.arange(n_bins) + 0.5) * bin_width
 
 
 @dataclass
@@ -40,7 +47,7 @@ class CountRecord:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t_start + (np.arange(len(self.counts)) + 0.5) * self.bin_width
+        return _bin_centers(self.t_start, self.bin_width, len(self.counts))
 
     @property
     def rates(self) -> np.ndarray:
@@ -86,8 +93,8 @@ def _expected_counts(nbar_trace, cavity: CavityParams, efficiency: float,
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1])
                                            * np.diff(time))])
     edges = time[0] + np.arange(n_bins + 1) * bin_width
-    centers = time[0] + (np.arange(n_bins) + 0.5) * bin_width
-    return time[0], centers, np.diff(np.interp(edges, time, cum))
+    return (time[0], _bin_centers(time[0], bin_width, n_bins),
+            np.diff(np.interp(edges, time, cum)))
 
 
 def count_monte_carlo(nbar_trace, cavity: CavityParams, efficiency: float,
@@ -162,10 +169,15 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
     so a single dark-ish bin cannot false-trigger at nbar < 1.  On trigger the
     conditioned Delta_N is reported, the probe is scheduled off for
     ``delay`` and back on at ``detection_level``.
+
+    The record holds ceil(horizon / bin_width) bins (a ratio at most 1e-9
+    relative above an integer counts as that integer), and the trigger
+    time is the centre of the bin that fires, as ``CountRecord.times``
+    gives it.
     """
     profile = ResponseProfile.from_cavity(cavity)
-    edges = np.arange(0.0, horizon + bin_width, bin_width)
-    centers = 0.5 * (edges[1:] + edges[:-1])
+    n_bins = math.ceil(horizon / bin_width * (1.0 - 1e-9))
+    centers = _bin_centers(0.0, bin_width, n_bins)
     dn = collective_shift(drift.atoms(centers), cavity.g0, cavity.delta_ca)
     nbar = drive.n_max * profile_value(profile, drive.delta_pc - dn)
     means = 2.0 * cavity.kappa * nbar * efficiency * bin_width

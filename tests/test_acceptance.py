@@ -13,6 +13,7 @@ from helpers import ringup_context, run_ringup
 
 from cavkerr import (
     CONSTANTS,
+    CountRecord,
     DriveParams,
     LatticeEnsemble,
     ResponseProfile,
@@ -211,9 +212,9 @@ def test_criterion_11_dephasing_decay():
     cavity, trap, trace = run_ringup(
         6.5, "instantaneous", 3.0e-3, omega_z_spread=spread,
         subensembles=10, seed=42, backaction=False, linearized_force=True)
-    centers, mean_counts = averaged_counts(trace, cavity, 0.05, 2e-6, 42, 50)
-    decay2 = windowed_fourier_amplitude((centers, mean_counts / 2e-6),
-                                        trap.omega_z / TWO_PI, 500e-6)
+    _, mean_counts = averaged_counts(trace, cavity, 0.05, 2e-6, 42, 50)
+    record = CountRecord(2e-6, mean_counts, t_start=trace.time[0])
+    decay2 = windowed_fourier_amplitude(record, trap.omega_z / TWO_PI, 500e-6)
     fit2 = decay_fit(decay2, model="gaussian")
     assert fit2.reliable
     assert 0.85e-3 <= fit2.tau <= 1.15e-3

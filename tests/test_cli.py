@@ -344,12 +344,16 @@ class TestLineshape:
 class TestWriteCsv:
     @staticmethod
     def _reference(meta, names, columns):
-        """The file as written cell by cell with format(v, ".17g")."""
+        """The file as written cell by cell: text as is, a Python int with
+        %d, a float with format(v, ".17g")."""
+        def cell(c):
+            if isinstance(c, str):
+                return c
+            return "%d" % c if isinstance(c, int) else format(c, ".17g")
         lines = [f"# {k}: {v}\n" for k, v in meta.items()]
         lines.append(",".join(names) + "\n")
         for row in zip(*columns):
-            lines.append(",".join(c if isinstance(c, str)
-                                  else format(c, ".17g") for c in row) + "\n")
+            lines.append(",".join(map(cell, row)) + "\n")
         return "".join(lines)
 
     @pytest.mark.parametrize("columns", [
@@ -367,6 +371,16 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         cli.write_csv(path, names, columns, meta)
         assert path.read_text() == self._reference(meta, names, columns)
+
+    def test_integral_values_print_alike_as_int_and_float(self):
+        # below 1e17 an integral float's %.17g text is its integer's %d
+        # text, so a counts column reads the same as an int column
+        rng = np.random.default_rng(0)
+        values = np.concatenate([np.arange(1000.0),
+                                 [2.0 ** 53, 99999999999999984.0],
+                                 np.floor(10.0 ** rng.uniform(3, 17, 1000))])
+        for v in values:
+            assert "%d" % int(v) == "%.17g" % v
 
 
 class TestSweep:
@@ -426,11 +440,11 @@ class TestRingdown:
     def test_spectral_peak_near_trap_frequency(self, tmp_path, quick_cfg):
         base = tmp_path / "ring"
         assert run_cli("--config", quick_cfg, "--out", base) == 0
-        _, _, rows = read_csv(str(base) + "_counts.csv")
-        arr = np.array(rows, dtype=float)
-        t, rate = arr[:, 0], arr[:, 1]
+        meta, cols, rows = read_csv(str(base) + "_counts.csv")
+        assert cols == ["bin", "mean_rate_s"]
+        rate = np.array([r[1] for r in rows])
         ac = rate - rate.mean()
-        freqs = np.fft.rfftfreq(len(ac), t[1] - t[0])
+        freqs = np.fft.rfftfreq(len(ac), float(meta["bin_width_s"]))
         peak = freqs[1 + np.argmax(np.abs(np.fft.rfft(ac))[1:])]
         # at nbar = 6.5 the optical spring sits ~10% above 49 kHz
         assert 44e3 < peak < 58e3
@@ -455,9 +469,10 @@ class TestRingdown:
         path.write_text(yaml.safe_dump(cfg))
         base = tmp_path / "dark"
         assert run_cli("--config", path, "--out", base) == 0
-        _, _, rows = read_csv(str(base) + "_counts.csv")
-        counts = np.array([r[1] for r in rows])
-        assert np.all(counts == 0)
+        _, cols, rows = read_csv(str(base) + "_counts.csv")
+        assert cols == ["bin", "counts"]
+        assert [r[0] for r in rows] == list(range(len(rows)))
+        assert all(r[1] == 0 for r in rows)
 
 
 class TestTriggeredRingdown:
@@ -499,6 +514,64 @@ class TestTriggerScenario:
             -19.0, abs=1.5)
         assert summary["probe_on_time_s"] == pytest.approx(
             summary["trigger_time_s"] + 10e-3)
+
+
+class TestCountsFile:
+    """A counts file holds bin k; its centre t0_s + (k + 0.5) * bin_width_s
+    is the in-memory ``CountRecord.times`` bit for bit."""
+
+    @staticmethod
+    def _read(path):
+        meta, cols, rows = read_csv(path)
+        k = np.array([r[0] for r in rows])
+        assert np.array_equal(k, np.arange(len(rows)))
+        times = float(meta["t0_s"]) + (k + 0.5) * float(meta["bin_width_s"])
+        return cols, times, np.array([r[1] for r in rows])
+
+    def test_trigger_counts_rebuild_the_record(self, tmp_path):
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        cfg.update(scenario="trigger", trigger=TRIGGER)
+        path = tmp_path / "trig.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        base = tmp_path / "trig"
+        assert run_cli("--config", path, "--out", base) == 0
+        cfg = cli.load_config(path)
+        record = cli._run_trigger(cli._resolve(cfg, "trigger"),
+                                  cli.build_system(cfg), cfg["seed"]).counts
+        cols, times, counts = self._read(str(base) + "_counts.csv")
+        assert cols == ["bin", "counts"]
+        assert times.tobytes() == record.times.tobytes()
+        assert np.array_equal(counts, record.counts)
+        summary = json.loads(Path(str(base) + "_summary.json").read_text())
+        assert np.count_nonzero(times == summary["trigger_time_s"]) == 1
+
+    @pytest.mark.parametrize("n_average", [1, 2])
+    def test_ringdown_counts_rebuild_the_record(self, tmp_path, n_average):
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        cfg["ringdown"].update(duration="0.5 ms", subensembles=1,
+                               n_average=n_average, window_length="120 us")
+        path = tmp_path / "ring.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        base = tmp_path / "ring"
+        assert run_cli("--config", path, "--out", base) == 0
+        # the same counting of the trace as written
+        _, _, rows = read_csv(str(base) + "_trace.csv")
+        trace = (np.array([r[0] for r in rows]), np.array([r[2] for r in rows]))
+        cav = cli.build_system(cli.load_config(path)).cavity
+        eff = cfg["ringdown"]["efficiency"]
+        bw = parse_time(cfg["ringdown"]["bin_width"])
+        if n_average == 1:
+            record = cavkerr.count_monte_carlo(trace, cav, eff, bw, cfg["seed"])
+            name, values = "counts", record.counts
+        else:
+            _, mean = cavkerr.averaged_counts(trace, cav, eff, bw, cfg["seed"],
+                                              n_average)
+            record = cavkerr.CountRecord(bw, mean, t_start=trace[0][0])
+            name, values = "mean_rate_s", record.rates
+        cols, times, column = self._read(str(base) + "_counts.csv")
+        assert cols == ["bin", name]
+        assert times.tobytes() == record.times.tobytes()
+        assert column.tobytes() == values.astype(float).tobytes()
 
 
 class TestSelfDescribingOutputs:

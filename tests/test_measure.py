@@ -292,6 +292,28 @@ class TestTriggerSequence:
         assert long.counts.counts[n:n + 10].sum() > 0
         assert np.array_equal(long.smoothed_rate[:n], short.smoothed_rate)
 
+    @pytest.mark.parametrize("horizon, bin_width, n_bins", [
+        (1.0, 2e-6, 500_000), (1.0, 1e-5, 100_000), (0.3, 1e-5, 30_000),
+        (1.000005, 1e-5, 100_001), (3e-6, 2e-6, 2)])
+    def test_bins_cover_the_horizon(self, cavity260, horizon, bin_width,
+                                    n_bins):
+        drift, drive, _ = self.setup_context(cavity260)
+        result = trigger_sequence(drift, cavity260, drive, 1.0e9, delay=0.0,
+                                  detection_level=6.5, bin_width=bin_width,
+                                  horizon=horizon)
+        assert len(result.counts.counts) == n_bins
+
+    def test_trigger_time_is_a_bin_centre(self, cavity260):
+        # at 1e-5 s bins (k + 0.5) * w and the midpoint of k * w and
+        # (k + 1) * w differ by an ulp in about a third of the bins
+        drift, drive, _ = self.setup_context(cavity260)
+        result = trigger_sequence(drift, cavity260, drive, 1.0e6, delay=0.0,
+                                  detection_level=6.5, bin_width=1e-5,
+                                  horizon=0.3, seed=0)
+        assert result.triggered
+        times = result.counts.times
+        assert np.count_nonzero(times == result.trigger_time) == 1
+
     def test_seed_determinism(self, cavity260):
         drift, drive, _ = self.setup_context(cavity260)
         kwargs = dict(delay=1e-3, detection_level=6.5, horizon=0.3,
