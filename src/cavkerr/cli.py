@@ -502,9 +502,8 @@ def _check_ringdown(sec, omega_z, dt) -> None:
                           "trap periods")
     t_end = dynamics.sample_times(sec["duration"], dt,
                                   sec["record_every"])[-1]
-    n_bins = math.floor(t_end / sec["bin_width"])
-    per_window = round(sec["window_length"] / sec["bin_width"])
-    n_windows = n_bins // per_window if per_window else 0
+    _, n_windows = measure.window_grid(math.floor(t_end / sec["bin_width"]),
+                                       sec["window_length"], sec["bin_width"])
     if n_windows < 4:
         raise ConfigError(
             f"ringdown.window_length: {n_windows} windows fit in the "

@@ -76,11 +76,9 @@ def _as_rate_series(source) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expected_counts(nbar_trace, cavity: CavityParams, efficiency: float,
-                     bin_width: float) -> tuple[float, np.ndarray, np.ndarray]:
+                     bin_width: float) -> CountRecord:
     """Mean detected counts per bin, the trapezoid integral of the rate
-    2*kappa*nbar*efficiency over the bin.
-    Returns (record start, bin centers, means).
-    """
+    2*kappa*nbar*efficiency over the bin, as a record from the trace start."""
     if not (0.0 <= efficiency <= 1.0):
         raise ValueError("efficiency must lie in [0, 1]")
     if bin_width <= 0:
@@ -93,8 +91,15 @@ def _expected_counts(nbar_trace, cavity: CavityParams, efficiency: float,
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1])
                                            * np.diff(time))])
     edges = time[0] + np.arange(n_bins + 1) * bin_width
-    return (time[0], _bin_centers(time[0], bin_width, n_bins),
-            np.diff(np.interp(edges, time, cum)))
+    return CountRecord(bin_width, np.diff(np.interp(edges, time, cum)),
+                       t_start=time[0])
+
+
+def _draw(expected: CountRecord, seed: int) -> CountRecord:
+    """One Poisson count per bin at the expected record's mean: the one
+    draw of every count record."""
+    counts = np.random.default_rng(seed).poisson(expected.counts)
+    return CountRecord(expected.bin_width, counts, t_start=expected.t_start)
 
 
 def count_monte_carlo(nbar_trace, cavity: CavityParams, efficiency: float,
@@ -104,27 +109,23 @@ def count_monte_carlo(nbar_trace, cavity: CavityParams, efficiency: float,
     The detected rate is r(t) = 2*kappa*nbar(t)*efficiency; each bin draws
     a Poisson count with mean equal to the rate integral over the bin.
     """
-    t0, _, means = _expected_counts(nbar_trace, cavity, efficiency,
-                                    bin_width)
-    rng = np.random.default_rng(seed)
-    return CountRecord(bin_width, rng.poisson(means), t_start=t0)
+    return _draw(_expected_counts(nbar_trace, cavity, efficiency, bin_width),
+                 seed)
 
 
 def averaged_counts(nbar_trace, cavity: CavityParams, efficiency: float,
                     bin_width: float, seed: int,
                     n_average: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean counts per bin over repeated detections of the same trace.
-
-    Per-repetition generators are spawned from the master seed.  Returns
-    (bin centers, mean counts, float-valued).
-    """
-    _, centers, means = _expected_counts(nbar_trace, cavity, efficiency,
-                                         bin_width)
-    master = np.random.default_rng(seed)
-    acc = np.zeros(len(means))
-    for child in master.spawn(n_average):
-        acc += child.poisson(means)
-    return centers, acc / n_average
+    """Mean counts per bin over ``n_average`` independent detections of the
+    trace, drawn as their sum: one Poisson draw at n_average times the mean
+    (at n_average 1, ``count_monte_carlo``'s draw).  Returns (bin centers,
+    mean counts, float-valued)."""
+    if n_average < 1:
+        raise ValueError("n_average must be at least 1")
+    expected = _expected_counts(nbar_trace, cavity, efficiency, bin_width)
+    expected.counts *= n_average
+    total = _draw(expected, seed)
+    return total.times, total.counts / n_average
 
 
 @dataclass(frozen=True)
@@ -180,16 +181,14 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
     centers = _bin_centers(0.0, bin_width, n_bins)
     dn = collective_shift(drift.atoms(centers), cavity.g0, cavity.delta_ca)
     nbar = drive.n_max * profile_value(profile, drive.delta_pc - dn)
-    means = 2.0 * cavity.kappa * nbar * efficiency * bin_width
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(means)
-    record = CountRecord(bin_width, counts)
+    record = _draw(CountRecord(bin_width, 2.0 * cavity.kappa * nbar
+                               * efficiency * bin_width), seed)
 
     # trailing moving average: bin i sees bins i-n+1..i only, as a real
     # trigger does (zero counts before the record start)
     n_smooth = max(1, int(round(smoothing_time / bin_width)))
-    total = np.concatenate([[0], np.cumsum(counts)])
-    start = np.maximum(np.arange(1, len(counts) + 1) - n_smooth, 0)
+    total = np.concatenate([[0], np.cumsum(record.counts)])
+    start = np.maximum(np.arange(1, n_bins + 1) - n_smooth, 0)
     smoothed = (total[1:] - total[start]) / (n_smooth * bin_width)
 
     above = np.nonzero(smoothed >= threshold_rate)[0]
@@ -203,33 +202,38 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
                          detection_level, record, smoothed)
 
 
+def window_grid(n_samples: int, window_length: float,
+                step: float) -> tuple[int, int]:
+    """(samples per window, whole windows in ``n_samples``) for samples
+    ``step`` apart: round(window_length / step) samples per window."""
+    n_per = int(round(window_length / step))
+    return n_per, n_samples // n_per if n_per else 0
+
+
 def windowed_fourier_amplitude(source, frequency: float, window_length: float
                                ) -> SpectralDecay:
     """Fourier amplitude at one frequency over contiguous windows.
 
     Per window: A = (2/T) |sum (x - mean(x)) exp(-i 2 pi f t) dt|, so a pure
     sinusoid of amplitude A0 returns A0 and a constant offset contributes
-    nothing.  Windows are non-overlapping and start at the record start.
+    nothing; dt is the first sample spacing.  Windows are contiguous from
+    the record start, of ``window_grid`` samples for a step of the bin width
+    (a ``CountRecord``) or dt (a trace or a (t, x) pair).
     """
     time, x = _as_rate_series(source)
     if window_length * frequency < 5.0:
         raise ValueError("window must span at least 5 cycles of the frequency")
     dt = time[1] - time[0]
-    n_per = int(round(window_length / dt))
-    n_win = len(x) // n_per
+    step = source.bin_width if isinstance(source, CountRecord) else dt
+    n_per, n_win = window_grid(len(x), window_length, step)
     if n_win < 1:
-        raise ValueError("window longer than the record")
+        raise ValueError(f"no window of {n_per} samples fits the record")
 
-    centers = np.empty(n_win)
-    amps = np.empty(n_win)
-    for k in range(n_win):
-        seg = x[k * n_per:(k + 1) * n_per]
-        tt = time[k * n_per:(k + 1) * n_per]
-        seg = seg - np.mean(seg)
-        z = np.sum(seg * np.exp(-2j * np.pi * frequency * tt)) * dt
-        amps[k] = 2.0 * np.abs(z) / (n_per * dt)
-        centers[k] = np.mean(tt)
-    return SpectralDecay(centers, amps)
+    tt = time[:n_win * n_per].reshape(n_win, n_per)
+    seg = x[:n_win * n_per].reshape(n_win, n_per)
+    seg = seg - np.mean(seg, axis=1, keepdims=True)
+    z = np.sum(seg * np.exp(-2j * np.pi * frequency * tt), axis=1) * dt
+    return SpectralDecay(np.mean(tt, axis=1), 2.0 * np.abs(z) / (n_per * dt))
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cavkerr
@@ -277,23 +279,34 @@ class TestConfigErrors:
         assert "ringdown.dt_per_period must be at least 50.8 " in err
         assert not list(tmp_path.glob("run*"))
 
-    @pytest.mark.parametrize("record_every, code", [(3, 2), (2, 0)])
-    def test_window_count_uses_the_recorded_span(self, tmp_path, capsys,
-                                                 record_every, code):
+    @pytest.mark.parametrize("overrides, code, n_windows", [
         # 1 ms is 9800 steps: recording every 3rd step ends the trace at
         # 0.9998 ms, which holds only 3 windows of 250 us; every 2nd, 4
+        (dict(duration="1 ms", window_length="250 us", record_every=3), 2,
+         3),
+        (dict(duration="1 ms", window_length="250 us", record_every=2), 0,
+         4),
+        # 73 bins of 7 us; a 129.5 us window is 18.5 bins, which rounds to
+        # 18 (4 windows), not to 19 (3 windows)
+        (dict(duration="0.512 ms", bin_width="7 us",
+              window_length="129.5 us"), 0, 4),
+    ])
+    def test_window_count_uses_the_recorded_span(self, tmp_path, capsys,
+                                                 overrides, code, n_windows):
         cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
-        cfg["ringdown"].update(duration="1 ms", window_length="250 us",
-                               record_every=record_every, subensembles=1,
-                               n_average=2)
+        cfg["ringdown"].update(subensembles=1, n_average=2, **overrides)
         path = tmp_path / "short.yaml"
         path.write_text(yaml.safe_dump(cfg))
         out = tmp_path / "out"
         out.mkdir()
         assert run_cli("--config", path, "--out", out / "run") == code
         if code == 2:
-            assert "ringdown.window_length" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"ringdown.window_length: {n_windows} windows" in err
             assert not any(out.iterdir())
+        else:
+            _, _, rows = read_csv(out / "run_windows.csv")
+            assert len(rows) == n_windows
 
     def test_numeric_failure_exit_3(self, tmp_path, capsys):
         # a threshold above the peak detected rate is never crossed
@@ -304,6 +317,87 @@ class TestConfigErrors:
         path.write_text(yaml.safe_dump(cfg))
         assert run_cli("--config", path, "--out", tmp_path / "x") == 3
         assert "trigger threshold never crossed" in capsys.readouterr().err
+
+
+# params.* key -> (unit, lowest and highest valid magnitude, rule); a
+# "nonzero" or "any" value takes either sign
+PARAM_RANGES = {
+    "params.cavity.kappa": ("MHz", 0.05, 20.0, "positive"),
+    "params.cavity.g0": ("MHz", 0.5, 50.0, "positive"),
+    "params.cavity.gamma_atom": ("MHz", 0.5, 20.0, "positive"),
+    "params.cavity.delta_ca": ("GHz", 1.0, 500.0, "nonzero"),
+    "params.cavity.probe_wavelength": ("nm", 400.0, 1100.0, "positive"),
+    "params.cavity.trap_wavelength": ("nm", 400.0, 1100.0, "positive"),
+    "params.cavity.sigma_jitter": ("MHz", 0.0, 5.0, "nonnegative"),
+    "params.cavity.waist": ("um", 1.0, 100.0, "any"),
+    "params.cavity.finesse": ("", 1e3, 1e6, "any"),
+    "params.trap.omega_z": ("kHz", 1.0, 500.0, "positive"),
+    "params.trap.omega_radial": ("kHz", 0.1, 10.0, "any"),
+    "params.trap.trap_depth": ("mK", 0.01, 10.0, "any"),
+    "params.trap.temperature": ("uK", 1.0, 100.0, "any"),
+    "params.trap.num_sites": ("", 1, 5000, "count"),
+    "params.drive.n_max": ("", 0.0, 50.0, "nonnegative"),
+    "params.drive.delta_pc": ("MHz", 0.0, 500.0, "any"),
+    "params.drive.atom_number": ("", 0.0, 1e6, "nonnegative"),
+    "params.drive.delta_n": ("MHz", 0.0, 100.0, "any"),
+}
+# values no rule accepts: an unknown unit, text, a bool
+_NEVER_VALID = ("1.5 parsec", "lots", True, False)
+_RULE_INVALID = {"positive": (0, -1.5, "-2 MHz"), "nonnegative": (-1.5,),
+                 "nonzero": (0, "0 GHz"), "count": (0, -3, 2.5),
+                 "any": ()}
+
+
+@st.composite
+def param_values(draw):
+    """{key: (value, valid)} for one to four params.* keys."""
+    keys = draw(st.lists(st.sampled_from(sorted(PARAM_RANGES)), min_size=1,
+                         max_size=4, unique=True))
+    out = {}
+    for key in keys:
+        unit, lo, hi, rule = PARAM_RANGES[key]
+        if draw(st.booleans()):
+            out[key] = (draw(st.sampled_from(_NEVER_VALID
+                                             + _RULE_INVALID[rule])), False)
+            continue
+        if rule == "count":
+            out[key] = (draw(st.integers(lo, hi)), True)
+            continue
+        x = draw(st.floats(lo, hi))
+        if rule in ("nonzero", "any") and draw(st.booleans()):
+            x = -x
+        out[key] = (f"{x!r} {unit}" if unit else x, True)
+    return out
+
+
+class TestConfigBoundary:
+    @settings(max_examples=60, deadline=None)
+    @given(values=param_values(),
+           scenario=st.sampled_from(["derived", "bistability-threshold"]))
+    def test_params_exit_0_or_name_the_key(self, tmp_path_factory, values,
+                                           scenario):
+        # never exit 3: a bad value is a config error naming its key, and
+        # every value in its sane range runs
+        cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())
+        for key, (value, _) in values.items():
+            _, section, name = key.split(".")
+            cfg["params"][section][name] = value
+        path = tmp_path_factory.getbasetemp() / "boundary.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run_cli("--config", path, "--scenario", scenario)
+        invalid = [k for k, (_, valid) in values.items() if not valid]
+        probe, trap = (cfg["params"]["cavity"][f"{k}_wavelength"]
+                       for k in ("probe", "trap"))
+        if not invalid and cli.parse_length(probe) == cli.parse_length(trap):
+            invalid.append("params.cavity.probe_wavelength")  # must differ
+        if invalid:
+            assert code == 2, err.getvalue()
+            assert any(k in err.getvalue() for k in invalid), err.getvalue()
+        else:
+            assert code == 0, err.getvalue()
 
 
 class TestLineshape:
@@ -406,6 +500,29 @@ class TestSweep:
         for arr in (ups, downs):
             i = np.argmax(np.abs(np.diff(arr[:, 1])))
             assert min(abs(arr[i, 0] - f) for f in fold_dpc) <= step
+
+    def test_bistable_below_one_photon(self, tmp_path):
+        # the headline: folds and hysteresis jumps with the cavity holding
+        # less than one photon (measured: folds at 0.456 and 0.107 photons
+        # at beta 7.386; maxima 0.426 up and 0.477 down)
+        config = CONFIGS / "fig_subphoton.yaml"
+        n_max = yaml.safe_load(config.read_text())["params"]["drive"]["n_max"]
+        outj = tmp_path / "thr.json"
+        assert run_cli("--config", config, "--scenario",
+                       "bistability-threshold", "--out", outj) == 0
+        report = json.loads(outj.read_text())
+        assert report["beta"] > report["profile_threshold"]
+        assert len(report["folds"]) == 2
+        assert all(f["u"] * n_max < 1 for f in report["folds"])
+
+        out = tmp_path / "sweep.csv"
+        assert run_cli("--config", config, "--out", out) == 0
+        _, _, rows = read_csv(out)
+        for direction in ("up", "down"):
+            nbar = np.array([r[2] for r in rows if r[0] == direction])
+            assert nbar.max() < 1
+            # one jump: 0.34 photons up, 0.44 down; other steps stay < 0.01
+            assert np.count_nonzero(np.abs(np.diff(nbar)) > 0.1) == 1
 
     def test_below_threshold_overlapping(self, tmp_path):
         cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())

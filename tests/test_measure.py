@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import chisquare, poisson
 
+from cavkerr import measure
 from cavkerr import (
     AtomLossDrift,
     DriveParams,
@@ -76,6 +77,31 @@ class TestCountMonteCarlo:
         _, a = averaged_counts((t, n), cavity101, 0.05, 1e-5, 3, 10)
         _, b = averaged_counts((t, n), cavity101, 0.05, 1e-5, 3, 10)
         assert np.array_equal(a, b)
+
+    def test_averaged_counts_at_one_is_the_single_draw(self, cavity101):
+        trace = flat_trace(0.8, duration=5e-3)
+        _, mean = averaged_counts(trace, cavity101, 0.05, 1e-5, 9, 1)
+        rec = count_monte_carlo(trace, cavity101, 0.05, 1e-5, seed=9)
+        assert np.array_equal(mean, rec.counts)
+
+    def test_averaged_counts_mean_and_variance(self, cavity101):
+        # the mean of 50 Poisson(mu) detections has mean mu and variance
+        # mu/50; 19 999 bins at seed 5, each within 4 standard errors
+        n_avg = 50
+        _, mean = averaged_counts(flat_trace(1.0, duration=0.2), cavity101,
+                                  0.05, 1e-5, 5, n_avg)
+        mu = 2 * cavity101.kappa * 1.0 * 0.05 * 1e-5
+        n = len(mean)
+        assert n == 19_999
+        assert abs(mean.mean() - mu) < 4 * np.sqrt(mu / n_avg / n)
+        assert abs(mean.var() / (mu / n_avg) - 1) < 4 * np.sqrt(2.0 / n)
+        # a mean of 50 integers is a multiple of 1/50
+        assert np.allclose(mean * n_avg, np.round(mean * n_avg), rtol=0,
+                           atol=1e-9)
+
+    def test_bad_n_average_rejected(self, cavity101):
+        with pytest.raises(ValueError, match="n_average"):
+            averaged_counts(flat_trace(1.0), cavity101, 0.05, 1e-5, 0, 0)
 
     def test_averaging_order_trace_vs_spectra(self, cavity101):
         # averaging traces first suppresses the shot-noise floor, averaging
@@ -165,15 +191,52 @@ class TestWindowedFourierAmplitude:
         assert (m4 / (4 * mu / bin_w)) == pytest.approx(
             0.5 * m1 / (mu / bin_w), rel=0.15)
 
-    def test_window_longer_than_record_rejected(self):
-        t = np.arange(0, 1e-4, 1e-7)
+    @pytest.mark.parametrize("duration, dt, frequency, window", [
+        (1e-4, 1e-7, 50e3, 1e-3),        # longer than the record
+        (1e-2, 1e-5, 1e3, 2e-3),         # 2 cycles of the frequency
+        (4e-3, 400e-6, 49e3, 150e-6),    # under one sample: 0 per window
+    ], ids=["longer-than-record", "too-few-cycles", "under-one-sample"])
+    def test_bad_window_rejected(self, duration, dt, frequency, window):
+        t = np.arange(0, duration, dt)
         with pytest.raises(ValueError):
-            windowed_fourier_amplitude((t, np.sin(t)), 50e3, 1e-3)
+            windowed_fourier_amplitude((t, np.sin(t)), frequency, window)
 
-    def test_too_few_cycles_rejected(self):
-        t = np.arange(0, 1e-2, 1e-5)
-        with pytest.raises(ValueError):
-            windowed_fourier_amplitude((t, np.sin(t)), 1e3, 2e-3)
+    @staticmethod
+    def _loop_oracle(time, x, frequency, n_per):
+        """The windows one at a time, each with its own mean and sum."""
+        dt = time[1] - time[0]
+        centers, amps = [], []
+        for k in range(len(x) // n_per):
+            tt = time[k * n_per:(k + 1) * n_per]
+            seg = x[k * n_per:(k + 1) * n_per]
+            seg = seg - np.mean(seg)
+            z = np.sum(seg * np.exp(-2j * np.pi * frequency * tt)) * dt
+            centers.append(np.mean(tt))
+            amps.append(2.0 * np.abs(z) / (n_per * dt))
+        return np.array(centers), np.array(amps)
+
+    def test_windows_match_a_per_window_loop(self, cavity260):
+        # a counted record and a sampled pair, each with a partial last
+        # window; the record's window holds round(250 us / 2 us) bins
+        t = np.arange(0, 1.3e-3, 1e-7)
+        nbar = 3.0 + np.sin(TWO_PI * 49e3 * t) * np.exp(-t / 1e-3)
+        rec = count_monte_carlo((t, nbar), cavity260, 0.05, 2e-6, seed=3)
+        cases = [(rec, rec.times, rec.rates, 125),
+                 ((t, nbar), t, nbar, round(250e-6 / (t[1] - t[0])))]
+        for source, time, x, n_per in cases:
+            decay = windowed_fourier_amplitude(source, 49e3, 250e-6)
+            centers, amps = self._loop_oracle(time, x, 49e3, n_per)
+            assert len(amps) == 5
+            assert np.array_equal(decay.window_centers, centers)
+            assert np.array_equal(decay.amplitudes, amps)
+
+    @pytest.mark.parametrize("window, step, n_samples, grid", [
+        (250e-6, 2e-6, 499, (125, 3)),
+        (129.5e-6, 7e-6, 73, (18, 4)),   # a half-integer ratio rounds even
+        (150e-6, 400e-6, 10, (0, 0)),    # shorter than half a sample
+    ])
+    def test_window_grid(self, window, step, n_samples, grid):
+        assert measure.window_grid(n_samples, window, step) == grid
 
 
 class TestDecayFit:

@@ -336,6 +336,31 @@ class TestBistabilityThreshold:
         assert all(a > b for a, b in zip(thr, thr[1:]))   # shrinking sigma
         assert thr[-1] == pytest.approx(lor, rel=2e-3)
 
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-4, 1e-8, 1e-300])
+    def test_narrow_voigt_tends_to_the_lorentzian(self, ratio):
+        # the Gaussian raises the threshold by about 2.9 (sigma/kappa)^2;
+        # w itself lost v' to cancellation here (1.5868 at 1e-4) and
+        # overflowed at 1e-300
+        p = ResponseProfile.voigt(KAPPA, ratio * KAPPA)
+        lor = ResponseProfile.lorentzian(KAPPA)
+        thr, thr_lor = bistability_threshold(p), bistability_threshold(lor)
+        assert -1e-15 <= thr / thr_lor - 1 <= 3 * ratio ** 2 + 1e-15
+        for (d, u), (d_lor, u_lor) in zip(fold_points(p, 7.0),
+                                          fold_points(lor, 7.0)):
+            assert d == pytest.approx(d_lor, rel=10 * ratio ** 2 + 1e-12)
+            assert u == pytest.approx(u_lor, rel=10 * ratio ** 2 + 1e-12)
+
+    def test_series_meets_faddeeva_at_the_crossover(self):
+        # sigma = 0.1 kappa takes the series, a hair above takes w
+        series = ResponseProfile.voigt(KAPPA, 0.1 * KAPPA)
+        faddeeva = ResponseProfile.voigt(KAPPA, 0.1 * KAPPA * (1 + 1e-15))
+        assert series._narrow and not faddeeva._narrow
+        assert bistability_threshold(series) == pytest.approx(
+            bistability_threshold(faddeeva), rel=1e-12)
+        d = np.linspace(-30, 30, 601) * KAPPA
+        assert np.max(np.abs(profile_value(series, d)
+                             - profile_value(faddeeva, d))) < 1e-13
+
     def test_threshold_independent_of_kappa_scale(self):
         a = bistability_threshold(ResponseProfile.lorentzian(1.0))
         b = bistability_threshold(ResponseProfile.lorentzian(1e7))
