@@ -243,7 +243,8 @@ def _reject_unknown(raw: dict, path="") -> None:
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",  # libyaml
+                                               yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -447,16 +448,13 @@ def cmd_sweep(cfg, out, seed) -> int:
     beta = system.beta(delta_n=dn)
 
     lo, hi = sorted((sec["delta_pc_start"], sec["delta_pc_stop"]))
-    dir_col, dpc_col, nbar_col = [], [], []
-    for direction, ends in (("up", (lo, hi)), ("down", (hi, lo))):
-        dpc, nbar = dynamics.quasi_static_sweep(
-            profile, beta, np.linspace(*ends, sec["points"]),
-            system.drive.n_max, dn, direction)
-        dir_col.extend([direction] * len(dpc))
-        dpc_col.extend((dpc / TWO_PI).tolist())
-        nbar_col.extend(nbar.tolist())
+    # one branch solve; the down rows visit the up detunings reversed
+    dpc, nbar = dynamics.quasi_static_sweep(
+        profile, beta, np.linspace(lo, hi, sec["points"]),
+        system.drive.n_max, dn, "both")
     write_csv(out, ["direction", "deltaPC_Hz", "nbar"],
-              [dir_col, dpc_col, nbar_col], _meta(cfg, seed))
+              [["up"] * sec["points"] + ["down"] * sec["points"],
+               (dpc / TWO_PI).tolist(), nbar.tolist()], _meta(cfg, seed))
     return 0
 
 

@@ -87,8 +87,8 @@ def quasi_static_sweep(profile: ResponseProfile, beta: float, delta_pc,
 
     Wraps the branch-following scan in physical units: the probe detunings
     ``delta_pc`` (rad/s) become reduced detunings (delta_pc - delta_n)/kappa,
-    scanned in ``direction`` ("up" or "down").  Returns (delta_pc, nbar) in
-    traversal order.
+    scanned in ``direction`` ("up", "down", or "both": up, then down over the
+    same detunings reversed).  Returns (delta_pc, nbar) in traversal order.
     """
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")

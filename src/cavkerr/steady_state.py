@@ -16,6 +16,13 @@ roots merge).  They split the curve into a lower stable, a middle unstable
 and an upper stable segment, each monotone, so a root is the one zero of
 F - delta0 on its segment (natural-parameter continuation; Allgower &
 Georg, SIAM 2003).  V is even, so beta < 0 mirrors (-delta0, -beta).
+
+A scan tabulates F at 129 sinh-spaced points of each segment (cells about
+w/20 wide at the peak, w = 1 + sigma/kappa, and growing as |x| beyond),
+brackets each root by its cell and one more each side, and starts Newton
+by inverse linear interpolation.  An entry stops when its step is within 4
+ulp of x, or |F(x) - delta0| within 8 ulp of |x| + beta*v + |delta0|, the
+rounding floor of F, below which Newton cannot go.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ class ResponseProfile:
             # v' is flat there, so x to 1e-10 gives v' to ~1e-20, and a
             # tighter stop can stall on the rounding in v'' at small sigma
             far = -10.0 * (1.0 + self.sigma / self.kappa)
-            x = _bracketed_root(lambda x: _curve(self, x, 3)[2:], far, 0.0,
+            x = _bracketed_root(lambda x: _curve(self, x, 3)[2:], 0.0, far,
                                 xtol=1e-10)
         return float(x), float(_curve(self, x, 1)[1])
 
@@ -231,41 +238,45 @@ def _curve(profile: ResponseProfile, x, order: int) -> list:
     return [(s * t).real / profile._voigt_peak for s, t in zip(scale, w)]
 
 
-def _bracketed_root(f, lo, hi, *data, xtol=4.0 * np.finfo(float).eps):
-    """Zeros of f in [lo, hi], elementwise; f(lo), f(hi) must not share a sign.
+def _bracketed_root(f, neg, pos, *data, x=None,
+                    xtol=4.0 * np.finfo(float).eps):
+    """Zeros of f between neg and pos (either side), elementwise, where
+    f(neg) <= 0 <= f(pos).
 
     ``f(x, *data)`` returns (value, derivative); each array in ``data``
     holds one value per entry and reaches ``f`` sliced like ``x``, to the
-    entries not yet converged.  A Newton step is taken if it is below
-    tolerance, or stays in the shrinking bracket and is under half the step
-    before; otherwise it bisects.  An entry is done once its step is within
-    xtol*(1 + |x|).
+    entries not yet converged.  Iteration starts at ``x``, else midway.  A
+    Newton step is taken if it is below tolerance, or stays in the shrinking
+    bracket and is under half the step before or follows a bisection (so a
+    root next to a bracket end is not bisected toward); otherwise it
+    bisects.  An entry is done once its step is within xtol*(1 + |x|).
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    shape = lo.shape
-    lo, hi = lo.ravel(), hi.ravel()
-    x, step = 0.5 * (lo + hi), hi - lo
-    sign_lo = np.sign(f(lo, *data)[0])
+    shape = np.shape(neg)
+    neg, pos = (np.array(e, dtype=float).ravel() for e in (neg, pos))
+    x = 0.5 * (neg + pos) if x is None else np.array(x, dtype=float).ravel()
+    step, bisected = pos - neg, np.ones(x.size, dtype=bool)
     out, live = x.copy(), np.arange(x.size)
     for _ in range(200):
         if not live.size:
             break
         fx, dfx = f(x, *data)
         tol = xtol * (1.0 + np.abs(x))
-        right = np.sign(fx) == sign_lo          # the zero lies right of x
-        lo, hi = np.where(right, x, lo), np.where(right, hi, x)
+        below = fx < 0.0
+        neg, pos = np.where(below, x, neg), np.where(below, pos, x)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = x - fx / dfx
         dx = np.abs(newton - x)
-        fast = (lo < newton) & (newton < hi) & (dx < 0.5 * np.abs(step))
-        new = np.where(fast | (dx <= tol), newton, 0.5 * (lo + hi))
+        fast = (((newton - neg) * (newton - pos) < 0.0)
+                & ((dx < 0.5 * np.abs(step)) | bisected))
+        bisected = ~fast & (dx > tol)
+        new = np.where(bisected, 0.5 * (neg + pos), newton)
         x, step = new, new - x
         done = np.abs(step) <= tol
         if done.any():                          # converged entries leave
             out[live[done]] = x[done]
             keep = ~done
-            live, x, step, lo, hi, sign_lo = (
-                a[keep] for a in (live, x, step, lo, hi, sign_lo))
+            live, x, step, neg, pos, bisected = (
+                a[keep] for a in (live, x, step, neg, pos, bisected))
             data = tuple(a[keep] for a in data)
     out[live] = x
     return out.reshape(shape)
@@ -374,8 +385,8 @@ def _folds(profile: ResponseProfile, beta: float) -> list[tuple[float, float]]:
         return 1.0 - beta * v1, -beta * v2
 
     # v' rises on x < x_pk and integrates there to v(x_pk) <= 1, so
-    # beta*v'(x_pk - beta) < 1: F' > 0 at both outer bracket ends
-    x = _bracketed_root(dF, [x_pk - beta, x_pk], [x_pk, 0.0])
+    # beta*v'(x_pk - beta) < 1: F' > 0 at both outer ends, F' < 0 at x_pk
+    x = _bracketed_root(dF, [x_pk, x_pk], [x_pk - beta, 0.0])
     return list(zip(x.tolist(), (x - beta * _curve(profile, x, 0)[0]).tolist()))
 
 
@@ -386,24 +397,40 @@ def _segments(profile: ResponseProfile, beta: float) -> list:
     return list(zip(ends[:-1], ends[1:]))
 
 
+_TABLE, _ULPS = 129, 8.0 * np.finfo(float).eps     # see the module docstring
+
+
 def _segment_roots(profile: ResponseProfile, beta: float, delta0: np.ndarray,
                    segment) -> np.ndarray:
     """u of the root on one segment at each delta0; inf where there is none.
 
     A rising segment is open at its fold ends, where F' = 0 is not stable.
-    Every root has u in (0, 1], so x in (delta0, delta0 + beta] brackets it.
     """
     (x_lo, f_lo), (x_hi, f_hi) = segment
-    has = (((f_lo < delta0) & (delta0 < f_hi)) if f_lo < f_hi
+    sign = 1.0 if f_lo < f_hi else -1.0
+    has = (((f_lo < delta0) & (delta0 < f_hi)) if sign > 0
            else ((f_hi <= delta0) & (delta0 <= f_lo)))
-    d = delta0[has]
+    out, d = np.full(delta0.shape, np.inf), delta0[has]
+    if not d.size:                              # no root on this segment
+        return out
+    # a root has u in (0, 1], so x in (delta0, delta0 + beta]
+    lo, hi = max(x_lo, d.min()), min(x_hi, d.max() + beta)
+    w = 1.0 + profile.sigma / profile.kappa
+    t = w * np.sinh(np.linspace(*np.arcsinh([lo / w, hi / w]), _TABLE))
+    t[[0, -1]] = lo, hi
+    F = sign * (t - beta * _curve(profile, t, 0)[0])        # rising
+    j = np.clip(np.searchsorted(F, sign * d), 1, _TABLE - 1)
 
     def g(x, d):
         v, v1 = _curve(profile, x, 1)
-        return x - beta * v - d, 1.0 - beta * v1
+        r = x - beta * v - d
+        r[np.abs(r) <= _ULPS * (np.abs(x) + beta * v + np.abs(d))] = 0.0
+        return sign * r, sign * (1.0 - beta * v1)
 
-    x = _bracketed_root(g, np.maximum(x_lo, d), np.minimum(x_hi, d + beta), d)
-    out = np.full(delta0.shape, np.inf)
+    # the cells either side keep a step past a root by a cell end in bounds
+    x = _bracketed_root(g, t[np.maximum(j - 2, 0)],
+                        t[np.minimum(j + 1, _TABLE - 1)], d,
+                        x=np.interp(sign * d, F, t))
     out[has] = _curve(profile, x, 0)[0]
     return out
 
@@ -455,26 +482,31 @@ def lineshape_scan(profile: ResponseProfile, beta: float, delta0_grid,
     At each grid point the stable root nearest the previous pick is kept (at
     the first point, the one nearest the linear response); where the tracked
     branch ends at a fold the pick jumps to the other stable root, the
-    hysteretic jump.  Returns (delta0, u) in traversal order.
+    hysteretic jump.  ``direction`` "both" is the "up" scan followed by the
+    "down" one, which visits the same grid reversed; the branches are solved
+    once for both.  Returns (delta0, u) in traversal order.
     """
-    if direction not in ("up", "down"):
-        raise ValueError("direction must be 'up' or 'down'")
+    if direction not in ("up", "down", "both"):
+        raise ValueError("direction must be 'up', 'down' or 'both'")
     grid = np.sort(np.asarray(delta0_grid, dtype=float))
     if grid.size == 0:
         return []
-    if beta < 0.0:
-        flipped = "down" if direction == "up" else "up"
-        return [(-d, u) for d, u in lineshape_scan(profile, -beta, -grid, flipped)]
-    if direction == "down":
-        grid = grid[::-1]
-
-    # stable branches over the whole grid; a missing root (inf) is never nearest
-    branches = [_segment_roots(profile, beta, grid, seg).tolist()
-                for seg in _segments(profile, beta)[::2]]
-    u_lin = profile_value(profile, profile.kappa * grid[0])
-    u_prev = min((b[0] for b in branches), key=lambda u: abs(u - u_lin))
-    out = [(float(grid[0]), float(u_prev))]
-    for d0, *us in zip(grid[1:].tolist(), *(b[1:] for b in branches)):
-        u_prev = min(us, key=lambda u: abs(u - u_prev))
-        out.append((d0, u_prev))
+    # stable branches over the whole grid, one row each; a missing root is
+    # inf and never nearest.  V is even, so beta < 0 mirrors (-delta0, -beta)
+    sign = -1.0 if beta < 0.0 else 1.0
+    branches = np.array([_segment_roots(profile, sign * beta, sign * grid, seg)
+                         for seg in _segments(profile, sign * beta)[::2]])
+    up, down, out = slice(None), slice(None, None, -1), []
+    for run in {"up": [up], "down": [down], "both": [up, down]}[direction]:
+        pts, b = grid[run], branches[:, run]
+        # nearest[k, i] follows branch k picked at point i; the walk visits
+        # only the points where some branch's nearest is another branch
+        with np.errstate(invalid="ignore"):
+            nearest = np.abs(b[:, None, 1:] - b[None, :, :-1]).argmin(axis=0)
+        u_lin = profile_value(profile, profile.kappa * pts[0])
+        pick = np.full(pts.size, np.argmin(np.abs(b[:, 0] - u_lin)))
+        moves = (nearest != np.arange(len(b))[:, None]).any(axis=0)
+        for i in np.flatnonzero(moves).tolist():
+            pick[i + 1:] = nearest[pick[i], i]
+        out += zip(pts.tolist(), b[pick, np.arange(pts.size)].tolist())
     return out

@@ -23,6 +23,7 @@ from cavkerr.cli import (ConfigError, main, parse_chirp, parse_frequency,
 TWO_PI = 2 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+BENCH_CONFIGS = ROOT / "perfbench" / "configs"
 TRIGGER = {"n0": 120000, "loss_rate": 20.0, "threshold_rate": 1.0e6,
            "delay": "10 ms", "detection_level": 6.5, "horizon": "0.3 s"}
 
@@ -122,6 +123,16 @@ class TestConfigErrors:
         assert run_cli("--config", path) == 2
         err = capsys.readouterr().err
         assert "frobnicator" in err
+
+    @pytest.mark.parametrize("path", sorted(
+        [*CONFIGS.glob("*.yaml"), *BENCH_CONFIGS.glob("*.yaml")]),
+        ids=lambda p: str(p.relative_to(ROOT)))
+    def test_config_loads_the_same_with_either_yaml_loader(self, path):
+        text = path.read_text()
+        expected = yaml.load(text, Loader=yaml.SafeLoader)
+        assert cli.load_config(path) == expected
+        if hasattr(yaml, "CSafeLoader"):
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
 
     def test_malformed_yaml_exit_2(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -523,6 +534,29 @@ class TestSweep:
             assert nbar.max() < 1
             # one jump: 0.34 photons up, 0.44 down; other steps stay < 0.01
             assert np.count_nonzero(np.abs(np.diff(nbar)) > 0.1) == 1
+
+    @pytest.mark.parametrize("name", ["fig_hysteresis", "fig_subphoton"])
+    def test_down_pass_reverses_the_up_grid(self, name, tmp_path):
+        # one branch solve serves both directions: the down rows visit the
+        # up detunings reversed, and each direction still jumps once, within
+        # a grid step of a fold
+        config = CONFIGS / f"{name}.yaml"
+        n_max = yaml.safe_load(config.read_text())["params"]["drive"]["n_max"]
+        outj = tmp_path / "thr.json"
+        assert run_cli("--config", config, "--scenario",
+                       "bistability-threshold", "--out", outj) == 0
+        folds = [f["deltaPC_Hz"] for f in json.loads(outj.read_text())["folds"]]
+        out = tmp_path / "sweep.csv"
+        assert run_cli("--config", config, "--out", out) == 0
+        _, _, rows = read_csv(out)
+        ups = np.array([(r[1], r[2]) for r in rows if r[0] == "up"])
+        downs = np.array([(r[1], r[2]) for r in rows if r[0] == "down"])
+        assert downs[:, 0].tolist() == ups[::-1, 0].tolist()
+        step = ups[1, 0] - ups[0, 0]
+        for arr in (ups, downs):
+            jumps = np.flatnonzero(np.abs(np.diff(arr[:, 1])) > 0.1 * n_max)
+            assert len(jumps) == 1
+            assert min(abs(arr[jumps[0], 0] - f) for f in folds) <= step
 
     def test_below_threshold_overlapping(self, tmp_path):
         cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())

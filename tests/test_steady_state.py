@@ -14,8 +14,10 @@ import cavkerr
 from cavkerr import (
     ResponseProfile,
     bistability_threshold,
+    cli,
     fold_points,
     lineshape_scan,
+    params,
     profile_value,
     steady_state,
     steady_state_roots_lorentzian,
@@ -25,6 +27,7 @@ from cavkerr import (
 TWO_PI = 2 * np.pi
 KAPPA = TWO_PI * 0.66e6
 SIGMA = TWO_PI * 1.1e6
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def brute_force_root_count(beta, delta0, n=100_000):
@@ -500,6 +503,189 @@ class TestParametricCore:
             for (ua, sa), (ub, sb) in zip(a.roots, b.roots):
                 assert ub == pytest.approx(ua, abs=1e-8)
                 assert sa == sb
+
+
+def config_scans(name):
+    """(profile, [(beta, reduced detuning grid), ...]) of a shipped sweep or
+    lineshape config, as the CLI computes them."""
+    cfg = cli.load_config(CONFIGS / f"{name}.yaml")
+    system, dn = cli._system(cfg)
+    kappa = system.cavity.kappa
+    profile = ResponseProfile.from_cavity(system.cavity)
+    if cfg["scenario"] == "sweep":
+        sec = cli._resolve(cfg, "sweep")
+        betas = [system.beta(delta_n=dn)]
+    else:
+        sec = cli._resolve(cfg, "lineshape")
+        betas = [params.beta_parameter(dn, system.kerr_coefficient(), n, kappa)
+                 for n in sec["n_max"]]
+    grid = (np.linspace(sec["delta_pc_start"], sec["delta_pc_stop"],
+                        sec["points"]) - dn) / kappa
+    return profile, [(beta, grid) for beta in betas]
+
+
+class SolverWork:
+    """Records each _segment_roots call's _curve calls: the Newton
+    evaluations (order 1), one size per iteration, and all calls."""
+
+    def __init__(self, monkeypatch):
+        self.solves = []
+        curve, segment_roots = steady_state._curve, steady_state._segment_roots
+
+        def counted_curve(p, x, order):
+            if self.solves and self.solves[-1]["open"]:
+                self.solves[-1]["calls"] += 1
+                if order == 1:
+                    self.solves[-1]["newton"].append(np.size(x))
+            return curve(p, x, order)
+
+        def counted_roots(*args):
+            self.solves.append({"open": True, "calls": 0, "newton": []})
+            try:
+                return segment_roots(*args)
+            finally:
+                self.solves[-1]["open"] = False
+
+        monkeypatch.setattr(steady_state, "_curve", counted_curve)
+        monkeypatch.setattr(steady_state, "_segment_roots", counted_roots)
+
+    def entry_iterations(self):
+        """Newton evaluations of every entry: the live set only shrinks, so
+        n_k - n_(k+1) entries take exactly k."""
+        out = []
+        for solve in self.solves:
+            sizes = solve["newton"] + [0]
+            for k in range(len(sizes) - 1):
+                out += [k + 1] * (sizes[k] - sizes[k + 1])
+        return out
+
+
+class TestSolverWork:
+    # Before the table start and the rounding-floor stop, single entries
+    # took up to 54 evaluations on fig_hysteresis and 27 on fig_lineshapes,
+    # bisecting after the rest had converged in about 3.
+    @pytest.mark.parametrize("name", ["fig_hysteresis", "fig_lineshapes"])
+    def test_every_entry_takes_a_few_newton_steps(self, name, monkeypatch):
+        profile, scans = config_scans(name)
+        work = SolverWork(monkeypatch)
+        for beta, grid in scans:
+            work.solves.clear()
+            scan = np.array(lineshape_scan(profile, beta, grid, "up"))
+            iterations = work.entry_iterations()
+            assert max(iterations) <= 8
+            # the table, the Newton steps and u at the roots
+            assert max(s["calls"] for s in work.solves) <= 10
+            # every root of every stable segment is counted once
+            assert len(iterations) == sum(
+                int(np.isfinite(steady_state._segment_roots(
+                    profile, beta, grid, seg)).sum())
+                for seg in steady_state._segments(profile, beta)[::2])
+            d0, u = scan.T
+            res = np.abs(u - profile_value(profile, KAPPA * (d0 + beta * u)))
+            assert np.max(res) <= 1e-13
+
+    @pytest.mark.parametrize("name, index, delta0, segment", [
+        # F's terms are ~10, so F rounds at ~2e-15 and Newton's step stalls
+        # above the 4-ulp stop in x; it needs F's rounding floor (took 10)
+        ("fig_hysteresis", 0, -9.74, 2),
+        # the root sits 9e-7 inside the old bracket's end delta0 + beta, and
+        # Newton steps toward it were refused (took 21)
+        ("fig_lineshapes", 0, -0.3935, 0),
+    ])
+    def test_rounding_floor_and_bracket_end_rows(self, name, index, delta0,
+                                                 segment, monkeypatch):
+        profile, scans = config_scans(name)
+        beta = scans[index][0]
+        seg = steady_state._segments(profile, beta)[segment]
+        work = SolverWork(monkeypatch)
+        u = steady_state._segment_roots(profile, beta, np.array([delta0]), seg)
+        assert len(work.solves[0]["newton"]) <= 8
+        res = abs(u[0] - profile_value(profile, KAPPA * (delta0 + beta * u[0])))
+        assert res <= 1e-13
+
+
+def per_point_scan(profile, beta, grid, direction):
+    """The branch pick point by point, as one Python loop: the stable root
+    nearest the previous pick, the first one nearest the linear response
+    (the scan's rule before it was vectorized, kept as its oracle)."""
+    grid = np.sort(np.asarray(grid, dtype=float))
+    if direction == "both":
+        return (per_point_scan(profile, beta, grid, "up")
+                + per_point_scan(profile, beta, grid, "down"))
+    if beta < 0.0:
+        flipped = "down" if direction == "up" else "up"
+        return [(-d, u) for d, u in per_point_scan(profile, -beta, -grid,
+                                                   flipped)]
+    if direction == "down":
+        grid = grid[::-1]
+    branches = [steady_state._segment_roots(profile, beta, grid, seg).tolist()
+                for seg in steady_state._segments(profile, beta)[::2]]
+    u_lin = profile_value(profile, profile.kappa * grid[0])
+    u_prev = min((b[0] for b in branches), key=lambda u: abs(u - u_lin))
+    out = [(float(grid[0]), float(u_prev))]
+    for d0, *us in zip(grid[1:].tolist(), *(b[1:] for b in branches)):
+        u_prev = min(us, key=lambda u: abs(u - u_prev))
+        out.append((d0, u_prev))
+    return out
+
+
+def pick_cases(n_per_kind=24, seed=13):
+    """(profile, beta, grid, direction, first) with first None for a beta
+    of either sign, else (beta > 0, a point where one pass of the scan
+    starts): in the bistable band for half of them, and next to it, where
+    one branch is missing, for the other half.  beta < 0 mirrors those."""
+    rng = np.random.default_rng(seed)
+    profiles = [ResponseProfile.lorentzian(KAPPA),
+                ResponseProfile.voigt(KAPPA, SIGMA)]
+    cases = []
+    for kind in ("any", "inside", "missing"):
+        for i in range(n_per_kind):
+            profile = profiles[i % 2]
+            direction = ("up", "down", "both")[i % 3]
+            thr = bistability_threshold(profile)
+            size = int(rng.integers(2, 400))
+            if kind == "any":
+                beta = rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 3.0 * thr)
+                lo = rng.uniform(-abs(beta) - 8.0, 4.0)
+                grid = rng.uniform(lo, lo + rng.uniform(0.1, 20.0), size)
+                cases.append((profile, beta, grid, direction, None))
+                continue
+            beta = rng.uniform(1.2 * thr, 4.0 * thr)
+            (d_lo, _), (d_hi, _) = fold_points(profile, beta)
+            if kind == "inside":
+                first = rng.uniform(d_lo, d_hi)
+            else:
+                first = rng.choice([d_lo - rng.uniform(0.1, 5.0),
+                                    d_hi + rng.uniform(0.1, 5.0)])
+            # the lowest point starts an up pass, the highest a down pass
+            away = 1.0 if direction != "down" else -1.0
+            grid = np.append(first + away * rng.uniform(0.0, 15.0, size - 1),
+                             first)
+            cases.append((profile, beta, grid, direction, (beta, first)))
+            if i % 2:
+                flipped = {"up": "down", "down": "up"}.get(direction,
+                                                           direction)
+                cases[-1] = (profile, -beta, -grid, flipped, (beta, first))
+    return cases
+
+
+class TestBranchPick:
+    def test_vectorized_pick_equals_the_per_point_rule(self):
+        cases = pick_cases()
+        starts = []
+        for profile, beta, grid, direction, first in cases:
+            assert (lineshape_scan(profile, beta, grid, direction)
+                    == per_point_scan(profile, beta, grid, direction))
+            if first is not None:
+                b, d0 = first
+                starts.append(sum(
+                    np.isfinite(steady_state._segment_roots(
+                        profile, b, np.array([d0]), seg)[0])
+                    for seg in steady_state._segments(profile, b)[::2]))
+        assert len(cases) >= 60
+        assert any(beta < 0 for _, beta, *_ in cases)
+        # both branches at the start of 24 scans, one at the other 24
+        assert starts == [2] * 24 + [1] * 24
 
 
 def test_import_leaves_out_scipy():
