@@ -28,7 +28,6 @@ from .steady_state import (
     lineshape_scan,
     profile_value,
     steady_state_roots_lorentzian,
-    steady_state_roots_profile,
 )
 from .lattice import (
     LatticeEnsemble,

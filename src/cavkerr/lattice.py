@@ -123,26 +123,19 @@ def probe_potential(theta, displacement, nbar: float, cavity: CavityParams):
 
 def effective_kerr_numeric(ensemble: LatticeEnsemble, cavity: CavityParams,
                            trap: TrapParams) -> float:
-    """Small-signal Kerr coefficient of the ensemble, computed numerically.
+    """Small-signal Kerr coefficient of the ensemble, in closed form.
 
-    Displaces each site by its linearized equilibrium shift
-    f_j/(m omega_zj^2) per photon, recomputes the collective shift and
-    returns epsilon_eff = -(dDelta_N/Delta_N)/nbar in the nbar -> 0 limit
-    (evaluated at nbar = 1e-3 and 5e-4, Richardson-extrapolated).  For
-    uniform-phase statistics this reproduces half the single-well
-    coefficient at pi/4.
+    Site j moves by its linearized equilibrium shift d_j = f1 sin(2 theta_j)
+    nbar/(m omega_zj^2), so to first order epsilon_eff = -(dDelta_N/Delta_N)
+    /nbar = -(f1 k_p g0^2/(m delta_ca)) sum_j N_j sin^2(2 theta_j)/omega_zj^2
+    /Delta_N.  For uniform-phase statistics this reproduces half the
+    single-well coefficient at pi/4.
     """
     zero = np.zeros(len(ensemble))
     dn0 = collective_shift_from_displacements(ensemble, zero, cavity)
     if dn0 == 0.0:
         raise ValueError("degenerate ensemble: all sites at nodes")
-
-    def eps_at(nbar):
-        f = per_site_force(ensemble.theta, zero, nbar, cavity)
-        d = f / (CONSTANTS.m_rb87 * ensemble.omega_z ** 2)
-        dn = collective_shift_from_displacements(ensemble, d, cavity)
-        return -((dn - dn0) / dn0) / nbar
-
-    e1 = eps_at(1e-3)
-    e2 = eps_at(5e-4)
-    return 2.0 * e2 - e1   # cancels the O(nbar) error
+    pull = np.sum(ensemble.population * np.sin(2.0 * ensemble.theta) ** 2
+                  / ensemble.omega_z ** 2)
+    return float(-(force_per_photon(cavity) * cavity.k_probe * cavity.g0 ** 2
+                   / (CONSTANTS.m_rb87 * cavity.delta_ca)) * pull / dn0)

@@ -4,18 +4,20 @@ The self-consistent photon number obeys ``u = V(kappa*(delta0 + beta*u))``
 with ``u = nbar/n_max``, the reduced detuning ``delta0 = (delta_pc -
 Delta_N)/kappa`` and the response profile V (unit peak): a Lorentzian, or
 for the jitter-broadened cavity a Voigt profile (Lorentzian of half-width
-kappa convolved with a Gaussian of rms sigma).  For a Lorentzian it is the
-cubic beta^2 u^3 + 2 delta0 beta u^2 + (1 + delta0^2) u - 1 = 0, kept as an
-independent oracle.
+kappa convolved with a Gaussian of rms sigma), evaluated as the Lorentzian
+is, by the Voigt's small-width series at zero width.  For a Lorentzian it is
+also the cubic beta^2 u^3 + 2 delta0 beta u^2 + (1 + delta0^2) u - 1 = 0,
+kept as an independent oracle.
 
 No search in u is needed: in the shifted detuning x = delta0 + beta*u the
 curve is explicit, u = v(x) = V(kappa*x) and delta0 = F(x) = x - beta*v(x),
 and a root is stable exactly when F' = 1 - beta*v' > 0.  For beta above the
 threshold 1/max v' the two zeros of F' on x < 0 are the folds (where two
 roots merge).  They split the curve into a lower stable, a middle unstable
-and an upper stable segment, each monotone, so a root is the one zero of
-F - delta0 on its segment (natural-parameter continuation; Allgower &
-Georg, SIAM 2003).  V is even, so beta < 0 mirrors (-delta0, -beta).
+and an upper stable segment, each monotone.  Only the stable segments are
+solved: a stable root is the one zero of F - delta0 on its segment
+(natural-parameter continuation; Allgower & Georg, SIAM 2003).  V is even,
+so beta < 0 mirrors (-delta0, -beta).
 
 A scan tabulates F at 129 sinh-spaced points of each segment (cells about
 w/20 wide at the peak, w = 1 + sigma/kappa, and growing as |x| beyond),
@@ -70,15 +72,15 @@ class ResponseProfile:
 
     @property
     def _narrow(self) -> bool:
-        """A Voigt profile taken by its small-sigma series (see _series)."""
-        return 0 < self.sigma <= _SERIES_MAX * self.kappa
+        """Evaluated by the small-sigma series (see _series), sigma = 0 too."""
+        return self.sigma <= _SERIES_MAX * self.kappa
 
     @cached_property
     def _voigt_peak(self):
-        """Unnormalized Voigt value at zero detuning: the unit-peak scale."""
+        """Unnormalized value at zero detuning: the unit-peak scale."""
         if self._narrow:
             return _series(self, 0.0, 0)[0]
-        return _voigt_raw(0.0, self.kappa, self.sigma)
+        return _faddeeva(1j * (self.kappa / (self.sigma * np.sqrt(2.0)))).real
 
     @cached_property
     def _slope_peak(self) -> tuple[float, float]:
@@ -167,13 +169,6 @@ def _faddeeva(z) -> np.ndarray:
     return w
 
 
-def _voigt_raw(delta, kappa, sigma):
-    # Re w((delta + i kappa)/(sigma sqrt 2)) is the Lorentzian-Gaussian
-    # convolution up to normalization (Weideman's expansion, see above).
-    z = (delta + 1j * kappa) / (sigma * np.sqrt(2.0))
-    return _faddeeva(z).real
-
-
 # Up to sigma = 0.1 kappa the derivatives of w cancel at large |z| (v''' is
 # off by 4e-8 of its peak at 0.1, by 1e-2 at 0.01, and w overflows at a
 # subnormal sigma).  There the Voigt is the Lorentzian under the heat kernel
@@ -184,36 +179,32 @@ _SERIES_MAX, _SERIES_TERMS = 0.1, 40
 
 
 def _series(profile: ResponseProfile, x, order: int) -> list:
-    """Unnormalized [v, ..., v^(order)] of the small-sigma series; the m-th
-    derivative of (1 - ix)^-k is i^m k (k+1) ... (k+m-1) (1 - ix)^-(k+m)."""
+    """Unnormalized [v, ..., v^(order)], summed to the first zero term (one at
+    sigma = 0); d^m/dx^m (1 - ix)^-k = i^m k...(k+m-1) (1 - ix)^-(k+m)."""
     r = 1.0 / (1.0 - 1j * np.asarray(x, dtype=float))
     s2 = (profile.sigma / profile.kappa) ** 2
     out = []
     for m in range(order + 1):
-        c, total = 1.0, 0.0
-        for k in range(1, 2 * _SERIES_TERMS, 2):
+        c, k, total = 1.0, 1, 0.0
+        while c and k < 2 * _SERIES_TERMS:
             total = total + c * math.prod(range(k, k + m)) * r ** (k + m)
             c *= -k * s2
+            k += 2
         out.append((1j ** m * total).real)
     return out
 
 
 def profile_value(profile: ResponseProfile, delta):
     """Profile value V(delta) in (0, 1], V(0) = 1, even in delta."""
-    delta = np.asarray(delta, dtype=float)
-    if not profile.sigma:
-        out = 1.0 / (1.0 + (delta / profile.kappa) ** 2)
-    elif profile._narrow:
-        out = _curve(profile, delta / profile.kappa, 0)[0]
-    else:
-        out = _voigt_raw(delta, profile.kappa, profile.sigma) / profile._voigt_peak
+    out = _curve(profile, np.asarray(delta, dtype=float) / profile.kappa, 0)[0]
     return out if out.ndim else float(out)
 
 
 def _curve(profile: ResponseProfile, x, order: int) -> list:
     """[v, v', ..., v^(order)] of v(x) = V(kappa*x), order <= 3.
 
-    Lorentzian: v^(n) = Re n! i^n / (1 - ix)^(n+1).  Voigt: v = Re w(z)/peak
+    Up to sigma = 0.1 kappa the series (see _series); at zero width it is the
+    Lorentzian, v^(n) = Re n! i^n / (1 - ix)^(n+1).  Wider: v = Re w(z)/peak
     at z = a(x + i), a = kappa/(sigma sqrt 2), with w' = -2zw + 2i/sqrt(pi)
     and w^(n) = -2z w^(n-1) - 2(n-1) w^(n-2) for n >= 2; each order cancels
     more at large |z|.  With Weideman's w at a = 0.42 (the reference cavity), v,
@@ -221,21 +212,19 @@ def _curve(profile: ResponseProfile, x, order: int) -> list:
     for |x| <= 20, and within 2e-13 for |x| <= 60.
     """
     x = np.asarray(x, dtype=float)
-    if not profile.sigma:
-        r = 1.0 / (1.0 - 1j * x)
-        terms = (r, 1j * r * r, -2.0 * r ** 3, -6j * r ** 4)
-        return [t.real for t in terms[:order + 1]]
     if profile._narrow:
         return [t / profile._voigt_peak for t in _series(profile, x, order)]
     a = profile.kappa / (profile.sigma * np.sqrt(2.0))
-    z = a * (x + 1j)
+    z = x + 1j      # profile_value's x is a temporary: neither it nor a
+    del x           # copy of z is held through the Faddeeva pass
+    z *= a
     w = [_faddeeva(z)]
     if order:
         w.append(-2.0 * z * w[0] + 2j / np.sqrt(np.pi))
     for n in range(2, order + 1):
         w.append(-2.0 * z * w[n - 1] - 2.0 * (n - 1) * w[n - 2])
     scale = (1.0, a, a * a, a * a * a)
-    return [(s * t).real / profile._voigt_peak for s, t in zip(scale, w)]
+    return [s * t.real / profile._voigt_peak for s, t in zip(scale, w)]
 
 
 def _bracketed_root(f, neg, pos, *data, x=None,
@@ -391,10 +380,10 @@ def _folds(profile: ResponseProfile, beta: float) -> list[tuple[float, float]]:
 
 
 def _segments(profile: ResponseProfile, beta: float) -> list:
-    """Monotone pieces of the curve as pairs of (x, F(x)) ends, ascending in
-    x; F rises on the even (stable) ones."""
+    """Stable pieces of the curve, where F rises, as pairs of (x, F(x)) ends,
+    ascending in x: one below threshold, else two that end at the folds."""
     ends = [(-np.inf, -np.inf), *_folds(profile, beta), (np.inf, np.inf)]
-    return list(zip(ends[:-1], ends[1:]))
+    return list(zip(ends[::2], ends[1::2]))
 
 
 _TABLE, _ULPS = 129, 8.0 * np.finfo(float).eps     # see the module docstring
@@ -402,14 +391,12 @@ _TABLE, _ULPS = 129, 8.0 * np.finfo(float).eps     # see the module docstring
 
 def _segment_roots(profile: ResponseProfile, beta: float, delta0: np.ndarray,
                    segment) -> np.ndarray:
-    """u of the root on one segment at each delta0; inf where there is none.
+    """u of the root on a stable segment at each delta0; inf where none.
 
-    A rising segment is open at its fold ends, where F' = 0 is not stable.
+    The segment is open at its fold ends, where F' = 0 is not stable.
     """
     (x_lo, f_lo), (x_hi, f_hi) = segment
-    sign = 1.0 if f_lo < f_hi else -1.0
-    has = (((f_lo < delta0) & (delta0 < f_hi)) if sign > 0
-           else ((f_hi <= delta0) & (delta0 <= f_lo)))
+    has = (f_lo < delta0) & (delta0 < f_hi)
     out, d = np.full(delta0.shape, np.inf), delta0[has]
     if not d.size:                              # no root on this segment
         return out
@@ -418,40 +405,21 @@ def _segment_roots(profile: ResponseProfile, beta: float, delta0: np.ndarray,
     w = 1.0 + profile.sigma / profile.kappa
     t = w * np.sinh(np.linspace(*np.arcsinh([lo / w, hi / w]), _TABLE))
     t[[0, -1]] = lo, hi
-    F = sign * (t - beta * _curve(profile, t, 0)[0])        # rising
-    j = np.clip(np.searchsorted(F, sign * d), 1, _TABLE - 1)
+    F = t - beta * _curve(profile, t, 0)[0]                 # rising
+    j = np.clip(np.searchsorted(F, d), 1, _TABLE - 1)
 
     def g(x, d):
         v, v1 = _curve(profile, x, 1)
         r = x - beta * v - d
         r[np.abs(r) <= _ULPS * (np.abs(x) + beta * v + np.abs(d))] = 0.0
-        return sign * r, sign * (1.0 - beta * v1)
+        return r, 1.0 - beta * v1
 
     # the cells either side keep a step past a root by a cell end in bounds
     x = _bracketed_root(g, t[np.maximum(j - 2, 0)],
                         t[np.minimum(j + 1, _TABLE - 1)], d,
-                        x=np.interp(sign * d, F, t))
+                        x=np.interp(d, F, t))
     out[has] = _curve(profile, x, 0)[0]
     return out
-
-
-def steady_state_roots_profile(profile: ResponseProfile, delta0: float,
-                               beta: float) -> SteadyStateSolution:
-    """Roots of u = V(kappa*(delta0 + beta*u)) for a general profile.
-
-    One bracketed solve of F(x) = delta0 on each monotone segment of the
-    curve; every returned root has |u - V| <= 1e-10.
-    """
-    if beta == 0.0:
-        u = float(profile_value(profile, profile.kappa * delta0))
-        return SteadyStateSolution(((u, True),))
-    if beta < 0.0:
-        return steady_state_roots_profile(profile, -delta0, -beta)
-    roots = [(float(u), k % 2 == 0)
-             for k, segment in enumerate(_segments(profile, beta))
-             for u in _segment_roots(profile, beta, np.array([delta0]), segment)
-             if np.isfinite(u)]
-    return SteadyStateSolution(tuple(sorted(roots)))
 
 
 def fold_points(profile: ResponseProfile, beta: float) -> list[tuple[float, float]]:
@@ -484,7 +452,8 @@ def lineshape_scan(profile: ResponseProfile, beta: float, delta0_grid,
     branch ends at a fold the pick jumps to the other stable root, the
     hysteretic jump.  ``direction`` "both" is the "up" scan followed by the
     "down" one, which visits the same grid reversed; the branches are solved
-    once for both.  Returns (delta0, u) in traversal order.
+    once for both.  Returns (delta0, u) in traversal order; every u has
+    |u - V(kappa*(delta0 + beta*u))| <= 1e-10.
     """
     if direction not in ("up", "down", "both"):
         raise ValueError("direction must be 'up', 'down' or 'both'")
@@ -495,7 +464,7 @@ def lineshape_scan(profile: ResponseProfile, beta: float, delta0_grid,
     # inf and never nearest.  V is even, so beta < 0 mirrors (-delta0, -beta)
     sign = -1.0 if beta < 0.0 else 1.0
     branches = np.array([_segment_roots(profile, sign * beta, sign * grid, seg)
-                         for seg in _segments(profile, sign * beta)[::2]])
+                         for seg in _segments(profile, sign * beta)])
     up, down, out = slice(None), slice(None, None, -1), []
     for run in {"up": [up], "down": [down], "both": [up, down]}[direction]:
         pts, b = grid[run], branches[:, run]

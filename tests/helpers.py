@@ -1,4 +1,5 @@
-"""Shared builders for the ring-up operating point used across tests."""
+"""Shared builders for the ring-up operating point used across tests, and
+the stable steady states at one detuning."""
 
 import numpy as np
 
@@ -10,6 +11,7 @@ from cavkerr import (
     reference_cavity,
     reference_trap,
     ring_up,
+    steady_state,
 )
 
 TWO_PI = 2 * np.pi
@@ -55,3 +57,16 @@ def run_ringup(level, level_mode, duration, *, omega_z_spread=0.0,
     trace = ring_up(ensemble, cavity, drive, duration=duration,
                     profile=profile, backaction=backaction, **kwargs)
     return cavity, trap, trace
+
+
+def stable_roots(profile, delta0, beta):
+    """The stable steady states u at one reduced detuning, ascending: the
+    finite roots on the stable segments, which lineshape_scan follows
+    (beta < 0 mirrors (-delta0, -beta), as there)."""
+    if beta < 0.0:
+        delta0, beta = -delta0, -beta
+    return sorted(
+        float(u) for seg in steady_state._segments(profile, beta)
+        for u in steady_state._segment_roots(profile, beta,
+                                              np.array([delta0]), seg)
+        if np.isfinite(u))

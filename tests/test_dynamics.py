@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import run_ringup, ringup_context, ringup_drive, RINGUP_DELTA_N0
+from helpers import (run_ringup, ringup_context, ringup_drive, stable_roots,
+                     RINGUP_DELTA_N0)
 
 from cavkerr import dynamics
 from cavkerr import (
@@ -26,7 +27,6 @@ from cavkerr import (
     profile_value,
     quasi_static_sweep,
     ring_up,
-    steady_state_roots_profile,
     windowed_fourier_amplitude,
 )
 
@@ -453,9 +453,9 @@ class TestQuasiStaticConsistency:
         eps_eff = effective_kerr_numeric(ensemble, cavity, trap)
         beta = beta_parameter(RINGUP_DELTA_N0, eps_eff, n_max, cavity.kappa)
         delta0 = (drive.delta_pc - RINGUP_DELTA_N0) / cavity.kappa
-        sol = steady_state_roots_profile(profile, delta0, beta)
         u_final = nbar_final / n_max
-        nearest = min(sol.stable, key=lambda u: abs(u - u_final))
+        nearest = min(stable_roots(profile, delta0, beta),
+                      key=lambda u: abs(u - u_final))
         assert u_final == pytest.approx(nearest, rel=0.01)
 
 

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +23,8 @@ from cavkerr import (
     profile_value,
     steady_state,
     steady_state_roots_lorentzian,
-    steady_state_roots_profile,
 )
+from helpers import stable_roots
 
 TWO_PI = 2 * np.pi
 KAPPA = TWO_PI * 0.66e6
@@ -93,6 +95,20 @@ class TestProfileValue:
         assert profile_value(p, -3 * KAPPA) == pytest.approx(
             profile_value(p, 3 * KAPPA), rel=1e-12)   # even
 
+    def test_a_point_alone_gets_the_bits_it_gets_in_an_array(self):
+        # dynamics._integrate evaluates scalars, _one_way_exact arrays; the
+        # Lorentzian's old 1/(1 + (delta/kappa)^2) rounded (delta/kappa)^2
+        # differently for a scalar at 2 of these 5000 points
+        rng = np.random.default_rng(3)
+        for p in (ResponseProfile.lorentzian(KAPPA),
+                  ResponseProfile.voigt(KAPPA, 0.05 * KAPPA),
+                  ResponseProfile.voigt(KAPPA, SIGMA)):
+            delta = KAPPA * rng.uniform(-50.0, 50.0, 5000)
+            alone = [profile_value(p, d) for d in delta.tolist()]
+            assert all(type(v) is float for v in alone)
+            assert np.array_equal(np.array(alone).view(np.int64),
+                                  profile_value(p, delta).view(np.int64))
+
     def test_voigt_requires_sigma(self):
         for sigma in (0.0, -SIGMA):
             with pytest.raises(ValueError, match="sigma > 0"):
@@ -141,6 +157,39 @@ class TestFaddeeva:
                                 for i in range(0, n, 3)])
         for other in (alone, small):
             assert np.array_equal(whole.view(np.int64), other.view(np.int64))
+
+
+class TestZeroWidthSeries:
+    def test_series_at_zero_width_is_the_lorentzian(self):
+        # the closed form _curve took for sigma = 0 before the series did
+        p = ResponseProfile.lorentzian(KAPPA)
+        x = np.random.default_rng(17).uniform(-50.0, 50.0, 100_000)
+        r = 1.0 / (1.0 - 1j * x)
+        oracle = [t.real for t in (r, 1j * r * r, -2.0 * r ** 3, -6j * r ** 4)]
+        for got in (steady_state._series(p, x, 3),
+                    steady_state._curve(p, x, 3)):
+            for n in range(4):
+                assert np.array_equal(got[n].view(np.int64),
+                                      oracle[n].view(np.int64)), n
+
+    def test_zero_width_sums_one_term_per_order(self, monkeypatch):
+        # math.prod is called once per term summed
+        lorentzian = ResponseProfile.lorentzian(KAPPA)
+        narrow = ResponseProfile.voigt(KAPPA, 0.05 * KAPPA)
+        calls = []
+
+        def counted(terms):
+            calls.append(1)
+            return math.prod(terms)
+
+        monkeypatch.setattr(steady_state, "math",
+                            types.SimpleNamespace(prod=counted))
+        x = np.linspace(-5.0, 5.0, 11)
+        steady_state._series(lorentzian, x, 3)
+        assert len(calls) == 4
+        calls.clear()
+        steady_state._series(narrow, x, 0)
+        assert len(calls) == steady_state._SERIES_TERMS
 
 
 class TestLorentzianRoots:
@@ -207,24 +256,22 @@ class TestLorentzianRoots:
             assert sa == sb
 
 
-class TestProfileRoots:
+class TestStableRoots:
     def test_matches_cubic_for_lorentzian(self):
         p = ResponseProfile.lorentzian(KAPPA)
         rng = np.random.default_rng(11)
         for _ in range(100):
             beta = rng.uniform(0.0, 12.0)
             delta0 = rng.uniform(-15.0, 5.0)
-            a = steady_state_roots_lorentzian(delta0, beta)
-            b = steady_state_roots_profile(p, delta0, beta)
-            assert len(a.roots) == len(b.roots)
-            for (ua, sa), (ub, sb) in zip(a.roots, b.roots):
+            a = steady_state_roots_lorentzian(delta0, beta).stable
+            b = stable_roots(p, delta0, beta)
+            assert len(a) == len(b)
+            for ua, ub in zip(a, b):
                 assert ub == pytest.approx(ua, abs=1e-8)
-                assert sa == sb
 
     def test_beta_zero_is_linear_response(self):
         p = ResponseProfile.voigt(KAPPA, SIGMA)
-        sol = steady_state_roots_profile(p, 2.5, 0.0)
-        assert sol.roots == ((profile_value(p, KAPPA * 2.5), True),)
+        assert stable_roots(p, 2.5, 0.0) == [steady_state._curve(p, 2.5, 0)[0]]
 
     def test_voigt_beta_9p5_has_bistable_region(self):
         p = ResponseProfile.voigt(KAPPA, SIGMA)
@@ -232,14 +279,12 @@ class TestProfileRoots:
         assert len(folds) == 2
         d_lo, d_hi = sorted(f[0] for f in folds)
         mid = 0.5 * (d_lo + d_hi)
-        sol = steady_state_roots_profile(p, mid, 9.5)
-        assert len(sol.roots) == 3
+        assert len(stable_roots(p, mid, 9.5)) == 2
 
     def test_residuals(self):
         p = ResponseProfile.voigt(KAPPA, SIGMA)
         for d0 in (-9.0, -7.0, -2.0):
-            sol = steady_state_roots_profile(p, d0, 9.5)
-            for u, _ in sol.roots:
+            for u in stable_roots(p, d0, 9.5):
                 res = u - profile_value(p, KAPPA * (d0 + 9.5 * u))
                 assert abs(res) < 1e-10
 
@@ -487,9 +532,15 @@ class TestParametricCore:
             neg = lineshape_scan(profile, -9.5, grid, direction)
             pos = lineshape_scan(profile, 9.5, -grid, flipped)
             assert neg == [(-d, u) for d, u in pos]
+        # V is even: the roots at (-d0, 9.5) solve the beta = -9.5 equation
+        # at d0, and a one-point scan picks one of them
         for d0 in (-2.0, 6.0, 7.5, 9.0, 12.0):
-            assert (steady_state_roots_profile(profile, d0, -9.5).roots
-                    == steady_state_roots_profile(profile, -d0, 9.5).roots)
+            us = stable_roots(profile, -d0, 9.5)
+            for u in us:
+                res = u - profile_value(profile, KAPPA * (d0 - 9.5 * u))
+                assert abs(res) <= 1e-10
+            [(_, u)] = lineshape_scan(profile, -9.5, [d0])
+            assert u in us
 
     def test_negative_beta_matches_cubic(self):
         p = ResponseProfile.lorentzian(KAPPA)
@@ -497,12 +548,11 @@ class TestParametricCore:
         for _ in range(100):
             beta = -rng.uniform(0.0, 12.0)
             delta0 = rng.uniform(-5.0, 15.0)
-            a = steady_state_roots_lorentzian(delta0, beta)
-            b = steady_state_roots_profile(p, delta0, beta)
-            assert len(a.roots) == len(b.roots)
-            for (ua, sa), (ub, sb) in zip(a.roots, b.roots):
+            a = steady_state_roots_lorentzian(delta0, beta).stable
+            b = stable_roots(p, delta0, beta)
+            assert len(a) == len(b)
+            for ua, ub in zip(a, b):
                 assert ub == pytest.approx(ua, abs=1e-8)
-                assert sa == sb
 
 
 def config_scans(name):
@@ -579,7 +629,7 @@ class TestSolverWork:
             assert len(iterations) == sum(
                 int(np.isfinite(steady_state._segment_roots(
                     profile, beta, grid, seg)).sum())
-                for seg in steady_state._segments(profile, beta)[::2])
+                for seg in steady_state._segments(profile, beta))
             d0, u = scan.T
             res = np.abs(u - profile_value(profile, KAPPA * (d0 + beta * u)))
             assert np.max(res) <= 1e-13
@@ -587,7 +637,7 @@ class TestSolverWork:
     @pytest.mark.parametrize("name, index, delta0, segment", [
         # F's terms are ~10, so F rounds at ~2e-15 and Newton's step stalls
         # above the 4-ulp stop in x; it needs F's rounding floor (took 10)
-        ("fig_hysteresis", 0, -9.74, 2),
+        ("fig_hysteresis", 0, -9.74, 1),
         # the root sits 9e-7 inside the old bracket's end delta0 + beta, and
         # Newton steps toward it were refused (took 21)
         ("fig_lineshapes", 0, -0.3935, 0),
@@ -619,7 +669,7 @@ def per_point_scan(profile, beta, grid, direction):
     if direction == "down":
         grid = grid[::-1]
     branches = [steady_state._segment_roots(profile, beta, grid, seg).tolist()
-                for seg in steady_state._segments(profile, beta)[::2]]
+                for seg in steady_state._segments(profile, beta)]
     u_lin = profile_value(profile, profile.kappa * grid[0])
     u_prev = min((b[0] for b in branches), key=lambda u: abs(u - u_lin))
     out = [(float(grid[0]), float(u_prev))]
@@ -681,7 +731,7 @@ class TestBranchPick:
                 starts.append(sum(
                     np.isfinite(steady_state._segment_roots(
                         profile, b, np.array([d0]), seg)[0])
-                    for seg in steady_state._segments(profile, b)[::2]))
+                    for seg in steady_state._segments(profile, b)))
         assert len(cases) >= 60
         assert any(beta < 0 for _, beta, *_ in cases)
         # both branches at the start of 24 scans, one at the other 24
