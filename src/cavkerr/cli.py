@@ -323,14 +323,74 @@ def _cell_format(col) -> str:
     return "%d" if isinstance(first, int) else "%.17g"
 
 
+# rows per block of the integer writer, so that its temporaries do not grow
+# with the file
+_INT_BLOCK_ROWS = 8192
+
+
+def _int_rows(columns, start, stop) -> bytes:
+    """Rows start:stop of NumPy integer columns, as "%d,%d\\n" text.
+
+    Each column gets a right-aligned field of one (rows, width) byte block:
+    a sign slot if any value is negative, then one slot per digit of the
+    largest magnitude, filled by repeated division by 10.  One boolean mask
+    then drops the pad bytes: the sign slot of a nonnegative value, and a
+    leading digit slot where the quotient has already reached 0."""
+    fields = []
+    for col in columns:
+        v = col[start:stop]
+        neg = v < 0
+        if not neg.any():
+            neg = None
+        # -v wraps at the int64 minimum, and the uint64 view of the wrapped
+        # value is its magnitude, 2**63
+        mag = (v if neg is None
+               else np.where(neg, -v.astype(np.int64), v)).astype(np.uint64)
+        fields.append((mag, neg, len(str(mag.max()))))
+    width = sum(d + 1 + (neg is not None) for _, neg, d in fields)
+    block = np.empty((stop - start, width), np.uint8)
+    keep = np.ones(block.shape, bool)
+    end = 0
+    for mag, neg, digits in fields:
+        if neg is not None:
+            block[:, end] = ord("-")
+            keep[:, end] = neg
+            end += 1
+        end += digits
+        for j in range(end - 1, end - digits, -1):
+            q = mag // 10
+            block[:, j] = mag + ord("0") - q * 10
+            mag = q
+            np.not_equal(mag, 0, out=keep[:, j - 1])
+        block[:, end - digits] = mag + ord("0")
+        block[:, end] = ord(",")
+        end += 1
+    block[:, -1] = ord("\n")
+    return block[keep].tobytes()
+
+
 def write_csv(path, colnames, columns, meta) -> None:
-    """One row template a file, set by each column's first cell: text as
-    is, Python ints as %d, floats as %.17g."""
-    row_format = ",".join(map(_cell_format, columns)) + "\n"
+    """Write the ``#`` meta lines, the header row and the columns' rows.
+
+    A file whose columns are all NumPy integer arrays is written as %d
+    text, _INT_BLOCK_ROWS rows per binary write (``_int_rows``).  Any other
+    file takes one row template, set by each column's first cell after
+    NumPy arrays become lists: text as is, ints as %d, floats as %.17g."""
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(",".join(colnames) + "\n")
+        if columns and all(isinstance(c, np.ndarray)
+                           and c.dtype.kind in "iu" for c in columns):
+            fh.flush()
+            n = min(map(len, columns))
+            for start in range(0, n, _INT_BLOCK_ROWS):
+                fh.buffer.write(_int_rows(
+                    columns, start, min(start + _INT_BLOCK_ROWS, n)))
+            return
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c
+                   for c in columns]
+        row_format = ",".join(map(_cell_format, columns)) + "\n"
         for row in zip(*columns):
             fh.write(row_format % row)
 
@@ -368,7 +428,7 @@ def _write_counts(path, record: measure.CountRecord, meta) -> None:
         name, values = "mean_rate_s", record.rates
     grid = {"t0_s": "%.17g" % record.t_start,
             "bin_width_s": "%.17g" % record.bin_width}
-    write_csv(path, ["bin", name], [range(len(values)), values.tolist()],
+    write_csv(path, ["bin", name], [np.arange(len(values)), values],
               dict(meta, **grid))
 
 
@@ -454,7 +514,7 @@ def cmd_sweep(cfg, out, seed) -> int:
         system.drive.n_max, dn, "both")
     write_csv(out, ["direction", "deltaPC_Hz", "nbar"],
               [["up"] * sec["points"] + ["down"] * sec["points"],
-               (dpc / TWO_PI).tolist(), nbar.tolist()], _meta(cfg, seed))
+               dpc / TWO_PI, nbar], _meta(cfg, seed))
     return 0
 
 
@@ -578,11 +638,10 @@ def cmd_ringdown(cfg, out, seed) -> int:
 
     meta = _meta(cfg, seed)
     write_csv(base + "_trace.csv", ["time_s", "deltaN_rad_s", "nbar"],
-              [trace.time.tolist(), trace.delta_n.tolist(),
-               trace.nbar.tolist()], meta)
+              [trace.time, trace.delta_n, trace.nbar], meta)
     _write_counts(base + "_counts.csv", record, meta)
     write_csv(base + "_windows.csv", ["window_center_s", "amplitude"],
-              [decay.window_centers.tolist(), decay.amplitudes.tolist()], meta)
+              [decay.window_centers, decay.amplitudes], meta)
 
     summary = {
         "n_max": n_max, "switch_on_nbar": float(trace.nbar[0]),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import CONSTANTS, CavityParams, TrapParams, force_per_photon
+from .params import CONSTANTS, CavityParams, force_per_photon
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ def probe_potential(theta, displacement, nbar: float, cavity: CavityParams):
     return out if out.ndim else float(out)
 
 
-def effective_kerr_numeric(ensemble: LatticeEnsemble, cavity: CavityParams,
-                           trap: TrapParams) -> float:
+def effective_kerr_numeric(ensemble: LatticeEnsemble,
+                           cavity: CavityParams) -> float:
     """Small-signal Kerr coefficient of the ensemble, in closed form.
 
     Site j moves by its linearized equilibrium shift d_j = f1 sin(2 theta_j)

@@ -109,7 +109,7 @@ def test_criterion_07_multi_well_averaging():
     cav = reference_cavity(delta_ca=-TWO_PI * 101e9)
     trap = reference_trap(omega_z=TWO_PI * 42e3)
     ens = build_lattice(20_000, 7e4, trap.omega_z)   # >= 1e4 uniform phases
-    eps_eff = effective_kerr_numeric(ens, cav, trap)
+    eps_eff = effective_kerr_numeric(ens, cav)
     eps_half = kerr_coefficient(cav, trap, multi_well=False) / 2
     assert eps_eff == pytest.approx(eps_half, rel=0.005)
     report(7, f"numeric ensemble Kerr {eps_eff:.6f} = single-well/2 "

@@ -352,21 +352,33 @@ PARAM_RANGES = {
     "params.drive.atom_number": ("", 0.0, 1e6, "nonnegative"),
     "params.drive.delta_n": ("MHz", 0.0, 100.0, "any"),
 }
+# trigger.* key -> the same, for runs of at most 20 ms
+TRIGGER_RANGES = {
+    "trigger.n0": ("", 1e3, 1e6, "positive"),
+    "trigger.loss_rate": ("", 0.0, 100.0, "nonnegative"),
+    "trigger.threshold_rate": ("", 0.0, 1e7, "any"),
+    "trigger.delay": ("ms", 0.0, 50.0, "nonnegative"),
+    "trigger.detection_level": ("", 0.0, 20.0, "any"),
+    "trigger.bin_width": ("us", 1.0, 1000.0, "positive"),
+    "trigger.horizon": ("ms", 0.01, 20.0, "positive"),
+    "trigger.smoothing_time": ("us", 0.0, 1000.0, "nonnegative"),
+    "trigger.efficiency": ("", 0.0, 1.0, "fraction"),
+}
 # values no rule accepts: an unknown unit, text, a bool
 _NEVER_VALID = ("1.5 parsec", "lots", True, False)
 _RULE_INVALID = {"positive": (0, -1.5, "-2 MHz"), "nonnegative": (-1.5,),
                  "nonzero": (0, "0 GHz"), "count": (0, -3, 2.5),
-                 "any": ()}
+                 "fraction": (-0.5, 1.5), "any": ()}
 
 
 @st.composite
-def param_values(draw):
-    """{key: (value, valid)} for one to four params.* keys."""
-    keys = draw(st.lists(st.sampled_from(sorted(PARAM_RANGES)), min_size=1,
+def drawn_values(draw, ranges):
+    """{key: (value, valid)} for one to four keys of ``ranges``."""
+    keys = draw(st.lists(st.sampled_from(sorted(ranges)), min_size=1,
                          max_size=4, unique=True))
     out = {}
     for key in keys:
-        unit, lo, hi, rule = PARAM_RANGES[key]
+        unit, lo, hi, rule = ranges[key]
         if draw(st.booleans()):
             out[key] = (draw(st.sampled_from(_NEVER_VALID
                                              + _RULE_INVALID[rule])), False)
@@ -381,34 +393,75 @@ def param_values(draw):
     return out
 
 
+def _boundary_run(cfg, values, tmp_path_factory, *args):
+    """Set each drawn value in ``cfg`` and run the CLI on it, with an empty
+    output directory -> (exit code, stderr, the files written)."""
+    for key, (value, _) in values.items():
+        *path, name = key.split(".")
+        section = cfg
+        for part in path:
+            section = section[part]
+        section[name] = value
+    path = tmp_path_factory.mktemp("boundary") / "boundary.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = path.parent / "out"
+    out.mkdir()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = run_cli("--config", path, "--out", out / "run", *args)
+    return code, err.getvalue(), sorted(out.iterdir())
+
+
 class TestConfigBoundary:
     @settings(max_examples=60, deadline=None)
-    @given(values=param_values(),
+    @given(values=drawn_values(PARAM_RANGES),
            scenario=st.sampled_from(["derived", "bistability-threshold"]))
     def test_params_exit_0_or_name_the_key(self, tmp_path_factory, values,
                                            scenario):
         # never exit 3: a bad value is a config error naming its key, and
         # every value in its sane range runs
         cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())
-        for key, (value, _) in values.items():
-            _, section, name = key.split(".")
-            cfg["params"][section][name] = value
-        path = tmp_path_factory.getbasetemp() / "boundary.yaml"
-        path.write_text(yaml.safe_dump(cfg))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            code = run_cli("--config", path, "--scenario", scenario)
+        code, err, _ = _boundary_run(cfg, values, tmp_path_factory,
+                                     "--scenario", scenario)
         invalid = [k for k, (_, valid) in values.items() if not valid]
         probe, trap = (cfg["params"]["cavity"][f"{k}_wavelength"]
                        for k in ("probe", "trap"))
         if not invalid and cli.parse_length(probe) == cli.parse_length(trap):
             invalid.append("params.cavity.probe_wavelength")  # must differ
         if invalid:
-            assert code == 2, err.getvalue()
-            assert any(k in err.getvalue() for k in invalid), err.getvalue()
+            assert code == 2, err
+            assert any(k in err for k in invalid), err
         else:
-            assert code == 0, err.getvalue()
+            assert code == 0, err
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=drawn_values(TRIGGER_RANGES),
+           horizon_ms=st.floats(0.01, 20.0))
+    def test_trigger_writes_its_bins_or_names_the_key(
+            self, tmp_path_factory, values, horizon_ms):
+        # a valid section writes one count row per bin of the horizon; an
+        # invalid one exits 2 naming its key before it writes anything
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        cfg.update(scenario="trigger",
+                   trigger=dict(TRIGGER, horizon=f"{horizon_ms!r} ms"))
+        code, err, files = _boundary_run(cfg, values, tmp_path_factory)
+        invalid = [k for k, (_, valid) in values.items() if not valid]
+        if invalid:
+            assert code == 2, err
+            assert any(k in err for k in invalid), err
+            assert files == []
+            return
+        assert code == 0, err
+        assert [f.name for f in files] == ["run_counts.csv",
+                                           "run_summary.json"]
+        meta, _, rows = read_csv(files[0])
+        ratio = (parse_time(cfg["trigger"]["horizon"])
+                 / float(meta["bin_width_s"]))
+        # the record covers the horizon (to 1e-9 relative) with no spare
+        # bin, and meets the benchmark's check_trigger bound
+        assert len(rows) - 1 < ratio <= len(rows) / (1 - 1e-9)
+        assert round(ratio) <= len(rows) <= round(ratio) + 1
 
 
 class TestLineshape:
@@ -446,6 +499,30 @@ class TestLineshape:
             out2.read_text().splitlines()[2:]
 
 
+_I64, _U64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+_TENS = [v for k in range(19) for v in (10 ** k - 1, 10 ** k)]
+_BLOCK = cli._INT_BLOCK_ROWS
+# all-integer NumPy columns: id -> columns, for write_csv's integer path
+_INT_COLUMNS = {
+    "dtypes": [np.array([0, -1, 127, -128, 5], np.int8),
+               np.array([0, -7, 2 ** 31 - 1, -2 ** 31, 42], np.int32),
+               np.array([0, _I64.min, _I64.max, -1, 10], np.int64),
+               np.array([0, _U64.max, 1, 10, 99], np.uint64)],
+    # every width on both sides of each power of ten, with and without sign
+    "powers-of-ten": [np.array(_TENS, np.int64), -np.array(_TENS, np.int64),
+                      np.array([v for k in range(1, 20)
+                                for v in (10 ** k - 1, 10 ** k)], np.uint64)],
+    "empty": [np.zeros(0, np.int64), np.zeros(0, np.uint64)],
+    "one-row": [np.array([-3]), np.array([0], np.uint8)],
+    **{f"block{d:+d}": [
+        np.arange(_BLOCK + d),
+        np.random.default_rng(d + 1).integers(-1000, 1000, _BLOCK + d),
+        # a sign only in the last row, so only the last block has its slot
+        np.where(np.arange(_BLOCK + d) == _BLOCK + d - 1, -5, 3)]
+       for d in (-1, 0, 1)},
+}
+
+
 class TestWriteCsv:
     @staticmethod
     def _reference(meta, names, columns):
@@ -461,6 +538,14 @@ class TestWriteCsv:
             lines.append(",".join(map(cell, row)) + "\n")
         return "".join(lines)
 
+    @staticmethod
+    def _assert_same_text(got, want):
+        # name the first differing line: pytest's diff of a 100k-line text
+        # takes minutes
+        pairs = zip(got.splitlines(True), want.splitlines(True))
+        bad = next((p for p in pairs if p[0] != p[1]), None)
+        assert bad is None and len(got) == len(want), bad
+
     @pytest.mark.parametrize("columns", [
         [["up", "down", "up", "up", "down", "up", "up", "down", "up"],
          [-0.0, 1e-300, 1e300, float("nan"), float("inf"), -float("inf"),
@@ -469,13 +554,33 @@ class TestWriteCsv:
          [1e6, 123456789.0, -1.0, 0.0, 5e-324, 1.7976931348623157e308,
           2.0 ** 60, 1 / 3, -2 / 3]],
         [[], []],
-    ])
+        # NumPy arrays beside a float column take the row template
+        pytest.param([np.array([0, -7, 10 ** 18]),
+                      np.array([0.1, -2.5e-7, 1e300])], id="int-float-arrays"),
+    ] + [pytest.param(c, id=k) for k, c in _INT_COLUMNS.items()])
     def test_bytes_match_per_cell_format(self, tmp_path, columns):
         names = [f"c{i}" for i in range(len(columns))]
         meta = {"config": "{}", "seed": 3}
         path = tmp_path / "t.csv"
         cli.write_csv(path, names, columns, meta)
-        assert path.read_text() == self._reference(meta, names, columns)
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in columns]
+        self._assert_same_text(path.read_text(),
+                               self._reference(meta, names, cells))
+
+    def test_trigger_counts_are_their_own_ints(self, tmp_path):
+        # the integer path on a real record: the file is the per-cell text
+        # of the integers it reads back as
+        base = tmp_path / "trig"
+        assert run_cli("--config", BENCH_CONFIGS / "trigger.yaml",
+                       "--out", base) == 0
+        path = Path(f"{base}_counts.csv")
+        meta, names, rows = read_csv(path)
+        assert len(rows) == 100_000
+        assert all(v == int(v) for row in rows for v in row)
+        columns = [[int(v) for v in col] for col in zip(*rows)]
+        self._assert_same_text(path.read_text(),
+                               self._reference(meta, names, columns))
 
     def test_integral_values_print_alike_as_int_and_float(self):
         # below 1e17 an integral float's %.17g text is its integer's %d

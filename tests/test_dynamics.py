@@ -441,7 +441,7 @@ class TestQuasiStaticConsistency:
         # ramp time >> 1/omega_z with weak viscous damping: the ensemble
         # settles on the self-consistent steady state of the lineshape
         # equation built from its own numerically measured Kerr coefficient
-        cavity, trap, profile, ensemble = ringup_context()
+        cavity, _, profile, ensemble = ringup_context()
         n_max = 12.0
         drive = DriveParams(n_max=n_max, delta_pc=-TWO_PI * 17e6,
                             atom_number=5e4)
@@ -450,7 +450,7 @@ class TestQuasiStaticConsistency:
                         damping_rate=6000.0)
         nbar_final = trace.nbar[-1]
 
-        eps_eff = effective_kerr_numeric(ensemble, cavity, trap)
+        eps_eff = effective_kerr_numeric(ensemble, cavity)
         beta = beta_parameter(RINGUP_DELTA_N0, eps_eff, n_max, cavity.kappa)
         delta0 = (drive.delta_pc - RINGUP_DELTA_N0) / cavity.kappa
         u_final = nbar_final / n_max

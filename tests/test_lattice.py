@@ -9,7 +9,6 @@ from cavkerr import (
     collective_shift_from_displacements,
     effective_kerr_numeric,
     kerr_coefficient,
-    reference_trap,
     per_site_force,
     probe_potential,
 )
@@ -129,36 +128,36 @@ class TestPerSiteForce:
 class TestEffectiveKerr:
     def test_multi_well_halving(self, cavity101, trap42):
         ens = build_lattice(20000, 7e4, trap42.omega_z)
-        eps_eff = effective_kerr_numeric(ens, cavity101, trap42)
+        eps_eff = effective_kerr_numeric(ens, cavity101)
         eps_half = kerr_coefficient(cavity101, trap42, multi_well=False) / 2
         assert eps_eff == pytest.approx(eps_half, rel=5e-3)
 
     def test_single_site_at_pi_over_4(self, cavity101, trap42):
         ens = LatticeEnsemble(np.array([np.pi / 4]), np.array([1e4]),
                               np.array([trap42.omega_z]))
-        eps_eff = effective_kerr_numeric(ens, cavity101, trap42)
+        eps_eff = effective_kerr_numeric(ens, cavity101)
         eps_single = kerr_coefficient(cavity101, trap42, multi_well=False)
         assert eps_eff == pytest.approx(eps_single, rel=1e-3)
 
     def test_scales_inverse_square_omega_z(self, cavity101, trap42):
         ens1 = build_lattice(5000, 1e4, trap42.omega_z)
         ens2 = build_lattice(5000, 1e4, 2 * trap42.omega_z)
-        e1 = effective_kerr_numeric(ens1, cavity101, trap42)
-        e2 = effective_kerr_numeric(ens2, cavity101, reference_trap(2 * trap42.omega_z))
+        e1 = effective_kerr_numeric(ens1, cavity101)
+        e2 = effective_kerr_numeric(ens2, cavity101)
         assert e2 == pytest.approx(e1 / 4, rel=1e-3)
 
     def test_halving_across_random_seeds(self, cavity101, trap42):
         eps_half = kerr_coefficient(cavity101, trap42, multi_well=False) / 2
         for seed in (1, 2, 3):
             ens = random_phase_lattice(20000, 7e4, trap42.omega_z, seed)
-            eps_eff = effective_kerr_numeric(ens, cavity101, trap42)
+            eps_eff = effective_kerr_numeric(ens, cavity101)
             assert eps_eff == pytest.approx(eps_half, rel=0.03)
 
     def test_all_nodes_rejected(self, cavity101, trap42):
         ens = LatticeEnsemble(np.zeros(3), np.full(3, 10.0),
                               np.full(3, trap42.omega_z))
         with pytest.raises(ValueError):
-            effective_kerr_numeric(ens, cavity101, trap42)
+            effective_kerr_numeric(ens, cavity101)
 
 
 def test_scaled_to_shift(cavity260):
