@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from . import dynamics, lattice, measure, params, steady_state
+from . import csvrows, dynamics, lattice, measure, params, steady_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -316,83 +316,19 @@ def _meta(cfg, seed) -> dict:
             "seed": seed}
 
 
-def _cell_format(col) -> str:
-    first = col[0] if len(col) else None
-    if isinstance(first, str):
-        return "%s"
-    return "%d" if isinstance(first, int) else "%.17g"
-
-
-# rows per block of the integer writer, so that its temporaries do not grow
-# with the file
-_INT_BLOCK_ROWS = 8192
-
-
-def _int_rows(columns, start, stop) -> bytes:
-    """Rows start:stop of NumPy integer columns, as "%d,%d\\n" text.
-
-    Each column gets a right-aligned field of one (rows, width) byte block:
-    a sign slot if any value is negative, then one slot per digit of the
-    largest magnitude, filled by repeated division by 10.  One boolean mask
-    then drops the pad bytes: the sign slot of a nonnegative value, and a
-    leading digit slot where the quotient has already reached 0."""
-    fields = []
-    for col in columns:
-        v = col[start:stop]
-        neg = v < 0
-        if not neg.any():
-            neg = None
-        # -v wraps at the int64 minimum, and the uint64 view of the wrapped
-        # value is its magnitude, 2**63
-        mag = (v if neg is None
-               else np.where(neg, -v.astype(np.int64), v)).astype(np.uint64)
-        fields.append((mag, neg, len(str(mag.max()))))
-    width = sum(d + 1 + (neg is not None) for _, neg, d in fields)
-    block = np.empty((stop - start, width), np.uint8)
-    keep = np.ones(block.shape, bool)
-    end = 0
-    for mag, neg, digits in fields:
-        if neg is not None:
-            block[:, end] = ord("-")
-            keep[:, end] = neg
-            end += 1
-        end += digits
-        for j in range(end - 1, end - digits, -1):
-            q = mag // 10
-            block[:, j] = mag + ord("0") - q * 10
-            mag = q
-            np.not_equal(mag, 0, out=keep[:, j - 1])
-        block[:, end - digits] = mag + ord("0")
-        block[:, end] = ord(",")
-        end += 1
-    block[:, -1] = ord("\n")
-    return block[keep].tobytes()
-
-
 def write_csv(path, colnames, columns, meta) -> None:
     """Write the ``#`` meta lines, the header row and the columns' rows.
 
-    A file whose columns are all NumPy integer arrays is written as %d
-    text, _INT_BLOCK_ROWS rows per binary write (``_int_rows``).  Any other
-    file takes one row template, set by each column's first cell after
-    NumPy arrays become lists: text as is, ints as %d, floats as %.17g."""
+    Each cell is byte for byte what Python writes for it: text as is, an
+    int as %d, a float as %.17g; a column's kind is set by its first cell.
+    The rows are rendered from NumPy arrays (``csvrows``, which also says
+    which float cells take Python's own %.17g), one binary write a block."""
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(",".join(colnames) + "\n")
-        if columns and all(isinstance(c, np.ndarray)
-                           and c.dtype.kind in "iu" for c in columns):
-            fh.flush()
-            n = min(map(len, columns))
-            for start in range(0, n, _INT_BLOCK_ROWS):
-                fh.buffer.write(_int_rows(
-                    columns, start, min(start + _INT_BLOCK_ROWS, n)))
-            return
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c
-                   for c in columns]
-        row_format = ",".join(map(_cell_format, columns)) + "\n"
-        for row in zip(*columns):
-            fh.write(row_format % row)
+        fh.flush()
+        csvrows.write(fh.buffer, columns)
 
 
 def read_csv(path):
@@ -485,17 +421,15 @@ def cmd_lineshape(cfg, out, seed) -> int:
     grid = np.linspace(sec["delta_pc_start"], sec["delta_pc_stop"],
                        sec["points"])
 
-    trace_col, nmax_col, dpc_col, nbar_col = [], [], [], []
+    traces = []                 # (trace, n_max, deltaPC_Hz, nbar) columns
     for i, n_max in enumerate(n_max_list):
         beta = params.beta_parameter(dn, eps, n_max, system.cavity.kappa)
         dpc, nbar = dynamics.quasi_static_sweep(profile, beta, grid, n_max,
                                                 dn, sec["direction"])
-        trace_col.extend([float(i)] * len(dpc))
-        nmax_col.extend([n_max] * len(dpc))
-        dpc_col.extend((dpc / TWO_PI).tolist())
-        nbar_col.extend(nbar.tolist())
+        traces.append((np.full(dpc.size, float(i)), np.full(dpc.size, n_max),
+                       dpc / TWO_PI, nbar))
     write_csv(out, ["trace", "n_max", "deltaPC_Hz", "nbar"],
-              [trace_col, nmax_col, dpc_col, nbar_col], _meta(cfg, seed))
+              [np.concatenate(c) for c in zip(*traces)], _meta(cfg, seed))
     return 0
 
 
@@ -528,13 +462,16 @@ def cmd_threshold(cfg, out, seed) -> int:
         "profile_kind": profile.kind,
         "profile_threshold": steady_state.bistability_threshold(profile),
     }
+    if dn != 0:         # the drive n_max at which beta is the threshold
+        report["threshold_n_max"] = (report["profile_threshold"] * profile.kappa
+                                     / (dn * system.kerr_coefficient()))
     if beta is None and (dn != 0 or system.drive.atom_number > 0):
         beta = system.beta(delta_n=dn)   # same beta the sweep scenario uses
     if beta is not None and beta > 0:
         folds = steady_state.fold_points(profile, beta)
         report["beta"] = beta
         report["folds"] = [
-            {"delta0": d0, "u": u,
+            {"delta0": d0, "u": u, "nbar": u * system.drive.n_max,
              "deltaPC_Hz": (d0 * profile.kappa + dn) / TWO_PI}
             for d0, u in folds]
     _emit_json(report, out, _meta(cfg, seed))

@@ -408,8 +408,13 @@ def _segment_roots(profile: ResponseProfile, beta: float, delta0: np.ndarray,
     F = t - beta * _curve(profile, t, 0)[0]                 # rising
     j = np.clip(np.searchsorted(F, d), 1, _TABLE - 1)
 
-    def g(x, d):
+    # g keeps each entry's last x and v: an entry that stops on a zero step
+    # returns the x it was last evaluated at, and that v is its u
+    seen_x, seen_v = np.full(d.shape, np.nan), np.empty(d.shape)
+
+    def g(x, d, i):
         v, v1 = _curve(profile, x, 1)
+        seen_x[i], seen_v[i] = x, v
         r = x - beta * v - d
         r[np.abs(r) <= _ULPS * (np.abs(x) + beta * v + np.abs(d))] = 0.0
         return r, 1.0 - beta * v1
@@ -417,8 +422,11 @@ def _segment_roots(profile: ResponseProfile, beta: float, delta0: np.ndarray,
     # the cells either side keep a step past a root by a cell end in bounds
     x = _bracketed_root(g, t[np.maximum(j - 2, 0)],
                         t[np.minimum(j + 1, _TABLE - 1)], d,
-                        x=np.interp(d, F, t))
-    out[has] = _curve(profile, x, 0)[0]
+                        np.arange(d.size), x=np.interp(d, F, t))
+    moved = np.flatnonzero(x != seen_x)
+    if moved.size:
+        seen_v[moved] = _curve(profile, x[moved], 0)[0]
+    out[has] = seen_v
     return out
 
 

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cavkerr
-from cavkerr import cli
+from cavkerr import cli, csvrows
 from cavkerr.cli import (ConfigError, main, parse_chirp, parse_frequency,
                          parse_time, read_csv)
 
@@ -501,7 +501,7 @@ class TestLineshape:
 
 _I64, _U64 = np.iinfo(np.int64), np.iinfo(np.uint64)
 _TENS = [v for k in range(19) for v in (10 ** k - 1, 10 ** k)]
-_BLOCK = cli._INT_BLOCK_ROWS
+_BLOCK = csvrows.BLOCK_ROWS
 # all-integer NumPy columns: id -> columns, for write_csv's integer path
 _INT_COLUMNS = {
     "dtypes": [np.array([0, -1, 127, -128, 5], np.int8),
@@ -519,6 +519,34 @@ _INT_COLUMNS = {
         np.random.default_rng(d + 1).integers(-1000, 1000, _BLOCK + d),
         # a sign only in the last row, so only the last block has its slot
         np.where(np.arange(_BLOCK + d) == _BLOCK + d - 1, -5, 3)]
+       for d in (-1, 0, 1)},
+}
+
+
+# float columns: id -> values, for write_csv's float path
+_POWERS = 10.0 ** np.arange(-15, 46)
+_FLOAT_COLUMNS = {
+    # %g's switch points, each power of ten and its neighbours, signed
+    "switch-points": [1e-4, 9.99999999999999999e-5, 1e16, 1e17,
+                      99999999999999999.0, 1e-14, 1e23, 1e-5, 1e-11, 1e43,
+                      1e44, 0.1, 1.0, 10.0]
+    + [s * v for v in np.concatenate([np.nextafter(_POWERS, 0), _POWERS,
+                                      np.nextafter(_POWERS, np.inf)])
+       for s in (1.0, -1.0)],
+    # exact 17-digit ties, which the slow route rounds half-even as Python
+    # does, and values next to them
+    "ties": [1e15 + 0.25, 1e15 + 0.75, -(1e15 + 0.25), 2.0 ** 53 + 0.5,
+             0.5, 2.5, 1e16 + 2.0, 1e16 + 6.0, 1e-5 + 2.5e-21],
+    # trailing zeros and the "." of fixed notation
+    "round-numbers": [100.0, 100.5, 1000000.0, 123456789000.0, 0.25,
+                      0.001, 0.00120, 1e16 - 2.0, 12.0, 120.0, 1.5e20,
+                      -3.0, 7e-5, 7.5e-7],
+    **{f"float-block{d:+d}": [
+        np.random.default_rng(d + 7).choice([-1.0, 1.0], _BLOCK + d)
+        * 10.0 ** np.random.default_rng(d + 8).uniform(-12, 45, _BLOCK + d),
+        # a slow cell only in the last row, so only the last block has one
+        np.where(np.arange(_BLOCK + d) == _BLOCK + d - 1, np.nan,
+                 np.linspace(-1.0, 1.0, _BLOCK + d))]
        for d in (-1, 0, 1)},
 }
 
@@ -554,7 +582,7 @@ class TestWriteCsv:
          [1e6, 123456789.0, -1.0, 0.0, 5e-324, 1.7976931348623157e308,
           2.0 ** 60, 1 / 3, -2 / 3]],
         [[], []],
-        # NumPy arrays beside a float column take the row template
+        # NumPy integer and float arrays side by side
         pytest.param([np.array([0, -7, 10 ** 18]),
                       np.array([0.1, -2.5e-7, 1e300])], id="int-float-arrays"),
     ] + [pytest.param(c, id=k) for k, c in _INT_COLUMNS.items()])
@@ -568,19 +596,71 @@ class TestWriteCsv:
         self._assert_same_text(path.read_text(),
                                self._reference(meta, names, cells))
 
-    def test_trigger_counts_are_their_own_ints(self, tmp_path):
-        # the integer path on a real record: the file is the per-cell text
-        # of the integers it reads back as
-        base = tmp_path / "trig"
-        assert run_cli("--config", BENCH_CONFIGS / "trigger.yaml",
-                       "--out", base) == 0
-        path = Path(f"{base}_counts.csv")
-        meta, names, rows = read_csv(path)
-        assert len(rows) == 100_000
-        assert all(v == int(v) for row in rows for v in row)
-        columns = [[int(v) for v in col] for col in zip(*rows)]
+    @pytest.mark.parametrize("columns", [
+        pytest.param([np.asarray(v, float)], id=k)
+        for k, v in _FLOAT_COLUMNS.items()
+        if not k.startswith("float-block")] + [
+        pytest.param(_FLOAT_COLUMNS[k], id=k)
+        for k in _FLOAT_COLUMNS if k.startswith("float-block")] + [
+        # text, float and int columns in one file, with a NaN and an int
+        # beyond int64 among them
+        pytest.param([["up", "down"] * 3, np.array([0.5, -1e-7, 2e20, np.nan,
+                                                    3.0, 1.0 / 3]),
+                       np.array([0, -5, 7, 10 ** 12, 1, 2], np.int64),
+                       [1, 2, 10 ** 20, -3, 4, 5]], id="text-float-int"),
+        # a wide row: twelve float fields with "0.000" slots
+        pytest.param([np.linspace(-1e-3, 1e-3, 50) * (i + 1)
+                      for i in range(12)], id="twelve-columns"),
+    ])
+    def test_float_bytes_match_17g(self, tmp_path, columns):
+        names = [f"c{i}" for i in range(len(columns))]
+        path = tmp_path / "f.csv"
+        cli.write_csv(path, names, columns, {"seed": 1})
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c
+                 for c in columns]
         self._assert_same_text(path.read_text(),
-                               self._reference(meta, names, columns))
+                               self._reference({"seed": 1}, names, cells))
+
+    def test_decimal_ties_round_half_even(self, tmp_path):
+        # y = 10000000000000002.5 and ...7.5 are exact ties at 17 digits;
+        # only Python's own %.17g decides them
+        path = tmp_path / "t.csv"
+        cli.write_csv(path, ["x"], [np.array([1e15 + 0.25, 1e15 + 0.75])], {})
+        assert path.read_text().splitlines()[1:] == [
+            "1000000000000000.2", "1000000000000000.8"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=40))
+    @example(values=[float("nan"), float("inf"), -float("inf"), 0.0, -0.0,
+                     5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308])
+    def test_any_float_is_its_17g(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "hypothesis-floats.csv"
+        cli.write_csv(path, ["x"], [np.array(values)], {})
+        assert path.read_text() == self._reference({}, ["x"], [values])
+
+    @pytest.mark.parametrize("config", [
+        c for c in sorted(CONFIGS.glob("*.yaml"))
+        + sorted(BENCH_CONFIGS.glob("*.yaml"))
+        if yaml.safe_load(c.read_text())["scenario"] != "derived"],
+        ids=lambda c: f"{c.parent.name}/{c.stem}")
+    def test_shipped_files_are_their_own_cells(self, tmp_path, config):
+        # every CSV a shipped config writes, through its own scenario, is
+        # the per-cell text of the values it reads back as; below 1e17 an
+        # integral value prints alike as int and as float
+        assert run_cli("--config", config, "--out", tmp_path / "run.csv") == 0
+        paths = sorted(tmp_path.glob("*.csv"))
+        assert paths
+        for path in paths:
+            meta, names, rows = read_csv(path)
+            assert rows, path.name
+            self._assert_same_text(
+                path.read_text(),
+                self._reference(meta, names, list(zip(*rows))))
+        if config.stem == "trigger":
+            _, _, rows = read_csv(tmp_path / "run_counts.csv")
+            assert len(rows) == 100_000
+            assert all(v == int(v) for row in rows for v in row)
 
     def test_integral_values_print_alike_as_int_and_float(self):
         # below 1e17 an integral float's %.17g text is its integer's %d
@@ -639,6 +719,24 @@ class TestSweep:
             assert nbar.max() < 1
             # one jump: 0.34 photons up, 0.44 down; other steps stay < 0.01
             assert np.count_nonzero(np.abs(np.diff(nbar)) > 0.1) == 1
+
+    def test_subphoton_report_in_photons(self, tmp_path):
+        # each fold's photon number u * n_max, and the drive at which beta
+        # reaches the threshold, threshold * kappa / (Delta_N * epsilon)
+        config = CONFIGS / "fig_subphoton.yaml"
+        n_max = yaml.safe_load(config.read_text())["params"]["drive"]["n_max"]
+        outj = tmp_path / "thr.json"
+        assert run_cli("--config", config, "--scenario",
+                       "bistability-threshold", "--out", outj) == 0
+        report = json.loads(outj.read_text())
+        folds = report["folds"]
+        assert [f["nbar"] for f in folds] == [f["u"] * n_max for f in folds]
+        assert [f["nbar"] for f in folds] == pytest.approx([0.456, 0.107],
+                                                           abs=5e-4)
+        assert report["threshold_n_max"] == pytest.approx(0.238, abs=5e-4)
+        # beta is linear in the drive
+        assert report["beta"] * report["threshold_n_max"] / n_max == \
+            pytest.approx(report["profile_threshold"], rel=1e-12)
 
     @pytest.mark.parametrize("name", ["fig_hysteresis", "fig_subphoton"])
     def test_down_pass_reverses_the_up_grid(self, name, tmp_path):
