@@ -319,16 +319,18 @@ def _meta(cfg, seed) -> dict:
 def write_csv(path, colnames, columns, meta) -> None:
     """Write the ``#`` meta lines, the header row and the columns' rows.
 
-    Each cell is byte for byte what Python writes for it: text as is, an
-    int as %d, a float as %.17g; a column's kind is set by its first cell.
-    The rows are rendered from NumPy arrays (``csvrows``, which also says
-    which float cells take Python's own %.17g), one binary write a block."""
+    Each cell is byte for byte what Python writes for it, by its column's
+    NumPy dtype: text as is, an integer as %d, a float as %.17g; a column
+    of any other dtype (a None, an int beyond 64 bits) is a ValueError
+    naming it, raised before the first row.  The rows are rendered in NumPy
+    (``csvrows``, which also says which float cells take Python's own
+    %.17g), one binary write a block."""
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
         fh.write(",".join(colnames) + "\n")
         fh.flush()
-        csvrows.write(fh.buffer, columns)
+        csvrows.write(fh.buffer, colnames, columns)
 
 
 def read_csv(path):
@@ -426,7 +428,7 @@ def cmd_lineshape(cfg, out, seed) -> int:
         beta = params.beta_parameter(dn, eps, n_max, system.cavity.kappa)
         dpc, nbar = dynamics.quasi_static_sweep(profile, beta, grid, n_max,
                                                 dn, sec["direction"])
-        traces.append((np.full(dpc.size, float(i)), np.full(dpc.size, n_max),
+        traces.append((np.full(dpc.size, i), np.full(dpc.size, n_max),
                        dpc / TWO_PI, nbar))
     write_csv(out, ["trace", "n_max", "deltaPC_Hz", "nbar"],
               [np.concatenate(c) for c in zip(*traces)], _meta(cfg, seed))
@@ -447,8 +449,8 @@ def cmd_sweep(cfg, out, seed) -> int:
         profile, beta, np.linspace(lo, hi, sec["points"]),
         system.drive.n_max, dn, "both")
     write_csv(out, ["direction", "deltaPC_Hz", "nbar"],
-              [["up"] * sec["points"] + ["down"] * sec["points"],
-               dpc / TWO_PI, nbar], _meta(cfg, seed))
+              [np.repeat(["up", "down"], sec["points"]), dpc / TWO_PI, nbar],
+              _meta(cfg, seed))
     return 0
 
 

@@ -1,10 +1,10 @@
 """CSV rows from NumPy columns, each cell byte for byte what Python writes.
 
-A text cell is itself, an int cell is ``"%d" % v`` and a float cell is
-``"%.17g" % v``; a column's kind is set by its first cell.  ``write``
-renders the rows in NumPy, a block of rows at a time: each column fills its
-field of one (rows, width) byte block, NUL in the slots its cell does not
-use, and the NUL bytes are dropped.
+A column's kind is its NumPy dtype: text (str or bytes) is itself, an
+integer cell is ``"%d" % v`` and a float cell ``"%.17g" % v``; any other
+dtype is refused.  ``write`` renders the rows in NumPy, a block of rows at
+a time: each column fills its field of one (rows, width) byte block, NUL
+in the slots its cell does not use, and the NUL bytes are dropped.
 
 A float cell is rendered from its 17 significant digits, found in long
 double: a correctly rounded binary-to-decimal conversion (D. M. Gay,
@@ -54,21 +54,11 @@ def _bytes(table, index, width):
     return table[index].view(np.uint8).reshape(-1, 8)[:, :width]
 
 
-def _text_cells(texts, width):
-    """The byte strings ``texts`` left-aligned in a (len, width) byte
-    block, NUL-padded."""
-    return np.asarray(texts, f"S{width}").view(np.uint8).reshape(-1, width)
-
-
 def _text_field(cells):
-    """A text column: each cell as is."""
-    if any("\0" in c for c in cells):
-        raise ValueError("a CSV text cell holds a NUL character")
-    data = np.array([c.encode() for c in cells])
-
+    """A text column: the (rows, width) bytes of its cells, NUL-padded."""
     def fill(block):
-        block[:] = _text_cells(data, data.itemsize)
-    return data.itemsize, fill
+        block[:] = cells
+    return cells.shape[1], fill
 
 
 def _int_field(v):
@@ -153,6 +143,7 @@ def _float_field(v):
     slow = np.flatnonzero(~fast)
     texts = np.fromiter((b"%.17g" % x for x in v[slow]), "S24", slow.size)
     width = max(used, max(map(len, texts), default=0))
+    texts = texts.astype(f"S{width}").view(np.uint8).reshape(-1, width)
 
     def fill(block):
         if sign:
@@ -176,25 +167,32 @@ def _float_field(v):
         block[:, used - expo:used] = _bytes(_EXPO, e + 11, expo)
         block[:, used:] = 0
         if slow.size:
-            block[slow] = _text_cells(texts, width)
+            block[slow] = texts
     return width, fill
 
 
-def _field(col):
-    """(field, values, bytes a cell at most) of a column, by its first
-    cell: text as is, ints as %d, anything else as float %.17g.  Python
-    ints beyond int64 are %d text."""
-    first = col[0] if len(col) else 0.0
-    if isinstance(first, str):
-        return _text_field, list(col), max(map(len, col), default=0)
-    if isinstance(first, int) and not isinstance(col, np.ndarray):
-        try:
-            col = np.asarray(col, np.int64)
-        except OverflowError:
-            return _text_field, ["%d" % c for c in col], 40
-    if isinstance(col, np.ndarray) and col.dtype.kind in "iu":
+def _field(col, name):
+    """(field, values, bytes a cell at most) of a column, by the dtype of
+    ``np.asarray(col)``: str or bytes as text, integer (or bool) as %d,
+    float as %.17g.  Any other dtype is a ValueError naming the column:
+    object above all, for a None or a Python int beyond 64 bits."""
+    col = np.asarray(col)
+    kind, rows = col.dtype.kind, len(col)
+    if kind == "U":         # UTF-8: all-ASCII cells are their code points
+        codes = np.ascontiguousarray(col).view(np.uint32)
+        col = (codes.astype(np.uint8) if codes.max(initial=0) < 128
+               else np.char.encode(col))
+    if kind in "US":
+        cells = np.ascontiguousarray(col).view(np.uint8).reshape(rows, -1)
+        if ((cells[:, :-1] == 0) & (cells[:, 1:] != 0)).any():
+            raise ValueError(f"CSV column {name!r}: a text cell holds a NUL")
+        return _text_field, cells, cells.shape[1]
+    if kind in "biu":
         return _int_field, col, max(len(str(col.min())), len(str(col.max())))
-    return _float_field, np.asarray(col, np.float64), 24
+    if kind == "f":
+        return _float_field, col.astype(np.float64, copy=False), 24
+    raise ValueError(f"CSV column {name!r} holds {col.dtype} values, "
+                     "not numbers or text")
 
 
 def _block(parts, n):
@@ -219,15 +217,16 @@ def _rows(fields, start, stop):
     return block[block != 0]
 
 
-def write(out, columns) -> None:
-    """Write the CSV rows of ``columns`` (as many as the shortest column
-    has) to the binary file ``out``, one write a block.  The blocks are of
-    equal size, within a row, so that each block's temporaries fit where
-    the last block's were."""
+def write(out, names, columns) -> None:
+    """Write the CSV rows of ``columns``, one per name in ``names`` (as many
+    rows as the shortest column has), to the binary file ``out``, one write
+    a block.  Every column is checked before the first row is written.  The
+    blocks are of equal size, within a row, so that each block's
+    temporaries fit where the last block's were."""
     n = min(map(len, columns), default=0)
     if not n:
         return
-    fields = [_field(c) for c in columns]
+    fields = [_field(c, k) for k, c in zip(names, columns, strict=True)]
     row_bytes = sum(width + 1 for *_, width in fields)
     count = -(-n // min(BLOCK_ROWS, max(1, BLOCK_BYTES // row_bytes)))
     for b in range(count):

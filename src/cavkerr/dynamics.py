@@ -88,12 +88,13 @@ def quasi_static_sweep(profile: ResponseProfile, beta: float, delta_pc,
     Wraps the branch-following scan in physical units: the probe detunings
     ``delta_pc`` (rad/s) become reduced detunings (delta_pc - delta_n)/kappa,
     scanned in ``direction`` ("up", "down", or "both": up, then down over the
-    same detunings reversed).  Returns (delta_pc, nbar) in traversal order.
+    same detunings reversed).  Returns the arrays (delta_pc, nbar) in
+    traversal order, the columns of the scan's (n, 2) array in physical units.
     """
     if not np.isfinite(beta):
         raise ValueError("beta must be finite")
     grid = (np.asarray(delta_pc, dtype=float) - delta_n) / profile.kappa
-    d0, u = np.array(lineshape_scan(profile, beta, grid, direction)).T
+    d0, u = lineshape_scan(profile, beta, grid, direction).T
     return d0 * profile.kappa + delta_n, u * n_max
 
 

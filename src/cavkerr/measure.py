@@ -21,8 +21,6 @@ from .dynamics import TransientTrace
 from .params import CavityParams, DriveParams, collective_shift
 from .steady_state import ResponseProfile, profile_value
 
-TWO_PI = 2.0 * np.pi
-
 
 def _bin_centers(t_start: float, bin_width: float, n_bins: int) -> np.ndarray:
     """Centre of bin k: t_start + (k + 0.5) * bin_width, the one bin grid

@@ -452,7 +452,7 @@ def bistability_threshold(profile: ResponseProfile) -> float:
 
 
 def lineshape_scan(profile: ResponseProfile, beta: float, delta0_grid,
-                   direction: str = "up") -> list[tuple[float, float]]:
+                   direction: str = "up") -> np.ndarray:
     """Quasi-static branch-following scan over a detuning grid.
 
     At each grid point the stable root nearest the previous pick is kept (at
@@ -460,14 +460,14 @@ def lineshape_scan(profile: ResponseProfile, beta: float, delta0_grid,
     branch ends at a fold the pick jumps to the other stable root, the
     hysteretic jump.  ``direction`` "both" is the "up" scan followed by the
     "down" one, which visits the same grid reversed; the branches are solved
-    once for both.  Returns (delta0, u) in traversal order; every u has
-    |u - V(kappa*(delta0 + beta*u))| <= 1e-10.
+    once for both.  Returns the (delta0, u) rows in traversal order, an
+    (n, 2) float array; every u has |u - V(kappa*(delta0 + beta*u))| <= 1e-10.
     """
     if direction not in ("up", "down", "both"):
         raise ValueError("direction must be 'up', 'down' or 'both'")
     grid = np.sort(np.asarray(delta0_grid, dtype=float))
     if grid.size == 0:
-        return []
+        return np.empty((0, 2))
     # stable branches over the whole grid, one row each; a missing root is
     # inf and never nearest.  V is even, so beta < 0 mirrors (-delta0, -beta)
     sign = -1.0 if beta < 0.0 else 1.0
@@ -485,5 +485,5 @@ def lineshape_scan(profile: ResponseProfile, beta: float, delta0_grid,
         moves = (nearest != np.arange(len(b))[:, None]).any(axis=0)
         for i in np.flatnonzero(moves).tolist():
             pick[i + 1:] = nearest[pick[i], i]
-        out += zip(pts.tolist(), b[pick, np.arange(pts.size)].tolist())
-    return out
+        out.append(np.column_stack((pts, b[pick, np.arange(pts.size)])))
+    return np.concatenate(out)

@@ -364,11 +364,27 @@ TRIGGER_RANGES = {
     "trigger.smoothing_time": ("us", 0.0, 1000.0, "nonnegative"),
     "trigger.efficiency": ("", 0.0, 1.0, "fraction"),
 }
+# the steady-state scenarios' sections: a "list" is up to three numbers in
+# the range, and a "choice" one of its two ends
+LINESHAPE_RANGES = {
+    "lineshape.delta_pc_start": ("MHz", 0.0, 500.0, "any"),
+    "lineshape.delta_pc_stop": ("MHz", 0.0, 500.0, "any"),
+    "lineshape.points": ("", 2, 2000, "count"),
+    "lineshape.n_max": ("", 0.0, 50.0, "list"),
+    "lineshape.direction": ("", "up", "down", "choice"),
+}
+SWEEP_RANGES = {
+    "sweep.chirp_rate": ("MHz/ms", 0.01, 100.0, "nonzero"),
+    "sweep.delta_pc_start": ("MHz", 0.0, 500.0, "any"),
+    "sweep.delta_pc_stop": ("MHz", 0.0, 500.0, "any"),
+    "sweep.points": ("", 2, 2000, "count"),
+}
 # values no rule accepts: an unknown unit, text, a bool
 _NEVER_VALID = ("1.5 parsec", "lots", True, False)
 _RULE_INVALID = {"positive": (0, -1.5, "-2 MHz"), "nonnegative": (-1.5,),
                  "nonzero": (0, "0 GHz"), "count": (0, -3, 2.5),
-                 "fraction": (-0.5, 1.5), "any": ()}
+                 "fraction": (-0.5, 1.5), "any": (),
+                 "list": ([-0.5], ["lots"], 2.0), "choice": ("sideways",)}
 
 
 @st.composite
@@ -385,6 +401,12 @@ def drawn_values(draw, ranges):
             continue
         if rule == "count":
             out[key] = (draw(st.integers(lo, hi)), True)
+            continue
+        if rule == "list":
+            out[key] = (draw(st.lists(st.floats(lo, hi), max_size=3)), True)
+            continue
+        if rule == "choice":
+            out[key] = (draw(st.sampled_from([lo, hi])), True)
             continue
         x = draw(st.floats(lo, hi))
         if rule in ("nonzero", "any") and draw(st.booleans()):
@@ -462,6 +484,45 @@ class TestConfigBoundary:
         # bin, and meets the benchmark's check_trigger bound
         assert len(rows) - 1 < ratio <= len(rows) / (1 - 1e-9)
         assert round(ratio) <= len(rows) <= round(ratio) + 1
+
+    @pytest.mark.parametrize("config, ranges", [
+        ("fig_lineshapes", LINESHAPE_RANGES),
+        ("fig_hysteresis", SWEEP_RANGES)], ids=["lineshape", "sweep"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_scan_rows_are_steady_states_or_name_the_key(
+            self, tmp_path_factory, config, ranges, data):
+        # a valid section writes rows that each solve u = V(kappa*(delta0 +
+        # beta*u)) to 1e-10; an invalid one exits 2 naming its key before
+        # it writes anything
+        values = data.draw(drawn_values(ranges))
+        cfg = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
+        code, err, files = _boundary_run(cfg, values, tmp_path_factory)
+        invalid = [k for k, (_, valid) in values.items() if not valid]
+        if invalid:
+            assert code == 2, err
+            assert any(k in err for k in invalid), err
+            assert files == []
+            return
+        assert code == 0, err
+        assert [f.name for f in files] == ["run"]
+        _, names, rows = read_csv(files[0])
+        if not rows:                # an empty lineshape.n_max list
+            return
+        col = dict(zip(names, map(np.array, zip(*rows))))
+        system, dn = cli._system(cfg)
+        profile = cavkerr.ResponseProfile.from_cavity(system.cavity)
+        kappa = system.cavity.kappa
+        n_max = np.broadcast_to(col.get("n_max", system.drive.n_max),
+                                len(rows))
+        beta = cavkerr.beta_parameter(dn, system.kerr_coefficient(), n_max,
+                                      kappa)
+        nbar, delta0 = col["nbar"], (TWO_PI * col["deltaPC_Hz"] - dn) / kappa
+        # u = nbar/n_max, 0 at n_max = 0; the bound is in photons, since
+        # at a subnormal n_max nbar holds u only to its rounding
+        u = np.divide(nbar, n_max, out=np.zeros(len(rows)), where=n_max > 0)
+        v = cavkerr.profile_value(profile, kappa * (delta0 + beta * u))
+        assert np.all(np.abs(nbar - n_max * v) <= 1e-10 * n_max + 5e-324)
 
 
 class TestLineshape:
@@ -578,7 +639,7 @@ class TestWriteCsv:
         [["up", "down", "up", "up", "down", "up", "up", "down", "up"],
          [-0.0, 1e-300, 1e300, float("nan"), float("inf"), -float("inf"),
           3.0, 0.1, -2.5e-7],
-         [0, 1, -7, 2 ** 53 + 1, 10 ** 20, 42, 1, 2, 3],
+         [0, 1, -7, 2 ** 53 + 1, 10 ** 18, 42, 1, 2, 3],
          [1e6, 123456789.0, -1.0, 0.0, 5e-324, 1.7976931348623157e308,
           2.0 ** 60, 1 / 3, -2 / 3]],
         [[], []],
@@ -602,12 +663,12 @@ class TestWriteCsv:
         if not k.startswith("float-block")] + [
         pytest.param(_FLOAT_COLUMNS[k], id=k)
         for k in _FLOAT_COLUMNS if k.startswith("float-block")] + [
-        # text, float and int columns in one file, with a NaN and an int
-        # beyond int64 among them
+        # text, float and int columns in one file, with a NaN and a
+        # 19-digit int among them
         pytest.param([["up", "down"] * 3, np.array([0.5, -1e-7, 2e20, np.nan,
                                                     3.0, 1.0 / 3]),
                        np.array([0, -5, 7, 10 ** 12, 1, 2], np.int64),
-                       [1, 2, 10 ** 20, -3, 4, 5]], id="text-float-int"),
+                       [1, 2, 10 ** 18, -3, 4, 5]], id="text-float-int"),
         # a wide row: twelve float fields with "0.000" slots
         pytest.param([np.linspace(-1e-3, 1e-3, 50) * (i + 1)
                       for i in range(12)], id="twelve-columns"),
@@ -620,6 +681,30 @@ class TestWriteCsv:
                  for c in columns]
         self._assert_same_text(path.read_text(),
                                self._reference({"seed": 1}, names, cells))
+
+    def test_column_kind_is_its_dtype(self, tmp_path):
+        # a list of ints and floats is a float column, whatever its first
+        # cell: no cell is cut to an int.  Text is UTF-8, from a list or an
+        # array alike
+        path = tmp_path / "k.csv"
+        cli.write_csv(path, ["x", "t", "b", "n"],
+                      [[1, 2.5, 3], ["up", "\u00e9", "down"],
+                       np.array([b"a", b"bc", b""]), [True, False, True]], {})
+        assert path.read_bytes() == ("x,t,b,n\n1,up,a,1\n2.5,\u00e9,bc,0\n"
+                                     "3,down,,1\n").encode()
+
+    @pytest.mark.parametrize("cells", [
+        pytest.param([None, 1.0], id="none"),
+        pytest.param([0, 10 ** 20], id="int-beyond-int64"),
+        pytest.param(np.array([1j, 2.0]), id="complex"),
+        pytest.param(["a", "b\0c"], id="text-with-nul")])
+    def test_unwritable_column_raises_naming_it(self, tmp_path, cells):
+        # no silent nan or text stand-in: the error names the column, and
+        # the file ends at its header
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="'bad'"):
+            cli.write_csv(path, ["ok", "bad"], [[1.0, 2.0], cells], {})
+        assert path.read_text() == "ok,bad\n"
 
     def test_decimal_ties_round_half_even(self, tmp_path):
         # y = 10000000000000002.5 and ...7.5 are exact ties at 17 digits;

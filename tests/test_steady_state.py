@@ -456,6 +456,20 @@ class TestLineshapeScan:
             assert area >= 0
             assert (area > 1e-3) == expect_area
 
+    @pytest.mark.parametrize("points", [7, 0])
+    def test_rows_are_one_float_array(self, points):
+        # (delta0, u) rows in traversal order, as one (n, 2) float64 array
+        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        grid = np.linspace(-12.0, -3.0, points)
+        up, down, both = (lineshape_scan(p, 9.5, grid, direction)
+                          for direction in ("up", "down", "both"))
+        for scan, rows in ((up, points), (down, points), (both, 2 * points)):
+            assert isinstance(scan, np.ndarray) and scan.dtype == np.float64
+            assert scan.shape == (rows, 2)
+        assert np.array_equal(up[:, 0], grid)
+        assert np.array_equal(down[:, 0], grid[::-1])
+        assert np.array_equal(both, np.concatenate([up, down]))
+
     def test_toward_resonance_sweep_attains_higher_peak(self):
         # Voigt beta=9.5: the Kerr pull puts the dressed resonance near
         # delta0 = -beta, so the down-sweep approaches it from the
@@ -531,7 +545,7 @@ class TestParametricCore:
         for direction, flipped in (("up", "down"), ("down", "up")):
             neg = lineshape_scan(profile, -9.5, grid, direction)
             pos = lineshape_scan(profile, 9.5, -grid, flipped)
-            assert neg == [(-d, u) for d, u in pos]
+            assert np.array_equal(neg, [(-d, u) for d, u in pos])
         # V is even: the roots at (-d0, 9.5) solve the beta = -9.5 equation
         # at d0, and a one-point scan picks one of them
         for d0 in (-2.0, 6.0, 7.5, 9.0, 12.0):
@@ -724,8 +738,9 @@ class TestBranchPick:
         cases = pick_cases()
         starts = []
         for profile, beta, grid, direction, first in cases:
-            assert (lineshape_scan(profile, beta, grid, direction)
-                    == per_point_scan(profile, beta, grid, direction))
+            assert np.array_equal(
+                lineshape_scan(profile, beta, grid, direction),
+                per_point_scan(profile, beta, grid, direction))
             if first is not None:
                 b, d0 = first
                 starts.append(sum(
