@@ -80,7 +80,11 @@ class ResponseProfile:
         """Unnormalized value at zero detuning: the unit-peak scale."""
         if self._narrow:
             return _series(self, 0.0, 0)[0]
-        return _faddeeva(1j * (self.kappa / (self.sigma * np.sqrt(2.0)))).real
+        return _faddeeva_parts(0.0, self._a)[0]
+
+    @property
+    def _a(self) -> float:             # v(x) = Re w(z)/peak at z = a(x + i)
+        return float(self.kappa / (self.sigma * math.sqrt(2.0)))
 
     @cached_property
     def _slope_peak(self) -> tuple[float, float]:
@@ -112,9 +116,10 @@ _W_RSQRTPI = 1.0 / math.sqrt(math.pi)
 # Up to this many points a Python loop is faster: it costs about 4 us a
 # point, a pass of NumPy calls 100-180 us up to ~50 points (2 vCPU Xeon).
 _W_SCALAR_MAX = 32
-# Longer inputs go in blocks whose dozen temporaries stay in cache: 100k
-# points take 17 ms in blocks against 24 ms in one piece.
-_W_BLOCK = 8192
+# Longer inputs go in blocks on nine reused buffers (1.2 MB, inside a core's
+# 2 MB L2): 100k points took 4.7-5.7 ms at this size, 4.6-5.8 at 24576,
+# 5.6-7.4 at 8192 and 10.8-11.4 ms in one piece (fastest of 40 passes).
+_W_BLOCK = 16384
 
 
 def _weideman_coefficients() -> list[float]:
@@ -131,14 +136,15 @@ _W_COEF = _weideman_coefficients()
 
 
 def _faddeeva_parts(x, y):
-    """(Re w, Im w) at z = x + iy, y > 0, from floats or float arrays alike.
+    """(Re w, Im w) at z = x + iy, y > 0, for floats (see _faddeeva_blocks).
 
-    Only real +, -, * and / on the arguments, in one fixed order, so a point
-    gets the same bits alone or inside an array (a complex NumPy product
-    may be fused (FMA) and would not).  p(Z) for real coefficients c_k runs
-    the second-order recurrence b_k = c_k + 2 Re Z b_(k+1) - |Z|^2 b_(k+2),
-    p = Z b_1 + c_0 - |Z|^2 b_2 (Knuth, TAOCP vol. 2, sec. 4.6.4): four
-    real operations a term, against seven for Horner's rule in complex Z.
+    Only real +, -, * and / in one fixed order, which floats and NumPy arrays
+    round alike, so a point gets the same bits alone or inside an array (a
+    complex NumPy product may be fused (FMA) and would not).  p(Z) for real
+    coefficients c_k runs the second-order recurrence b_k = c_k + 2 Re Z
+    b_(k+1) - |Z|^2 b_(k+2), p = Z b_1 + c_0 - |Z|^2 b_2 (Knuth, TAOCP vol. 2,
+    sec. 4.6.4): four real operations a term, against seven for Horner's
+    rule in complex Z.
     """
     s = _W_L + y
     r = 1.0 / (s * s + x * x)
@@ -153,20 +159,39 @@ def _faddeeva_parts(x, y):
     return tr * dr - ti * di, ti * dr + tr * di
 
 
-def _faddeeva(z) -> np.ndarray:
-    """w(z) for Im z > 0, elementwise (see the note above)."""
-    z = np.asarray(z, dtype=complex)
-    if z.size <= _W_SCALAR_MAX:
-        return np.array([complex(*_faddeeva_parts(v.real, v.imag))
-                         for v in z.ravel().tolist()],
-                        dtype=complex).reshape(z.shape)
-    w = np.empty(z.shape, dtype=complex)
-    zf, wf = z.reshape(-1), w.reshape(-1)
-    for i in range(0, zf.size, _W_BLOCK):
+def _faddeeva_blocks(x, y, both=True):
+    """_faddeeva_parts over a 1-d float array x, y a float or an array like
+    x: its operations in its order, so its bits, block by block into nine
+    buffers that every step and block reuse.  Im w is None unless both."""
+    s, mul, add, sub = _W_L + y, np.multiply, np.add, np.subtract
+    re, im = np.empty(x.size), np.empty(x.size) if both else None
+    buf = np.empty((9, min(x.size, _W_BLOCK)))
+    for i in range(0, x.size, _W_BLOCK):
         part = slice(i, i + _W_BLOCK)
-        wf.real[part], wf.imag[part] = _faddeeva_parts(zf[part].real,
-                                                       zf[part].imag)
-    return w
+        xb, sb = x[part], s[part] if np.ndim(s) else s
+        dr, di, zr, zi, tw, nm, b1, b2, t = buf[:, :xb.size]
+        r = np.divide(1.0, add(sb * sb, mul(xb, xb, out=t), out=t), out=t)
+        mul(sb, r, out=dr)
+        mul(xb, r, out=di)
+        sub(mul(2.0 * _W_L, dr, out=zr), 1.0, out=zr)
+        mul(2.0 * _W_L, di, out=zi)
+        mul(2.0, zr, out=tw)
+        add(mul(zr, zr, out=nm), mul(zi, zi, out=t), out=nm)
+        b1.fill(_W_COEF[0])
+        b2.fill(0.0)
+        for c in _W_COEF[1:-1]:
+            add(sub(mul(tw, b1, out=t), mul(nm, b2, out=b2), out=t), c, out=t)
+            b1, b2, t = t, b1, b2
+        sub(_W_COEF[-1], mul(nm, b2, out=b2), out=b2)
+        pr, pi = add(mul(zr, b1, out=t), b2, out=t), mul(zi, b1, out=b1)
+        tr = sub(mul(pr, dr, out=zr), mul(pi, di, out=zi), out=zr)
+        add(mul(2.0, tr, out=tr), _W_RSQRTPI, out=tr)
+        ti = add(mul(pi, dr, out=zi), mul(pr, di, out=b2), out=zi)
+        mul(2.0, ti, out=ti)
+        if both:
+            add(mul(ti, dr, out=t), mul(tr, di, out=b1), out=im[part])
+        sub(mul(tr, dr, out=dr), mul(ti, di, out=di), out=re[part])
+    return re, im
 
 
 # Up to sigma = 0.1 kappa the derivatives of w cancel at large |z| (v''' is
@@ -201,30 +226,42 @@ def profile_value(profile: ResponseProfile, delta):
 
 
 def _curve(profile: ResponseProfile, x, order: int) -> list:
-    """[v, v', ..., v^(order)] of v(x) = V(kappa*x), order <= 3.
+    """[v, v', ..., v^(order)] of v(x) = V(kappa*x), order <= 3, in x's shape.
 
     Up to sigma = 0.1 kappa the series (see _series); at zero width it is the
     Lorentzian, v^(n) = Re n! i^n / (1 - ix)^(n+1).  Wider: v = Re w(z)/peak
-    at z = a(x + i), a = kappa/(sigma sqrt 2), with w' = -2zw + 2i/sqrt(pi)
-    and w^(n) = -2z w^(n-1) - 2(n-1) w^(n-2) for n >= 2; each order cancels
-    more at large |z|.  With Weideman's w at a = 0.42 (the reference cavity), v,
-    v' and v'' stay within 3e-14 of their maxima of the wofz-based values
-    for |x| <= 20, and within 2e-13 for |x| <= 60.
+    at z = a(x + i), in real arithmetic in one fixed order (_voigt_orders),
+    so a point gets the same bits alone as inside an array.  With Weideman's
+    w at a = 0.42 (the reference cavity), v, v' and v'' stay within 3e-14 of
+    their maxima of the wofz-based values for |x| <= 20, and within 2e-13 for
+    |x| <= 60.
     """
     x = np.asarray(x, dtype=float)
     if profile._narrow:
         return [t / profile._voigt_peak for t in _series(profile, x, order)]
-    a = profile.kappa / (profile.sigma * np.sqrt(2.0))
-    z = x + 1j      # profile_value's x is a temporary: neither it nor a
-    del x           # copy of z is held through the Faddeeva pass
-    z *= a
-    w = [_faddeeva(z)]
+    a, shape = profile._a, x.shape
+    x = x.ravel() * a                                   # Re z
+    if x.size > _W_SCALAR_MAX:
+        v = _voigt_orders(profile, x, *_faddeeva_blocks(x, a, order > 0), order)
+    else:                                               # floats, point by point
+        v = np.array([_voigt_orders(profile, u, *_faddeeva_parts(u, a), order)
+                      for u in x.tolist()]).reshape(-1, order + 1).T
+    return [t.reshape(shape) for t in v]
+
+
+def _voigt_orders(profile: ResponseProfile, x, wr, wi, order: int) -> list:
+    """[v, ..., v^(order)] at z = x + ia from w(z) = wr + i wi, floats or
+    arrays alike: w' = -2zw + 2i/sqrt(pi) and w^(n) = -2z w^(n-1) - 2(n-1)
+    w^(n-2) on (Re, Im) pairs; each order cancels more at large |z|."""
+    a, w = profile._a, [(wr, wi)]
     if order:
-        w.append(-2.0 * z * w[0] + 2j / np.sqrt(np.pi))
+        c, k = -2.0 * x, -2.0 * a                       # -2z = c + ik
+        w.append((c * wr - k * wi, c * wi + k * wr + 2.0 * _W_RSQRTPI))
     for n in range(2, order + 1):
-        w.append(-2.0 * z * w[n - 1] - 2.0 * (n - 1) * w[n - 2])
+        (pr, pi), (qr, qi), m = w[-1], w[-2], 2.0 * (n - 1)
+        w.append((c * pr - k * pi - m * qr, c * pi + k * pr - m * qi))
     scale = (1.0, a, a * a, a * a * a)
-    return [s * t.real / profile._voigt_peak for s, t in zip(scale, w)]
+    return [s * t / profile._voigt_peak for s, (t, _) in zip(scale, w)]
 
 
 def _bracketed_root(f, neg, pos, *data, x=None,
@@ -369,9 +406,16 @@ def _folds(profile: ResponseProfile, beta: float) -> list[tuple[float, float]]:
     if beta * slope <= 1.0:
         return []
 
+    # F' stops at its rounding floor, as F does in the scan.  From w' =
+    # -2zw + 2i/sqrt(pi), v' sums terms up to |2zw| a/peak < 2a/peak, which
+    # cancel far out: at beta 1e4 Newton jittered 65 floors out without them
+    terms = 0.0 if profile._narrow else 2.0 * profile._a / profile._voigt_peak
+
     def dF(x):
         _, v1, v2 = _curve(profile, x, 2)
-        return 1.0 - beta * v1, -beta * v2
+        r = 1.0 - beta * v1
+        r[np.abs(r) <= _ULPS * (1.0 + beta * (np.abs(v1) + terms))] = 0.0
+        return r, -beta * v2
 
     # v' rises on x < x_pk and integrates there to v(x_pk) <= 1, so
     # beta*v'(x_pk - beta) < 1: F' > 0 at both outer ends, F' < 0 at x_pk

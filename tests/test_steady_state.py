@@ -109,6 +109,22 @@ class TestProfileValue:
             assert np.array_equal(np.array(alone).view(np.int64),
                                   profile_value(p, delta).view(np.int64))
 
+    def test_every_curve_order_of_a_point_alone_is_its_bits_in_an_array(self):
+        # one point takes the float path, 5000 the blocks; complex NumPy
+        # products rounded v'' and v''' differently alone at 2299 and 3647
+        # of these points on the reference Voigt
+        rng = np.random.default_rng(3)
+        for p in (ResponseProfile.lorentzian(KAPPA),
+                  ResponseProfile.voigt(KAPPA, 0.05 * KAPPA),
+                  ResponseProfile.voigt(KAPPA, SIGMA)):
+            x = rng.uniform(-50.0, 50.0, 5000)
+            whole = steady_state._curve(p, x, 3)
+            alone = np.array([steady_state._curve(p, v, 3)
+                              for v in x.tolist()]).T
+            for n in range(4):
+                assert np.array_equal(alone[n].view(np.int64),
+                                      whole[n].view(np.int64)), (p, n)
+
     def test_voigt_requires_sigma(self):
         for sigma in (0.0, -SIGMA):
             with pytest.raises(ValueError, match="sigma > 0"):
@@ -128,8 +144,9 @@ class TestFaddeeva:
 
     def test_matches_wofz(self):
         for y in np.geomspace(0.05, 50.0, 40):
-            z = np.linspace(-60.0 * y, 60.0 * y, 1201) + 1j * y
-            w, ref = steady_state._faddeeva(z), wofz(z)
+            x = np.linspace(-60.0 * y, 60.0 * y, 1201)
+            re, im = steady_state._faddeeva_blocks(x, y)
+            w, ref = re + 1j * im, wofz(x + 1j * y)
             assert np.max(np.abs(w.real - ref.real) / ref.real) <= 5e-13
             assert np.max(np.abs(w - ref) / np.abs(ref)) <= 5e-13
 
@@ -147,16 +164,24 @@ class TestFaddeeva:
             exp = exp / peak
             assert np.max(np.abs(got - exp)) <= 2e-13 * np.max(np.abs(exp))
 
-    def test_scalar_and_array_paths_bit_identical(self):
-        rng = np.random.default_rng(11)
-        n = 4 * steady_state._W_SCALAR_MAX
-        z = rng.uniform(-40.0, 40.0, n) + 1j * rng.uniform(0.05, 5.0, n)
-        whole = steady_state._faddeeva(z)
-        alone = np.array([steady_state._faddeeva(v) for v in z])
-        small = np.concatenate([steady_state._faddeeva(z[i:i + 3])
-                                for i in range(0, n, 3)])
-        for other in (alone, small):
-            assert np.array_equal(whole.view(np.int64), other.view(np.int64))
+    @pytest.mark.parametrize("size", [steady_state._W_BLOCK - 1,
+                                      steady_state._W_BLOCK + 1,
+                                      2 * steady_state._W_BLOCK + 1])
+    def test_scalar_and_array_paths_bit_identical(self, size):
+        # the array pass carries its buffers from block to block; each part
+        # of each point must be the one-point path's, bit for bit
+        rng = np.random.default_rng(size)
+        x = rng.uniform(-40.0, 40.0, size)
+        for y in (float(rng.uniform(0.05, 5.0)), rng.uniform(0.05, 5.0, size)):
+            ys = np.broadcast_to(y, x.shape).tolist()
+            alone = [steady_state._faddeeva_parts(u, v)
+                     for u, v in zip(x.tolist(), ys)]
+            re, im = steady_state._faddeeva_blocks(x, y)
+            re_only, none = steady_state._faddeeva_blocks(x, y, both=False)
+            assert none is None
+            exp_re, exp_im = np.array(alone).T
+            for got, exp in ((re, exp_re), (im, exp_im), (re_only, exp_re)):
+                assert np.array_equal(got.view(np.int64), exp.view(np.int64))
 
 
 class TestZeroWidthSeries:
@@ -313,6 +338,25 @@ class TestFoldPoints:
         gap_near = abs(near[0][0] - near[1][0])
         gap_far = abs(far[0][0] - far[1][0])
         assert gap_near < 0.05 * gap_far
+
+    def test_large_beta_folds_stop_at_the_rounding_floor(self, monkeypatch):
+        # far out the terms of v' cancel, and F' jittered above a floor of
+        # 1 + beta|v'| for 55 point evaluations at beta 1e4 (13 at beta 9.5)
+        p, beta = ResponseProfile.voigt(KAPPA, SIGMA), 1e4
+        p._slope_peak                       # cached before counting
+        curve, points = steady_state._curve, []
+
+        def counted(profile, x, order):
+            points.append(np.size(x))
+            return curve(profile, x, order)
+
+        monkeypatch.setattr(steady_state, "_curve", counted)
+        folds = steady_state._folds(p, beta)
+        assert len(folds) == 2 and sum(points) <= 30
+        _, v1 = curve(p, np.array([x for x, _ in folds]), 1)
+        terms = np.abs(v1) + 2.0 * p._a / p._voigt_peak
+        assert np.all(np.abs(1.0 - beta * v1)
+                      <= steady_state._ULPS * (1.0 + beta * terms))
 
     def test_fold_is_double_root(self):
         # at a fold detuning, the two merging roots coincide
