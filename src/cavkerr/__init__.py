@@ -3,6 +3,11 @@
 Steady-state lineshapes, dispersive bistability and hysteresis, transient
 collective atomic motion, and the photon-counting detection chain, at desk
 scale.
+
+The package namespace holds the params and steady-state API, so importing
+it loads those two modules only.  Ring-up, lattice and detection names come
+from their own modules: ``cavkerr.dynamics``, ``cavkerr.lattice`` and
+``cavkerr.measure``.
 """
 
 from .params import (
@@ -28,35 +33,6 @@ from .steady_state import (
     lineshape_scan,
     profile_value,
     steady_state_roots_lorentzian,
-)
-from .lattice import (
-    LatticeEnsemble,
-    build_lattice,
-    collective_shift_from_displacements,
-    effective_kerr_numeric,
-    per_site_force,
-    probe_potential,
-)
-from .dynamics import (
-    CavityFieldMode,
-    TransientTrace,
-    impulse_boundary_detuning,
-    impulse_modulation_estimate,
-    n_max_for_switch_on,
-    quasi_static_sweep,
-    ring_up,
-)
-from .measure import (
-    AtomLossDrift,
-    CountRecord,
-    DecayFit,
-    SpectralDecay,
-    TriggerResult,
-    averaged_counts,
-    count_monte_carlo,
-    decay_fit,
-    trigger_sequence,
-    windowed_fourier_amplitude,
 )
 
 __version__ = "0.1.0"

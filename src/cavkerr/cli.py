@@ -9,6 +9,10 @@ rad/s; docs/formats.md lists the keys and units.
 Every output embeds the config and the seed (CSV comment lines, JSON
 ``_config``/``_seed`` keys), so a run is reproducible from its own output.
 Exit codes: 0 success, 2 config error (naming the key), 3 numeric failure.
+
+Only ``params`` and ``steady_state`` are imported with this module; each
+scenario imports the other layers it runs, inside the function that runs
+them, so a ``derived`` or ``bistability-threshold`` run never loads them.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import yaml
 
-from . import csvrows, dynamics, lattice, measure, params, steady_state
+from . import params, steady_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -198,8 +202,8 @@ FIELDS = {
     "ringdown.dt_per_period": Field(_positive(_number), 200),
     "ringdown.record_every": Field(_at_least(1), 1),
     "ringdown.fit_model": Field(_one_of("gaussian", "exponential"), "gaussian"),
-    "ringdown.field_model": Field(
-        _one_of(*(m.value for m in dynamics.CavityFieldMode)), "adiabatic"),
+    "ringdown.field_model": Field(_one_of("adiabatic", "filter"),
+                                  "adiabatic"),  # dynamics.CavityFieldMode
     "ringdown.ramp_time": Field(_nonnegative(parse_time), 0.0),
     "ringdown.use_trigger": Field(_flag, False),
     "trigger.n0": Field(_positive(_number)),
@@ -325,6 +329,7 @@ def write_csv(path, colnames, columns, meta) -> None:
     naming it, raised before the first row.  The rows are rendered in NumPy
     (``csvrows``, which also says which float cells take Python's own
     %.17g), one binary write a block."""
+    from . import csvrows
     with open(path, "w") as fh:
         for k, v in meta.items():
             fh.write(f"# {k}: {v}\n")
@@ -355,7 +360,7 @@ def read_csv(path):
     return meta, colnames, rows
 
 
-def _write_counts(path, record: measure.CountRecord, meta) -> None:
+def _write_counts(path, record, meta) -> None:
     """A count record on its implicit time grid: an integer ``bin`` column,
     and ``t0_s`` and ``bin_width_s`` in the header, so bin k is centred at
     t0_s + (k + 0.5) * bin_width_s, bit for bit ``record.times``.  Integer
@@ -411,6 +416,7 @@ def cmd_derived(cfg, out, seed) -> int:
 
 
 def cmd_lineshape(cfg, out, seed) -> int:
+    from . import dynamics
     sec = _resolve(cfg, "lineshape")
     system, dn = _system(cfg)
     if not out:
@@ -436,6 +442,7 @@ def cmd_lineshape(cfg, out, seed) -> int:
 
 
 def cmd_sweep(cfg, out, seed) -> int:
+    from . import dynamics
     sec = _resolve(cfg, "sweep")
     system, dn = _system(cfg)
     if not out:
@@ -490,6 +497,7 @@ def _check_ringdown(sec, omega_z, dt) -> None:
     """Reject the ringdown settings that would only fail after the ring-up:
     a ramp without backaction, and windows the decay fit cannot use (under
     5 trap periods, or fewer than 4 in the binned record)."""
+    from . import dynamics, measure
     if sec["ramp_time"] > 0 and not sec["backaction"]:
         raise ConfigError("ringdown.ramp_time needs ringdown.backaction: "
                           "true; the one-way force is fixed at switch-on, "
@@ -509,6 +517,7 @@ def _check_ringdown(sec, omega_z, dt) -> None:
 
 
 def cmd_ringdown(cfg, out, seed) -> int:
+    from . import dynamics, lattice, measure
     sec = _resolve(cfg, "ringdown")
     trig_sec = _resolve(cfg, "trigger") if sec["use_trigger"] else None
     system, dn0 = _system(cfg)
@@ -598,8 +607,9 @@ def cmd_ringdown(cfg, out, seed) -> int:
     return 0
 
 
-def _run_trigger(sec, system, seed) -> measure.TriggerResult:
-    """Run the trigger sequence of a resolved ``trigger`` section."""
+def _run_trigger(sec, system, seed):
+    """The ``measure.TriggerResult`` of a resolved ``trigger`` section."""
+    from . import measure
     level = sec["detection_level"]
     return measure.trigger_sequence(
         measure.AtomLossDrift(sec["n0"], sec["loss_rate"]),

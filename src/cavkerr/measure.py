@@ -185,9 +185,10 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
     # trailing moving average: bin i sees bins i-n+1..i only, as a real
     # trigger does (zero counts before the record start)
     n_smooth = max(1, int(round(smoothing_time / bin_width)))
-    total = np.concatenate([[0], np.cumsum(record.counts)])
-    start = np.maximum(np.arange(1, n_bins + 1) - n_smooth, 0)
-    smoothed = (total[1:] - total[start]) / (n_smooth * bin_width)
+    running = np.cumsum(record.counts)
+    window = running.copy()
+    window[n_smooth:] -= running[:-n_smooth]
+    smoothed = window / (n_smooth * bin_width)
 
     above = np.nonzero(smoothed >= threshold_rate)[0]
     if len(above) == 0:

@@ -6,13 +6,12 @@ import numpy as np
 from cavkerr import (
     DriveParams,
     ResponseProfile,
-    build_lattice,
-    n_max_for_switch_on,
     reference_cavity,
     reference_trap,
-    ring_up,
     steady_state,
 )
+from cavkerr.dynamics import n_max_for_switch_on, ring_up
+from cavkerr.lattice import build_lattice
 
 TWO_PI = 2 * np.pi
 

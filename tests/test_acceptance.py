@@ -13,32 +13,38 @@ from helpers import ringup_context, run_ringup
 
 from cavkerr import (
     CONSTANTS,
-    CountRecord,
     DriveParams,
-    LatticeEnsemble,
     ResponseProfile,
     SystemParams,
     beta_parameter,
     bistability_threshold,
-    build_lattice,
     collective_shift,
-    count_monte_carlo,
     critical_numbers,
-    decay_fit,
-    effective_kerr_numeric,
     fold_points,
-    impulse_boundary_detuning,
     kerr_coefficient,
     nonlinear_photon_threshold,
     reference_cavity,
     reference_trap,
+    recoil_frequency,
+    steady_state_roots_lorentzian,
+)
+from cavkerr.dynamics import (
+    impulse_boundary_detuning,
+    quasi_static_sweep,
+    ring_up,
+)
+from cavkerr.lattice import (
+    LatticeEnsemble,
+    build_lattice,
+    effective_kerr_numeric,
     per_site_force,
     probe_potential,
-    quasi_static_sweep,
-    recoil_frequency,
-    ring_up,
-    steady_state_roots_lorentzian,
+)
+from cavkerr.measure import (
+    CountRecord,
     averaged_counts,
+    count_monte_carlo,
+    decay_fit,
     windowed_fourier_amplitude,
 )
 

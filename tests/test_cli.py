@@ -16,9 +16,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cavkerr
-from cavkerr import cli, csvrows
+from cavkerr import cli, csvrows, measure
 from cavkerr.cli import (ConfigError, main, parse_chirp, parse_frequency,
                          parse_time, read_csv)
+from cavkerr.dynamics import CavityFieldMode
 
 TWO_PI = 2 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -1000,12 +1001,12 @@ class TestCountsFile:
         eff = cfg["ringdown"]["efficiency"]
         bw = parse_time(cfg["ringdown"]["bin_width"])
         if n_average == 1:
-            record = cavkerr.count_monte_carlo(trace, cav, eff, bw, cfg["seed"])
+            record = measure.count_monte_carlo(trace, cav, eff, bw, cfg["seed"])
             name, values = "counts", record.counts
         else:
-            _, mean = cavkerr.averaged_counts(trace, cav, eff, bw, cfg["seed"],
+            _, mean = measure.averaged_counts(trace, cav, eff, bw, cfg["seed"],
                                               n_average)
-            record = cavkerr.CountRecord(bw, mean, t_start=trace[0][0])
+            record = measure.CountRecord(bw, mean, t_start=trace[0][0])
             name, values = "mean_rate_s", record.rates
         cols, times, column = self._read(str(base) + "_counts.csv")
         assert cols == ["bin", name]
@@ -1101,6 +1102,49 @@ class TestSelfDescribingOutputs:
         assert sorted(out.parent.iterdir())
 
 
+CORE = ["cavkerr", "cavkerr.cli", "cavkerr.params", "cavkerr.steady_state"]
+
+
+def loaded_cavkerr_modules(*args):
+    """The cavkerr modules a fresh interpreter holds after building the
+    system of config ``args[0]``, or after ``cli.main(args)`` exits 0."""
+    code = ("import contextlib, io, sys\n"
+            "from cavkerr import cli\n"
+            "if sys.argv[2:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(sys.argv[1:]) == 0\n"
+            "else:\n"
+            "    cli.build_system(cli.load_config(sys.argv[1]))\n"
+            "print(*sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'cavkerr'))")
+    src = Path(cavkerr.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestImportSet:
+    # the package namespace and the config layer load only the params and
+    # steady-state modules; a scenario adds the layers it runs
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")),
+                             ids=lambda p: p.name)
+    def test_building_the_system_loads_the_core(self, path):
+        assert loaded_cavkerr_modules(path) == CORE
+
+    @pytest.mark.parametrize("scenario, added", [
+        ("derived", []), ("bistability-threshold", []),
+        ("lineshape", ["cavkerr.csvrows", "cavkerr.dynamics",
+                       "cavkerr.lattice"]),
+        ("sweep", ["cavkerr.csvrows", "cavkerr.dynamics", "cavkerr.lattice"]),
+    ])
+    def test_scenario_loads_only_its_layers(self, tmp_path, scenario, added):
+        _, path, out = TestSelfDescribingOutputs()._config(tmp_path, scenario)
+        assert loaded_cavkerr_modules("--config", path, "--out", out) == \
+            sorted(CORE + added)
+
+
 class TestConfigTable:
     def test_every_key_documented(self):
         text = (ROOT / "docs" / "formats.md").read_text()
@@ -1120,3 +1164,20 @@ class TestConfigTable:
                 cli._resolve(cfg, section, keys=raw)
         if cfg["scenario"] in cfg:         # and the scenario's required keys
             cli._resolve(cfg, cfg["scenario"])
+
+    @pytest.mark.parametrize("mode", list(CavityFieldMode), ids=str)
+    def test_field_model_parses_every_cavity_field_mode(self, mode):
+        parse = cli.FIELDS["ringdown.field_model"].parse
+        assert CavityFieldMode(parse(mode.value, "k")) is mode
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=st.text(max_size=10))
+    def test_field_model_other_string_exits_2_naming_the_key(
+            self, tmp_path_factory, value):
+        assume(value not in [m.value for m in CavityFieldMode])
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        values = {"ringdown.field_model": (value, False)}
+        code, err, files = _boundary_run(cfg, values, tmp_path_factory)
+        assert code == 2, err
+        assert "ringdown.field_model" in err
+        assert files == []

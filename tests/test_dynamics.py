@@ -7,28 +7,31 @@ from helpers import (run_ringup, ringup_context, ringup_drive, stable_roots,
 from cavkerr import dynamics
 from cavkerr import (
     CONSTANTS,
-    AtomLossDrift,
-    CavityFieldMode,
     DriveParams,
-    LatticeEnsemble,
     ResponseProfile,
-    build_lattice,
     beta_parameter,
     collective_shift,
-    effective_kerr_numeric,
     fold_points,
-    impulse_boundary_detuning,
-    impulse_modulation_estimate,
     kerr_coefficient,
-    n_max_for_switch_on,
     reference_cavity,
     reference_trap,
-    probe_potential,
     profile_value,
+)
+from cavkerr.dynamics import (
+    CavityFieldMode,
+    impulse_boundary_detuning,
+    impulse_modulation_estimate,
+    n_max_for_switch_on,
     quasi_static_sweep,
     ring_up,
-    windowed_fourier_amplitude,
 )
+from cavkerr.lattice import (
+    LatticeEnsemble,
+    build_lattice,
+    effective_kerr_numeric,
+    probe_potential,
+)
+from cavkerr.measure import AtomLossDrift, windowed_fourier_amplitude
 
 TWO_PI = 2 * np.pi
 
@@ -133,7 +136,7 @@ class TestRingUpReferenceConfiguration:
     def test_trace_shift_consistent_with_displacements(self):
         # spot-check: the recorded deltaN reproduces the collective shift
         # of the recorded displacements at every tenth sample
-        from cavkerr import collective_shift_from_displacements
+        from cavkerr.lattice import collective_shift_from_displacements
         cavity, trap, profile, ensemble = ringup_context(tracer_pi4=False)
         drive = ringup_drive(6.5, "nmax", profile)
         trace = ring_up(ensemble, cavity, drive, duration=0.2e-3,
@@ -381,7 +384,7 @@ class TestDephasing:
     def test_gaussian_spread_dephasing_time(self):
         # closed-form oracle: collective amplitude decays as
         # exp(-spread^2 t^2 / 2), 1/e time sqrt(2)/spread
-        from cavkerr import decay_fit
+        from cavkerr.measure import decay_fit
         spread = np.sqrt(2.0) / 1.0e-3
         cavity, trap, trace = run_ringup(
             0.05, "instantaneous", 3.0e-3, omega_z_spread=spread,

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from cavkerr import (
-    CONSTANTS,
+from cavkerr import CONSTANTS, collective_shift, kerr_coefficient
+from cavkerr.lattice import (
     LatticeEnsemble,
     build_lattice,
-    collective_shift,
     collective_shift_from_displacements,
     effective_kerr_numeric,
-    kerr_coefficient,
     per_site_force,
     probe_potential,
 )

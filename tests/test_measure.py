@@ -5,15 +5,17 @@ from scipy.stats import chisquare, poisson
 
 from cavkerr import measure
 from cavkerr import (
-    AtomLossDrift,
     DriveParams,
     ResponseProfile,
+    collective_shift,
+    profile_value,
+)
+from cavkerr.measure import (
+    AtomLossDrift,
     SpectralDecay,
     averaged_counts,
-    collective_shift,
     count_monte_carlo,
     decay_fit,
-    profile_value,
     trigger_sequence,
     windowed_fourier_amplitude,
 )
@@ -354,6 +356,26 @@ class TestTriggerSequence:
         assert np.array_equal(long.counts.counts[:n], short.counts.counts)
         assert long.counts.counts[n:n + 10].sum() > 0
         assert np.array_equal(long.smoothed_rate[:n], short.smoothed_rate)
+
+    @pytest.mark.parametrize("smoothing_time, n", [
+        (0.0, 1), (100e-6, 10), (3e-3, 300), (0.2, 20_000)])
+    def test_smoothed_rate_is_the_trailing_window_sum(self, cavity260,
+                                                      smoothing_time, n):
+        # bin i: the counts of bins max(0, i-n+1)..i over n bin widths, bit
+        # for bit, the first n - 1 bins included (20k bins > the 5k drawn);
+        # the drift starts on resonance, so the first bins have counts
+        _, drive, _ = self.setup_context(cavity260)
+        n_res = drive.delta_pc * 2 * cavity260.delta_ca / cavity260.g0**2
+        drift = AtomLossDrift(n0=n_res, loss_rate=20.0)
+        result = trigger_sequence(drift, cavity260, drive, 1.0e9, delay=0.0,
+                                  detection_level=6.5, bin_width=10e-6,
+                                  horizon=0.05, seed=9,
+                                  smoothing_time=smoothing_time)
+        counts = result.counts.counts
+        assert counts[0] > 0
+        expected = [counts[max(0, i - n + 1):i + 1].sum() / (n * 10e-6)
+                    for i in range(len(counts))]
+        assert np.array_equal(result.smoothed_rate, expected)
 
     @pytest.mark.parametrize("horizon, bin_width, n_bins", [
         (1.0, 2e-6, 500_000), (1.0, 1e-5, 100_000), (0.3, 1e-5, 30_000),
