@@ -28,8 +28,7 @@ import numpy as np
 import yaml
 
 from . import params, steady_state
-
-TWO_PI = 2.0 * np.pi
+from .params import TWO_PI
 
 
 class ConfigError(Exception):
@@ -570,15 +569,11 @@ def cmd_ringdown(cfg, out, seed) -> int:
         record_every=sec["record_every"],
         record_sites=() if tracer is None else (-1,))
 
-    efficiency, bin_width = sec["efficiency"], sec["bin_width"]
-    if sec["n_average"] > 1:
-        _, mean_counts = measure.averaged_counts(
-            trace, cav, efficiency, bin_width, seed, sec["n_average"])
-        record = measure.CountRecord(bin_width, mean_counts,
-                                     t_start=float(trace.time[0]))
-    else:
-        record = measure.count_monte_carlo(trace, cav, efficiency, bin_width,
-                                           seed)
+    _, counts = measure.averaged_counts(
+        (trace.time, trace.nbar), cav, sec["efficiency"], sec["bin_width"],
+        seed, sec["n_average"])
+    record = measure.CountRecord(sec["bin_width"], counts,
+                                 t_start=float(trace.time[0]))
 
     decay = measure.windowed_fourier_amplitude(
         record, trap.omega_z / TWO_PI, sec["window_length"])

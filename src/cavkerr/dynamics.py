@@ -30,11 +30,9 @@ from enum import Enum
 import numpy as np
 
 from .lattice import LatticeEnsemble, collective_shift_from_displacements
-from .params import (CONSTANTS, CavityParams, DriveParams, TrapParams,
-                     force_per_photon)
+from .params import (CONSTANTS, TWO_PI, CavityParams, DriveParams,
+                     TrapParams, force_per_photon)
 from .steady_state import ResponseProfile, lineshape_scan, profile_value
-
-TWO_PI = 2.0 * np.pi
 
 # Trap-frequency rms spread reproducing the observed 1.0 ms collective
 # coherence time (Gaussian dephasing gives t_1e = sqrt(2)/spread); a

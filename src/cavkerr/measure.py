@@ -1,8 +1,13 @@
 """Detection chain: photon counting, triggering, spectral decay analysis.
 
 The cavity loses photons at 2*kappa*nbar; detection folds mirror geometry,
-filter and counter losses into one end-to-end efficiency multiplying that
-rate.  Counts are Poisson per time bin and reproducible from the seed.
+filter and counter losses into one end-to-end efficiency in [0, 1]
+multiplying that rate.  Counts are Poisson per time bin and reproducible
+from the seed; ``averaged_counts`` is the one rate-to-binned-counts path.
+
+A series is read as a ``CountRecord`` (its bin centres and rates) or as a
+``(time, values)`` pair of arrays, e.g. ``(trace.time, trace.nbar)`` of a
+ring-up trace.
 
 The collective-motion signal is read out as the Fourier amplitude of the
 transmission at the trap frequency over contiguous windows; the window
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TransientTrace
 from .params import CavityParams, DriveParams, collective_shift
 from .steady_state import ResponseProfile, profile_value
 
@@ -67,22 +71,25 @@ class SpectralDecay:
 def _as_rate_series(source) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(source, CountRecord):
         return source.times, source.rates
-    if isinstance(source, TransientTrace):
-        return source.time, source.nbar
     t, x = source
     return np.asarray(t, dtype=float), np.asarray(x, dtype=float)
 
 
-def _expected_counts(nbar_trace, cavity: CavityParams, efficiency: float,
-                     bin_width: float) -> CountRecord:
-    """Mean detected counts per bin, the trapezoid integral of the rate
-    2*kappa*nbar*efficiency over the bin, as a record from the trace start."""
+def _detected_rate(cavity: CavityParams, nbar, efficiency: float):
+    """Detected photon rate 2*kappa*nbar*efficiency, the one form of it."""
     if not (0.0 <= efficiency <= 1.0):
         raise ValueError("efficiency must lie in [0, 1]")
+    return 2.0 * cavity.kappa * nbar * efficiency
+
+
+def _expected_counts(nbar_trace, cavity: CavityParams, efficiency: float,
+                     bin_width: float) -> CountRecord:
+    """Mean detected counts per bin, the trapezoid integral of the detected
+    rate over the bin, as a record from the trace start."""
+    time, nbar = _as_rate_series(nbar_trace)
+    rate = _detected_rate(cavity, nbar, efficiency)
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    time, nbar = _as_rate_series(nbar_trace)
-    rate = 2.0 * cavity.kappa * np.asarray(nbar) * efficiency
     n_bins = int(np.floor((time[-1] - time[0]) / bin_width))
     if n_bins < 1:
         raise ValueError("trace shorter than one bin")
@@ -100,30 +107,21 @@ def _draw(expected: CountRecord, seed: int) -> CountRecord:
     return CountRecord(expected.bin_width, counts, t_start=expected.t_start)
 
 
-def count_monte_carlo(nbar_trace, cavity: CavityParams, efficiency: float,
-                      bin_width: float, seed: int) -> CountRecord:
-    """Poisson photon-count record of a transmission trace.
-
-    The detected rate is r(t) = 2*kappa*nbar(t)*efficiency; each bin draws
-    a Poisson count with mean equal to the rate integral over the bin.
-    """
-    return _draw(_expected_counts(nbar_trace, cavity, efficiency, bin_width),
-                 seed)
-
-
 def averaged_counts(nbar_trace, cavity: CavityParams, efficiency: float,
                     bin_width: float, seed: int,
                     n_average: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean counts per bin over ``n_average`` independent detections of the
-    trace, drawn as their sum: one Poisson draw at n_average times the mean
-    (at n_average 1, ``count_monte_carlo``'s draw).  Returns (bin centers,
-    mean counts, float-valued)."""
+    """Counts per bin of ``nbar_trace`` (a ``CountRecord`` or a (time, nbar)
+    pair) over ``n_average`` independent detections, drawn as their sum:
+    one Poisson draw per bin at n_average times the mean detected counts.
+    Returns (bin centers, counts): the integer draw itself at n_average 1,
+    else the float mean, sum / n_average."""
     if n_average < 1:
         raise ValueError("n_average must be at least 1")
     expected = _expected_counts(nbar_trace, cavity, efficiency, bin_width)
     expected.counts *= n_average
     total = _draw(expected, seed)
-    return total.times, total.counts / n_average
+    return total.times, (total.counts if n_average == 1
+                         else total.counts / n_average)
 
 
 @dataclass(frozen=True)
@@ -172,15 +170,15 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
     The record holds ceil(horizon / bin_width) bins (a ratio at most 1e-9
     relative above an integer counts as that integer), and the trigger
     time is the centre of the bin that fires, as ``CountRecord.times``
-    gives it.
+    gives it.  An ``efficiency`` outside [0, 1] raises ``ValueError``.
     """
     profile = ResponseProfile.from_cavity(cavity)
     n_bins = math.ceil(horizon / bin_width * (1.0 - 1e-9))
     centers = _bin_centers(0.0, bin_width, n_bins)
     dn = collective_shift(drift.atoms(centers), cavity.g0, cavity.delta_ca)
     nbar = drive.n_max * profile_value(profile, drive.delta_pc - dn)
-    record = _draw(CountRecord(bin_width, 2.0 * cavity.kappa * nbar
-                               * efficiency * bin_width), seed)
+    record = _draw(CountRecord(
+        bin_width, _detected_rate(cavity, nbar, efficiency) * bin_width), seed)
 
     # trailing moving average: bin i sees bins i-n+1..i only, as a real
     # trigger does (zero counts before the record start)
@@ -215,9 +213,11 @@ def windowed_fourier_amplitude(source, frequency: float, window_length: float
 
     Per window: A = (2/T) |sum (x - mean(x)) exp(-i 2 pi f t) dt|, so a pure
     sinusoid of amplitude A0 returns A0 and a constant offset contributes
-    nothing; dt is the first sample spacing.  Windows are contiguous from
-    the record start, of ``window_grid`` samples for a step of the bin width
-    (a ``CountRecord``) or dt (a trace or a (t, x) pair).
+    nothing; dt is the first sample spacing.  ``source`` is a
+    ``CountRecord`` (its rates are transformed; integer or mean counts
+    alike) or a (t, x) pair, e.g. (trace.time, trace.nbar).  Windows are
+    contiguous from the record start, of ``window_grid`` samples for a step
+    of the bin width (a ``CountRecord``) or dt (a pair).
     """
     time, x = _as_rate_series(source)
     if window_length * frequency < 5.0:

@@ -318,10 +318,6 @@ class SteadyStateSolution:
 
     roots: tuple[tuple[float, bool], ...]
 
-    @property
-    def stable(self) -> tuple[float, ...]:
-        return tuple(u for u, s in self.roots if s)
-
 
 def steady_state_roots_lorentzian(delta0: float, beta: float) -> SteadyStateSolution:
     """Roots of the Lorentzian response cubic at (delta0, beta).

@@ -43,7 +43,6 @@ from cavkerr.lattice import (
 from cavkerr.measure import (
     CountRecord,
     averaged_counts,
-    count_monte_carlo,
     decay_fit,
     windowed_fourier_amplitude,
 )
@@ -209,7 +208,8 @@ def test_criterion_11_dephasing_decay():
     cavity, trap, trace = run_ringup(
         0.05, "instantaneous", 3.0e-3, omega_z_spread=spread,
         subensembles=10, seed=42)
-    decay = windowed_fourier_amplitude(trace, trap.omega_z / TWO_PI, 500e-6)
+    decay = windowed_fourier_amplitude((trace.time, trace.nbar),
+                                       trap.omega_z / TWO_PI, 500e-6)
     fit = decay_fit(decay, model="gaussian")
     t_free = np.sqrt(2.0) / spread
     assert fit.reliable
@@ -218,7 +218,8 @@ def test_criterion_11_dephasing_decay():
     cavity, trap, trace = run_ringup(
         6.5, "instantaneous", 3.0e-3, omega_z_spread=spread,
         subensembles=10, seed=42, backaction=False, linearized_force=True)
-    _, mean_counts = averaged_counts(trace, cavity, 0.05, 2e-6, 42, 50)
+    _, mean_counts = averaged_counts((trace.time, trace.nbar), cavity, 0.05,
+                                     2e-6, 42, 50)
     record = CountRecord(2e-6, mean_counts, t_start=trace.time[0])
     decay2 = windowed_fourier_amplitude(record, trap.omega_z / TWO_PI, 500e-6)
     fit2 = decay_fit(decay2, model="gaussian")
@@ -276,8 +277,8 @@ def test_criterion_13_conservation_and_consistency(tmp_path):
 
     # Poisson statistics: mean/variance and chi-square at the 1% level
     t = np.arange(0.0, 0.1001, 1e-6)
-    rec = count_monte_carlo((t, np.full_like(t, 0.5)), cav, 0.05, 1e-5,
-                            seed=23)
+    rec = CountRecord(1e-5, averaged_counts((t, np.full_like(t, 0.5)), cav,
+                                            0.05, 1e-5, 23, 1)[1])
     assert len(rec.counts) >= 10_000
     c = rec.counts.astype(float)
     assert abs(c.var() / c.mean() - 1.0) < 3 * np.sqrt(2.0 / len(c))
@@ -294,8 +295,8 @@ def test_criterion_13_conservation_and_consistency(tmp_path):
     assert p > 0.01
 
     # seed determinism, byte for byte
-    rec2 = count_monte_carlo((t, np.full_like(t, 0.5)), cav, 0.05, 1e-5,
-                             seed=23)
+    rec2 = CountRecord(1e-5, averaged_counts((t, np.full_like(t, 0.5)), cav,
+                                             0.05, 1e-5, 23, 1)[1])
     assert np.array_equal(rec.counts, rec2.counts)
     every_site = range(len(ringup_context(500.0, 2, 9)[3]))
     tr1 = run_ringup(2.0, "nmax", 0.1e-3, omega_z_spread=500.0, seed=9,

@@ -1000,13 +1000,12 @@ class TestCountsFile:
         cav = cli.build_system(cli.load_config(path)).cavity
         eff = cfg["ringdown"]["efficiency"]
         bw = parse_time(cfg["ringdown"]["bin_width"])
+        _, counts = measure.averaged_counts(trace, cav, eff, bw, cfg["seed"],
+                                            n_average)
+        record = measure.CountRecord(bw, counts, t_start=trace[0][0])
         if n_average == 1:
-            record = measure.count_monte_carlo(trace, cav, eff, bw, cfg["seed"])
             name, values = "counts", record.counts
         else:
-            _, mean = measure.averaged_counts(trace, cav, eff, bw, cfg["seed"],
-                                              n_average)
-            record = measure.CountRecord(bw, mean, t_start=trace[0][0])
             name, values = "mean_rate_s", record.rates
         cols, times, column = self._read(str(base) + "_counts.csv")
         assert cols == ["bin", name]
@@ -1138,6 +1137,9 @@ class TestImportSet:
         ("lineshape", ["cavkerr.csvrows", "cavkerr.dynamics",
                        "cavkerr.lattice"]),
         ("sweep", ["cavkerr.csvrows", "cavkerr.dynamics", "cavkerr.lattice"]),
+        ("trigger", ["cavkerr.csvrows", "cavkerr.measure"]),
+        ("ringdown", ["cavkerr.csvrows", "cavkerr.dynamics", "cavkerr.lattice",
+                      "cavkerr.measure"]),
     ])
     def test_scenario_loads_only_its_layers(self, tmp_path, scenario, added):
         _, path, out = TestSelfDescribingOutputs()._config(tmp_path, scenario)

@@ -389,8 +389,8 @@ class TestDephasing:
         cavity, trap, trace = run_ringup(
             0.05, "instantaneous", 3.0e-3, omega_z_spread=spread,
             subensembles=10, seed=42)
-        decay = windowed_fourier_amplitude(trace, trap.omega_z / TWO_PI,
-                                           500e-6)
+        decay = windowed_fourier_amplitude((trace.time, trace.nbar),
+                                           trap.omega_z / TWO_PI, 500e-6)
         fit = decay_fit(decay, model="gaussian")
         assert fit.reliable
         assert fit.tau == pytest.approx(1.0e-3, rel=0.05)
@@ -402,8 +402,8 @@ class TestDephasing:
         cavity, trap, trace = run_ringup(
             6.5, "instantaneous", 2.0e-3, omega_z_spread=spread,
             subensembles=4, seed=42)
-        decay = windowed_fourier_amplitude(trace, trap.omega_z / TWO_PI,
-                                           500e-6)
+        decay = windowed_fourier_amplitude((trace.time, trace.nbar),
+                                           trap.omega_z / TWO_PI, 500e-6)
         amps = decay.amplitudes
         assert amps[-1] > 0.5 * amps[0]
 
@@ -415,8 +415,8 @@ class TestDephasing:
         cavity, trap, trace = run_ringup(
             6.5, "instantaneous", 2.0e-3, omega_z_spread=spread,
             subensembles=4, seed=42, backaction=False, linearized_force=True)
-        decay = windowed_fourier_amplitude(trace, trap.omega_z / TWO_PI,
-                                           500e-6)
+        decay = windowed_fourier_amplitude((trace.time, trace.nbar),
+                                           trap.omega_z / TWO_PI, 500e-6)
         amps = decay.amplitudes
         expected = np.exp(-(spread * decay.window_centers) ** 2 / 2.0)
         assert amps[1] / amps[0] == pytest.approx(expected[1] / expected[0],
@@ -432,8 +432,8 @@ class TestDephasing:
         cavity, trap, trace = run_ringup(
             6.5, "instantaneous", 2.0e-3, omega_z_spread=spread,
             subensembles=4, seed=42, backaction=False)
-        decay = windowed_fourier_amplitude(trace, trap.omega_z / TWO_PI,
-                                           500e-6)
+        decay = windowed_fourier_amplitude((trace.time, trace.nbar),
+                                           trap.omega_z / TWO_PI, 500e-6)
         amps = decay.amplitudes
         free = np.exp(-(spread * decay.window_centers) ** 2 / 2.0)
         assert amps[1] / amps[0] < 0.5 * free[1] / free[0]

@@ -12,9 +12,9 @@ from cavkerr import (
 )
 from cavkerr.measure import (
     AtomLossDrift,
+    CountRecord,
     SpectralDecay,
     averaged_counts,
-    count_monte_carlo,
     decay_fit,
     trigger_sequence,
     windowed_fourier_amplitude,
@@ -28,26 +28,32 @@ def flat_trace(nbar, duration=10e-3, dt=1e-6):
     return t, np.full_like(t, nbar)
 
 
+def single_draw(trace, cavity, efficiency, bin_width, seed):
+    """One detection of a (time, nbar) trace as a record from its start."""
+    _, counts = averaged_counts(trace, cavity, efficiency, bin_width, seed, 1)
+    return CountRecord(bin_width, counts, t_start=trace[0][0])
+
+
 class TestCountMonteCarlo:
     def test_mean_detected_rate(self, cavity101):
         # nbar = 1, kappa = 2pi x 0.66 MHz, efficiency 0.05: 2*kappa*nbar*eta
-        rec = count_monte_carlo(flat_trace(1.0, duration=0.2), cavity101,
-                                0.05, 1e-5, seed=4)
+        rec = single_draw(flat_trace(1.0, duration=0.2), cavity101,
+                          0.05, 1e-5, seed=4)
         expected = 2 * cavity101.kappa * 1.0 * 0.05
         assert expected == pytest.approx(4.1e5, rel=0.02)
         assert rec.rates.mean() == pytest.approx(expected, rel=0.01)
 
     def test_poisson_mean_variance(self, cavity101):
-        rec = count_monte_carlo(flat_trace(0.5, duration=0.5), cavity101,
-                                0.05, 1e-5, seed=11)
+        rec = single_draw(flat_trace(0.5, duration=0.5), cavity101,
+                          0.05, 1e-5, seed=11)
         c = rec.counts.astype(float)
         ratio = c.var() / c.mean()
         # var/mean = 1 within 3 sigma (sigma ~ sqrt(2/N) for Poisson)
         assert abs(ratio - 1.0) < 3 * np.sqrt(2.0 / len(c))
 
     def test_chi_square_goodness_of_fit(self, cavity101):
-        rec = count_monte_carlo(flat_trace(0.5, duration=0.1), cavity101,
-                                0.05, 1e-5, seed=23)
+        rec = single_draw(flat_trace(0.5, duration=0.1), cavity101,
+                          0.05, 1e-5, seed=23)
         c = rec.counts
         mu = 2 * cavity101.kappa * 0.5 * 0.05 * 1e-5
         kmax = int(poisson.ppf(0.999, mu)) + 1
@@ -62,17 +68,17 @@ class TestCountMonteCarlo:
         assert p > 0.01
 
     def test_zero_efficiency(self, cavity101):
-        rec = count_monte_carlo(flat_trace(5.0), cavity101, 0.0, 1e-5, seed=0)
+        rec = single_draw(flat_trace(5.0), cavity101, 0.0, 1e-5, seed=0)
         assert np.all(rec.counts == 0)
 
     def test_seed_determinism(self, cavity101):
-        a = count_monte_carlo(flat_trace(2.0), cavity101, 0.05, 1e-5, seed=7)
-        b = count_monte_carlo(flat_trace(2.0), cavity101, 0.05, 1e-5, seed=7)
+        a = single_draw(flat_trace(2.0), cavity101, 0.05, 1e-5, seed=7)
+        b = single_draw(flat_trace(2.0), cavity101, 0.05, 1e-5, seed=7)
         assert np.array_equal(a.counts, b.counts)
 
     def test_bad_efficiency_rejected(self, cavity101):
         with pytest.raises(ValueError):
-            count_monte_carlo(flat_trace(1.0), cavity101, 1.5, 1e-5, seed=0)
+            averaged_counts(flat_trace(1.0), cavity101, 1.5, 1e-5, 0, 1)
 
     def test_averaged_counts_determinism(self, cavity101):
         t, n = flat_trace(1.0, duration=5e-3)
@@ -81,10 +87,13 @@ class TestCountMonteCarlo:
         assert np.array_equal(a, b)
 
     def test_averaged_counts_at_one_is_the_single_draw(self, cavity101):
+        # the integer Poisson draw itself at the expected counts
         trace = flat_trace(0.8, duration=5e-3)
-        _, mean = averaged_counts(trace, cavity101, 0.05, 1e-5, 9, 1)
-        rec = count_monte_carlo(trace, cavity101, 0.05, 1e-5, seed=9)
-        assert np.array_equal(mean, rec.counts)
+        _, counts = averaged_counts(trace, cavity101, 0.05, 1e-5, 9, 1)
+        expected = measure._expected_counts(trace, cavity101, 0.05, 1e-5)
+        draw = np.random.default_rng(9).poisson(expected.counts)
+        assert np.issubdtype(counts.dtype, np.integer)
+        assert np.array_equal(counts, draw)
 
     def test_averaged_counts_mean_and_variance(self, cavity101):
         # the mean of 50 Poisson(mu) detections has mean mu and variance
@@ -115,7 +124,7 @@ class TestCountMonteCarlo:
                                             50e3, 1e-3)
         spectra = np.mean([
             windowed_fourier_amplitude(
-                count_monte_carlo((t, n), cavity101, 0.05, 2e-6, seed),
+                single_draw((t, n), cavity101, 0.05, 2e-6, seed),
                 50e3, 1e-3).amplitudes
             for seed in range(50)], axis=0)
         assert spectra.mean() > 3 * traces.amplitudes.mean()
@@ -222,7 +231,7 @@ class TestWindowedFourierAmplitude:
         # window; the record's window holds round(250 us / 2 us) bins
         t = np.arange(0, 1.3e-3, 1e-7)
         nbar = 3.0 + np.sin(TWO_PI * 49e3 * t) * np.exp(-t / 1e-3)
-        rec = count_monte_carlo((t, nbar), cavity260, 0.05, 2e-6, seed=3)
+        rec = single_draw((t, nbar), cavity260, 0.05, 2e-6, seed=3)
         cases = [(rec, rec.times, rec.rates, 125),
                  ((t, nbar), t, nbar, round(250e-6 / (t[1] - t[0])))]
         for source, time, x, n_per in cases:
@@ -407,3 +416,15 @@ class TestTriggerSequence:
         b = trigger_sequence(drift, cavity260, drive, 1.0e6, **kwargs)
         assert a.trigger_time == b.trigger_time
         assert np.array_equal(a.counts.counts, b.counts.counts)
+
+    @pytest.mark.parametrize("efficiency", [1.5, -0.5])
+    def test_efficiency_outside_unit_interval_rejected(self, cavity260,
+                                                       efficiency):
+        # the detected rate cannot exceed the emitted rate, nor be negative
+        drift, drive, _ = self.setup_context(cavity260)
+        with pytest.raises(ValueError, match="efficiency"):
+            trigger_sequence(drift, cavity260, drive, 1.0e6, delay=0.0,
+                             detection_level=6.5, efficiency=efficiency,
+                             horizon=0.01)
+        with pytest.raises(ValueError, match="efficiency"):
+            averaged_counts(flat_trace(1.0), cavity260, efficiency, 1e-5, 0, 1)
