@@ -27,7 +27,6 @@ from .params import (
 )
 from .steady_state import (
     ResponseProfile,
-    SteadyStateSolution,
     bistability_threshold,
     fold_points,
     lineshape_scan,

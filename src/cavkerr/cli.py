@@ -202,7 +202,7 @@ FIELDS = {
     "ringdown.record_every": Field(_at_least(1), 1),
     "ringdown.fit_model": Field(_one_of("gaussian", "exponential"), "gaussian"),
     "ringdown.field_model": Field(_one_of("adiabatic", "filter"),
-                                  "adiabatic"),  # dynamics.CavityFieldMode
+                                  "adiabatic"),  # ring_up's field_model
     "ringdown.ramp_time": Field(_nonnegative(parse_time), 0.0),
     "ringdown.use_trigger": Field(_flag, False),
     "trigger.n0": Field(_positive(_number)),
@@ -464,7 +464,7 @@ def cmd_threshold(cfg, out, seed) -> int:
     beta = _resolve(cfg, "threshold")["beta"]
     system, dn = _system(cfg)
     profile = steady_state.ResponseProfile.from_cavity(system.cavity)
-    lor = steady_state.ResponseProfile.lorentzian(system.cavity.kappa)
+    lor = steady_state.ResponseProfile(system.cavity.kappa)
     report = {
         "lorentzian_threshold": steady_state.bistability_threshold(lor),
         "profile_kind": profile.kind,
@@ -473,9 +473,9 @@ def cmd_threshold(cfg, out, seed) -> int:
     if dn != 0:         # the drive n_max at which beta is the threshold
         report["threshold_n_max"] = (report["profile_threshold"] * profile.kappa
                                      / (dn * system.kerr_coefficient()))
-    if beta is None and (dn != 0 or system.drive.atom_number > 0):
-        beta = system.beta(delta_n=dn)   # same beta the sweep scenario uses
-    if beta is not None and beta > 0:
+    if beta is None:    # the sweep scenario's beta, +-0 at dn = 0
+        beta = system.beta(delta_n=dn)
+    if beta > 0:
         folds = steady_state.fold_points(profile, beta)
         report["beta"] = beta
         report["folds"] = [
@@ -546,7 +546,7 @@ def cmd_ringdown(cfg, out, seed) -> int:
 
     if trig_sec is not None:
         trig = _run_trigger(trig_sec, system, seed)
-        if not trig.triggered:
+        if trig.trigger_time is None:
             raise RuntimeError("trigger threshold never crossed within horizon")
         dn0 = trig.conditioned_delta_n
 
@@ -561,7 +561,7 @@ def cmd_ringdown(cfg, out, seed) -> int:
                                atom_number=system.drive.atom_number)
     trace = dynamics.ring_up(
         ensemble, cav, drive,
-        field_model=dynamics.CavityFieldMode(sec["field_model"]),
+        field_model=sec["field_model"],
         damping_rate=sec["damping_rate"],
         duration=sec["duration"], dt=dt, profile=profile,
         ramp_time=sec["ramp_time"], backaction=sec["backaction"],
@@ -591,7 +591,7 @@ def cmd_ringdown(cfg, out, seed) -> int:
         "delta_n0_2pi_MHz": dn0 / TWO_PI / 1e6,
         "excursion_half_linewidths":
             float((trace.delta_n.max() - trace.delta_n.min()) / cav.kappa),
-        "fitted_tau_s": fit.tau, "fit_model": fit.model,
+        "fitted_tau_s": fit.tau, "fit_model": sec["fit_model"],
         "tau_exponential_s": fit.tau_exponential,
         "tau_gaussian_s": fit.tau_gaussian, "fit_reliable": fit.reliable,
     }
@@ -605,29 +605,30 @@ def cmd_ringdown(cfg, out, seed) -> int:
 def _run_trigger(sec, system, seed):
     """The ``measure.TriggerResult`` of a resolved ``trigger`` section."""
     from . import measure
-    level = sec["detection_level"]
     return measure.trigger_sequence(
         measure.AtomLossDrift(sec["n0"], sec["loss_rate"]),
-        system.cavity, system.drive,
-        threshold_rate=sec["threshold_rate"], delay=sec["delay"],
-        detection_level=system.drive.n_max if level is None else level,
+        system.cavity, system.drive, threshold_rate=sec["threshold_rate"],
         efficiency=sec["efficiency"], bin_width=sec["bin_width"],
         horizon=sec["horizon"], seed=seed,
         smoothing_time=sec["smoothing_time"])
 
 
 def cmd_trigger(cfg, out, seed) -> int:
-    result = _run_trigger(_resolve(cfg, "trigger"), build_system(cfg), seed)
+    """The library decides the trigger; the probe-on time (the trigger time
+    plus ``trigger.delay``) and the detection level are the section's."""
+    sec = _resolve(cfg, "trigger")
+    system = build_system(cfg)
+    result = _run_trigger(sec, system, seed)
     base = _out_base(out) if out else None
     meta = _meta(cfg, seed)
+    t, level = result.trigger_time, sec["detection_level"]
     report = {
-        "triggered": result.triggered,
-        "trigger_time_s": result.trigger_time,
+        "triggered": t is not None,
+        "trigger_time_s": t,
         "conditioned_deltaN_2pi_MHz":
-            None if result.conditioned_delta_n is None
-            else result.conditioned_delta_n / TWO_PI / 1e6,
-        "probe_on_time_s": result.probe_on_time,
-        "detection_level": result.detection_level,
+            None if t is None else result.conditioned_delta_n / TWO_PI / 1e6,
+        "probe_on_time_s": None if t is None else t + sec["delay"],
+        "detection_level": system.drive.n_max if level is None else level,
     }
     if base:
         _write_counts(base + "_counts.csv", result.counts, meta)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -40,13 +39,6 @@ from .steady_state import ResponseProfile, lineshape_scan, profile_value
 # mode-locks at high drive, so the 1.0 ms value applies to the one-way
 # (backaction=False) detection response.
 CALIBRATED_OMEGA_Z_SPREAD = float(np.sqrt(2.0) / 1.0e-3)
-
-
-class CavityFieldMode(Enum):
-    """Cavity photon-number model; the filter relaxes at 2*kappa."""
-
-    ADIABATIC = "adiabatic"
-    FIRST_ORDER_FILTER = "filter"
 
 
 @dataclass
@@ -107,7 +99,7 @@ def n_max_for_switch_on(level: float, profile: ResponseProfile,
 
 def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
             drive: DriveParams, *,
-            field_model: CavityFieldMode = CavityFieldMode.ADIABATIC,
+            field_model: str = "adiabatic",
             damping_rate: float = 0.0, duration: float = 1e-3,
             dt: float | None = None, profile: ResponseProfile | None = None,
             linearized_force: bool = False, ramp_time: float = 0.0,
@@ -120,8 +112,9 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
         m d''_j = -m omega_zj^2 d_j + f(theta_j, d_j, nbar(t)) - m G_v d'_j
 
     starting from the probe-off equilibrium (d = d' = 0).  nbar(t) follows
-    the cavity model: adiabatic tracks n_max*V(delta_pc - Delta_N) exactly,
-    the first-order filter relaxes toward it at 2*kappa.  ``ramp_time`` > 0
+    ``field_model``: "adiabatic" tracks n_max*V(delta_pc - Delta_N) exactly,
+    "filter" (first order) relaxes toward it at 2*kappa from an empty
+    cavity; any other value is a ValueError.  ``ramp_time`` > 0
     ramps the drive linearly instead of an instantaneous switch-on; it needs
     ``backaction``, since the one-way force is fixed at switch-on, where a
     ramped drive is zero (ValueError otherwise).
@@ -143,6 +136,8 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
     whose displacement and velocity are kept at each sample; by default
     none are, and the site series have zero columns.
     """
+    if field_model not in ("adiabatic", "filter"):
+        raise ValueError("field_model must be 'adiabatic' or 'filter'")
     if profile is None:
         profile = ResponseProfile.from_cavity(cavity)
     if dt is None:
@@ -157,7 +152,7 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
     time = sample_times(duration, dt, record_every)
     sites = np.arange(len(ensemble))[np.asarray(record_sites, dtype=int)]
     if (linearized_force and not backaction and damping_rate == 0
-            and ramp_time == 0 and field_model is CavityFieldMode.ADIABATIC):
+            and ramp_time == 0 and field_model == "adiabatic"):
         return _one_way_exact(ensemble, cavity, drive, profile=profile,
                               time=time, tau=record_every * dt, sites=sites)
     return _integrate(ensemble, cavity, drive, profile=profile, time=time,
@@ -335,7 +330,7 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
 def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
                drive: DriveParams, *, profile: ResponseProfile,
                time: np.ndarray, dt: float, record_every: int,
-               sites: np.ndarray, field_model: CavityFieldMode,
+               sites: np.ndarray, field_model: str,
                damping_rate: float, linearized_force: bool, ramp_time: float,
                backaction: bool) -> TransientTrace:
     """ring_up by velocity Verlet, whatever the model: steps of ``dt``, a
@@ -370,7 +365,7 @@ def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
     dn = collective_shift_from_displacements(ensemble, d, cavity)
     nbar = target(dn, 0.0)
     nbar_force0 = nbar
-    filtered = field_model is CavityFieldMode.FIRST_ORDER_FILTER
+    filtered = field_model == "filter"
     if filtered:
         nbar = 0.0                      # cavity empty at switch-on
         relax = np.exp(-2.0 * cavity.kappa * dt)

@@ -4,10 +4,9 @@ The cavity loses photons at 2*kappa*nbar; detection folds mirror geometry,
 filter and counter losses into one end-to-end efficiency in [0, 1]
 multiplying that rate.  Counts are Poisson per time bin and reproducible
 from the seed; ``averaged_counts`` is the one rate-to-binned-counts path.
-
-A series is read as a ``CountRecord`` (its bin centres and rates) or as a
-``(time, values)`` pair of arrays, e.g. ``(trace.time, trace.nbar)`` of a
-ring-up trace.
+It counts a ``(time, nbar)`` pair of arrays, e.g. ``(trace.time,
+trace.nbar)`` of a ring-up trace.  ``trigger_sequence`` decides the trigger
+of a trigger / delay / detect sequence; its caller schedules the rest.
 
 The collective-motion signal is read out as the Fourier amplitude of the
 transmission at the trap frequency over contiguous windows; the window
@@ -68,17 +67,14 @@ class SpectralDecay:
             raise ValueError("amplitudes must be nonnegative")
 
 
-def _as_rate_series(source) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(source, CountRecord):
-        return source.times, source.rates
-    t, x = source
-    return np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+def _check_efficiency(efficiency: float) -> None:
+    """The detected rate can exceed neither the emitted rate nor zero."""
+    if not (0.0 <= efficiency <= 1.0):
+        raise ValueError("efficiency must lie in [0, 1]")
 
 
 def _detected_rate(cavity: CavityParams, nbar, efficiency: float):
     """Detected photon rate 2*kappa*nbar*efficiency, the one form of it."""
-    if not (0.0 <= efficiency <= 1.0):
-        raise ValueError("efficiency must lie in [0, 1]")
     return 2.0 * cavity.kappa * nbar * efficiency
 
 
@@ -86,7 +82,7 @@ def _expected_counts(nbar_trace, cavity: CavityParams, efficiency: float,
                      bin_width: float) -> CountRecord:
     """Mean detected counts per bin, the trapezoid integral of the detected
     rate over the bin, as a record from the trace start."""
-    time, nbar = _as_rate_series(nbar_trace)
+    time, nbar = (np.asarray(a, dtype=float) for a in nbar_trace)
     rate = _detected_rate(cavity, nbar, efficiency)
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
@@ -110,13 +106,15 @@ def _draw(expected: CountRecord, seed: int) -> CountRecord:
 def averaged_counts(nbar_trace, cavity: CavityParams, efficiency: float,
                     bin_width: float, seed: int,
                     n_average: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counts per bin of ``nbar_trace`` (a ``CountRecord`` or a (time, nbar)
-    pair) over ``n_average`` independent detections, drawn as their sum:
-    one Poisson draw per bin at n_average times the mean detected counts.
-    Returns (bin centers, counts): the integer draw itself at n_average 1,
-    else the float mean, sum / n_average."""
+    """Counts per bin of ``nbar_trace``, a (time, nbar) pair of arrays, over
+    ``n_average`` independent detections, drawn as their sum: one Poisson
+    draw per bin at n_average times the mean detected counts.  Returns (bin
+    centers, counts): the integer draw itself at n_average 1, else the float
+    mean, sum / n_average.  A ``CountRecord`` holds counts, not photon
+    numbers, so it is a TypeError."""
     if n_average < 1:
         raise ValueError("n_average must be at least 1")
+    _check_efficiency(efficiency)
     expected = _expected_counts(nbar_trace, cavity, efficiency, bin_width)
     expected.counts *= n_average
     total = _draw(expected, seed)
@@ -143,35 +141,37 @@ class AtomLossDrift:
 
 @dataclass
 class TriggerResult:
-    triggered: bool
+    """The trigger decision: the centre of the bin that fired and the
+    collective shift at that time (both None when no bin fired), and the
+    counts it was made from."""
+
     trigger_time: float | None
     conditioned_delta_n: float | None
-    probe_on_time: float | None      # trigger_time + delay
-    detection_level: float
     counts: CountRecord
-    smoothed_rate: np.ndarray
 
 
 def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
-                     drive: DriveParams, threshold_rate: float,
-                     delay: float, detection_level: float, *,
+                     drive: DriveParams, threshold_rate: float, *,
                      efficiency: float = 0.05, bin_width: float = 10e-6,
                      horizon: float = 1.0, seed: int = 0,
                      smoothing_time: float = 100e-6) -> TriggerResult:
-    """Trigger / delay / detect sequencing on the atom-loss drift.
+    """The trigger of a trigger / delay / detect sequence on the atom-loss
+    drift: when to fire, and the collective shift it conditions.
 
     As atoms are lost the collective shift drifts toward the probe and the
     monitored transmission rises.  Counts are low-pass filtered (trailing
     moving average over ``smoothing_time``) before the threshold comparison
-    so a single dark-ish bin cannot false-trigger at nbar < 1.  On trigger the
-    conditioned Delta_N is reported, the probe is scheduled off for
-    ``delay`` and back on at ``detection_level``.
+    so a single dark-ish bin cannot false-trigger at nbar < 1.  The first
+    bin whose average reaches ``threshold_rate`` fires; the delay and the
+    detection level that follow it are the caller's to schedule.
 
     The record holds ceil(horizon / bin_width) bins (a ratio at most 1e-9
     relative above an integer counts as that integer), and the trigger
     time is the centre of the bin that fires, as ``CountRecord.times``
-    gives it.  An ``efficiency`` outside [0, 1] raises ``ValueError``.
+    gives it.  An ``efficiency`` outside [0, 1] raises ``ValueError``
+    before any count is computed.
     """
+    _check_efficiency(efficiency)
     profile = ResponseProfile.from_cavity(cavity)
     n_bins = math.ceil(horizon / bin_width * (1.0 - 1e-9))
     centers = _bin_centers(0.0, bin_width, n_bins)
@@ -190,13 +190,10 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
 
     above = np.nonzero(smoothed >= threshold_rate)[0]
     if len(above) == 0:
-        return TriggerResult(False, None, None, None, detection_level,
-                             record, smoothed)
-    i = int(above[0])
-    t_trig = float(centers[i])
+        return TriggerResult(None, None, record)
+    t_trig = float(centers[above[0]])
     dn_trig = collective_shift(drift.atoms(t_trig), cavity.g0, cavity.delta_ca)
-    return TriggerResult(True, t_trig, dn_trig, t_trig + delay,
-                         detection_level, record, smoothed)
+    return TriggerResult(t_trig, dn_trig, record)
 
 
 def window_grid(n_samples: int, window_length: float,
@@ -219,11 +216,13 @@ def windowed_fourier_amplitude(source, frequency: float, window_length: float
     contiguous from the record start, of ``window_grid`` samples for a step
     of the bin width (a ``CountRecord``) or dt (a pair).
     """
-    time, x = _as_rate_series(source)
+    binned = isinstance(source, CountRecord)
+    time, x = ((source.times, source.rates) if binned
+               else (np.asarray(a, dtype=float) for a in source))
     if window_length * frequency < 5.0:
         raise ValueError("window must span at least 5 cycles of the frequency")
     dt = time[1] - time[0]
-    step = source.bin_width if isinstance(source, CountRecord) else dt
+    step = source.bin_width if binned else dt
     n_per, n_win = window_grid(len(x), window_length, step)
     if n_win < 1:
         raise ValueError(f"no window of {n_per} samples fits the record")
@@ -239,8 +238,7 @@ def windowed_fourier_amplitude(source, frequency: float, window_length: float
 class DecayFit:
     """Envelope fit of a window-amplitude series."""
 
-    tau: float                 # 1/e time: interpolated crossing of A0/e
-    model: str                 # model used for A0 and the crossing abscissa
+    tau: float                 # 1/e time: crossing of the model's A0/e
     tau_exponential: float
     tau_gaussian: float
     reliable: bool
@@ -268,8 +266,9 @@ def decay_fit(decay: SpectralDecay, model: str = "gaussian") -> DecayFit:
     (exponential exp(-t/tau) and Gaussian-in-time exp(-(t/tau)^2), the
     static-spread dephasing form); windows below a tenth of the peak
     amplitude are excluded from the fit (finite-ensemble/shot floor).  The
-    returned ``tau`` interpolates the crossing of the fitted amplitude(0)/e
-    through the window series; non-decaying data is flagged unreliable.
+    returned ``tau`` interpolates the crossing of ``model``'s fitted
+    amplitude(0)/e through the window series, in that model's abscissa;
+    non-decaying data is flagged unreliable.
     """
     if model not in ("gaussian", "exponential"):
         raise ValueError("model must be 'gaussian' or 'exponential'")
@@ -281,8 +280,7 @@ def decay_fit(decay: SpectralDecay, model: str = "gaussian") -> DecayFit:
     keep = a > 0.1 * np.max(a)
     cf, af = c[keep], a[keep]
     if len(af) < 2:
-        return DecayFit(float("inf"), model, float("inf"), float("inf"),
-                        False)
+        return DecayFit(float("inf"), float("inf"), float("inf"), False)
     log_a = np.log(af)
 
     s_exp, i_exp = np.polyfit(cf, log_a, 1)
@@ -294,5 +292,4 @@ def decay_fit(decay: SpectralDecay, model: str = "gaussian") -> DecayFit:
     tau = _crossing(c, a, a0, model)
     reliable = np.isfinite(tau) and (
         np.isfinite(tau_gau) if model == "gaussian" else np.isfinite(tau_exp))
-    return DecayFit(tau, model, float(tau_exp), float(tau_gau),
-                    bool(reliable))
+    return DecayFit(tau, float(tau_exp), float(tau_gau), bool(reliable))

@@ -39,7 +39,7 @@ import numpy as np
 @dataclass(frozen=True)
 class ResponseProfile:
     """Normalized (unit-peak) cavity frequency response: Voigt exactly when
-    sigma > 0, else Lorentzian."""
+    sigma > 0, else Lorentzian: ``ResponseProfile(kappa)``."""
 
     kappa: float               # Lorentzian half-linewidth, rad/s
     sigma: float = 0.0         # Gaussian rms width, rad/s
@@ -54,16 +54,6 @@ class ResponseProfile:
     def kind(self) -> str:
         """"voigt" or "lorentzian", the name the threshold report gives."""
         return "voigt" if self.sigma > 0 else "lorentzian"
-
-    @classmethod
-    def lorentzian(cls, kappa: float) -> "ResponseProfile":
-        return cls(kappa)
-
-    @classmethod
-    def voigt(cls, kappa: float, sigma: float) -> "ResponseProfile":
-        if not sigma > 0:
-            raise ValueError("Voigt profile needs sigma > 0")
-        return cls(kappa, sigma)
 
     @classmethod
     def from_cavity(cls, cavity) -> "ResponseProfile":
@@ -308,19 +298,10 @@ def _bracketed_root(f, neg, pos, *data, x=None,
     return out.reshape(shape)
 
 
-@dataclass(frozen=True)
-class SteadyStateSolution:
-    """All real steady-state roots at one reduced detuning.
-
-    ``roots`` is sorted ascending in u; each entry is (u, stable) with
-    u = nbar/n_max in (0, 1].
-    """
-
-    roots: tuple[tuple[float, bool], ...]
-
-
-def steady_state_roots_lorentzian(delta0: float, beta: float) -> SteadyStateSolution:
-    """Roots of the Lorentzian response cubic at (delta0, beta).
+def steady_state_roots_lorentzian(delta0: float, beta: float
+                                  ) -> tuple[tuple[float, bool], ...]:
+    """All real roots of the Lorentzian response cubic at (delta0, beta),
+    as (u, stable) pairs ascending in u = nbar/n_max, each u in (0, 1].
 
     Closed-form discriminant classification (trigonometric form for three
     real roots, Cardano otherwise) followed by one Newton polish per root;
@@ -329,7 +310,7 @@ def steady_state_roots_lorentzian(delta0: float, beta: float) -> SteadyStateSolu
     if not np.isfinite(delta0) or not np.isfinite(beta):
         raise ValueError("delta0 and beta must be finite")
     if beta == 0.0:
-        return SteadyStateSolution(((1.0 / (1.0 + delta0 ** 2), True),))
+        return ((1.0 / (1.0 + delta0 ** 2), True),)
 
     a = beta ** 2
     b = 2.0 * delta0 * beta
@@ -393,7 +374,7 @@ def steady_state_roots_lorentzian(delta0: float, beta: float) -> SteadyStateSolu
             continue  # double root at a fold: report once
         stable = bool(fp(u) > stab_tol)   # d/du of the cubic > 0: stable
         out.append((u, stable))
-    return SteadyStateSolution(tuple(out))
+    return tuple(out)
 
 
 def _folds(profile: ResponseProfile, beta: float) -> list[tuple[float, float]]:

@@ -57,7 +57,7 @@ def report(num, text):
 
 
 def test_criterion_01_lorentzian_threshold():
-    thr = bistability_threshold(ResponseProfile.lorentzian(KAPPA))
+    thr = bistability_threshold(ResponseProfile(KAPPA))
     exact = 8 * np.sqrt(3) / 9
     assert abs(thr - exact) < 1e-6
     report(1, f"Lorentzian bistability threshold {thr:.8f} = 8*sqrt(3)/9 "
@@ -65,7 +65,7 @@ def test_criterion_01_lorentzian_threshold():
 
 
 def test_criterion_02_voigt_threshold():
-    thr = bistability_threshold(ResponseProfile.voigt(KAPPA, SIGMA))
+    thr = bistability_threshold(ResponseProfile(KAPPA, SIGMA))
     assert abs(thr - 3.7) <= 0.1
     report(2, f"Voigt threshold {thr:.4f} = 3.7 +- 0.1")
 
@@ -140,12 +140,12 @@ def test_criterion_08_cubic_oracle():
             hi = np.where(take_lo, hi, mid)
         expected = 0.5 * (lo + hi)
         sol = steady_state_roots_lorentzian(delta0, beta)
-        assert len(sol.roots) == len(expected)
-        for (u, _), ue in zip(sol.roots, expected):
+        assert len(sol) == len(expected)
+        for (u, _), ue in zip(sol, expected):
             worst = max(worst, abs(u - ue))
             assert abs(u - ue) <= 1e-6
     fold = steady_state_roots_lorentzian(-2.0, 2.0)
-    us = [u for u, _ in fold.roots]
+    us = [u for u, _ in fold]
     assert us[0] == pytest.approx(0.5, abs=1e-6)
     assert us[1] == pytest.approx(1.0, abs=1e-9)
     report(8, f"1000 random cubics match 1e5-point scan (worst |du| = "
@@ -246,7 +246,7 @@ def test_criterion_13_conservation_and_consistency(tmp_path):
     trap = reference_trap(omega_z=TWO_PI * 49e3)
     ens = LatticeEnsemble(np.array([np.pi / 4]), np.array([1.0]),
                           np.array([trap.omega_z]))
-    flat = ResponseProfile.lorentzian(1e18)
+    flat = ResponseProfile(1e18)
     nbar = 6.5
     period = TWO_PI / trap.omega_z
     trace = ring_up(ens, cav, DriveParams(n_max=nbar, delta_pc=0.0),

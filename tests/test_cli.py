@@ -19,7 +19,6 @@ import cavkerr
 from cavkerr import cli, csvrows, measure
 from cavkerr.cli import (ConfigError, main, parse_chirp, parse_frequency,
                          parse_time, read_csv)
-from cavkerr.dynamics import CavityFieldMode
 
 TWO_PI = 2 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,6 +26,7 @@ CONFIGS = ROOT / "configs"
 BENCH_CONFIGS = ROOT / "perfbench" / "configs"
 TRIGGER = {"n0": 120000, "loss_rate": 20.0, "threshold_rate": 1.0e6,
            "delay": "10 ms", "detection_level": 6.5, "horizon": "0.3 s"}
+FIELD_MODELS = ("adiabatic", "filter")      # ring_up's field_model names
 
 
 def run_cli(*args):
@@ -380,12 +380,35 @@ SWEEP_RANGES = {
     "sweep.delta_pc_stop": ("MHz", 0.0, 500.0, "any"),
     "sweep.points": ("", 2, 2000, "count"),
 }
-# values no rule accepts: an unknown unit, text, a bool
+# ringdown.* keys, for records of at most 1 ms on a 20-site lattice; a
+# "flag" is true or false.  The rules across keys are in ringdown_rules
+RINGDOWN_RANGES = {
+    "ringdown.duration": ("ms", 0.0, 1.0, "nonnegative"),
+    "ringdown.level": ("", 0.0, 20.0, "nonnegative"),
+    "ringdown.level_mode": ("", "instantaneous", "nmax", "choice"),
+    "ringdown.omega_z_spread": ("Hz", 0.0, 2000.0, "nonnegative"),
+    "ringdown.subensembles": ("", 1, 3, "count"),
+    "ringdown.tracer_theta": ("", 0.0, 3.2, "any"),
+    "ringdown.efficiency": ("", 0.0, 1.0, "fraction"),
+    "ringdown.bin_width": ("us", 0.5, 20.0, "positive"),
+    "ringdown.window_length": ("us", 50.0, 400.0, "positive"),
+    "ringdown.n_average": ("", 1, 100, "count"),
+    "ringdown.damping_rate": ("", 0.0, 1e4, "nonnegative"),
+    "ringdown.backaction": ("", False, True, "flag"),
+    "ringdown.linearized": ("", False, True, "flag"),
+    "ringdown.dt_per_period": ("", 40.0, 120.0, "positive"),
+    "ringdown.record_every": ("", 1, 5, "count"),
+    "ringdown.fit_model": ("", "gaussian", "exponential", "choice"),
+    "ringdown.field_model": ("", *FIELD_MODELS, "choice"),
+    "ringdown.ramp_time": ("us", 0.0, 200.0, "nonnegative"),
+}
+# values no rule accepts: an unknown unit, text, a bool (but for a flag)
 _NEVER_VALID = ("1.5 parsec", "lots", True, False)
 _RULE_INVALID = {"positive": (0, -1.5, "-2 MHz"), "nonnegative": (-1.5,),
                  "nonzero": (0, "0 GHz"), "count": (0, -3, 2.5),
                  "fraction": (-0.5, 1.5), "any": (),
-                 "list": ([-0.5], ["lots"], 2.0), "choice": ("sideways",)}
+                 "list": ([-0.5], ["lots"], 2.0), "choice": ("sideways",),
+                 "flag": (0, 1, "true")}
 
 
 @st.composite
@@ -397,8 +420,9 @@ def drawn_values(draw, ranges):
     for key in keys:
         unit, lo, hi, rule = ranges[key]
         if draw(st.booleans()):
-            out[key] = (draw(st.sampled_from(_NEVER_VALID
-                                             + _RULE_INVALID[rule])), False)
+            bad = [v for v in _NEVER_VALID + _RULE_INVALID[rule]
+                   if rule != "flag" or not isinstance(v, bool)]
+            out[key] = (draw(st.sampled_from(bad)), False)
             continue
         if rule == "count":
             out[key] = (draw(st.integers(lo, hi)), True)
@@ -406,7 +430,7 @@ def drawn_values(draw, ranges):
         if rule == "list":
             out[key] = (draw(st.lists(st.floats(lo, hi), max_size=3)), True)
             continue
-        if rule == "choice":
+        if rule in ("choice", "flag"):
             out[key] = (draw(st.sampled_from([lo, hi])), True)
             continue
         x = draw(st.floats(lo, hi))
@@ -414,6 +438,40 @@ def drawn_values(draw, ranges):
             x = -x
         out[key] = (f"{x!r} {unit}" if unit else x, True)
     return out
+
+
+def ringdown_rules(cfg) -> tuple[list[str], int, int]:
+    """The keys named by each rule across ringdown keys that ``cfg``
+    breaks, and the bins and windows its record holds.
+
+    A ramp needs backaction.  A window spans at least 5 trap periods, and
+    the record holds at least 4: round(duration/dt) steps of dt, sampled
+    every record_every-th, in bins of bin_width and windows of
+    round(window_length/bin_width) bins.  And dt is at most 1/50 of the
+    period of the fastest drawn trap frequency, mean + spread * N(0, 1) a
+    row, a tracer row at the mean.
+    """
+    sec = cli._resolve(cfg, "ringdown")
+    trap = cli._resolve(cfg, "params.trap")
+    omega_z = trap["omega_z"]
+    broken = []
+    if sec["ramp_time"] > 0 and not sec["backaction"]:
+        broken += ["ringdown.ramp_time", "ringdown.backaction"]
+    dt = TWO_PI / (sec["dt_per_period"] * omega_z)
+    every = sec["record_every"]
+    t_end = round(sec["duration"] / dt) // every * every * dt
+    n_bins = math.floor(t_end / sec["bin_width"])
+    n_per = round(sec["window_length"] / sec["bin_width"])
+    n_windows = n_bins // n_per if n_per else 0
+    if sec["window_length"] * omega_z / TWO_PI < 5 or n_windows < 4:
+        broken += ["ringdown.window_length", "ringdown.duration"]
+    z = np.random.default_rng(cfg["seed"]).standard_normal(
+        trap["num_sites"] * sec["subensembles"])
+    fastest = omega_z + sec["omega_z_spread"] * max(
+        z.max(), -np.inf if sec["tracer_theta"] is None else 0.0)
+    if dt > TWO_PI / (50.0 * fastest):
+        broken.append("ringdown.dt_per_period")
+    return broken, n_bins, n_windows
 
 
 def _boundary_run(cfg, values, tmp_path_factory, *args):
@@ -485,6 +543,35 @@ class TestConfigBoundary:
         # bin, and meets the benchmark's check_trigger bound
         assert len(rows) - 1 < ratio <= len(rows) / (1 - 1e-9)
         assert round(ratio) <= len(rows) <= round(ratio) + 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=drawn_values(RINGDOWN_RANGES))
+    def test_ringdown_writes_its_files_or_names_the_key(
+            self, tmp_path_factory, values):
+        # a valid section writes the trace, the counts (one row a bin), the
+        # windows and the summary; a bad value, or a set that breaks a rule
+        # across keys, exits 2 naming a key of it before it writes anything.
+        # Never exit 3: use_trigger stays off, as a trigger that never
+        # fires is a numeric failure
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        cfg["params"]["trap"]["num_sites"] = 20
+        cfg["ringdown"].update(duration="0.6 ms", window_length="120 us",
+                               subensembles=1, n_average=2, dt_per_period=60)
+        code, err, files = _boundary_run(cfg, values, tmp_path_factory)
+        invalid = [k for k, (_, valid) in values.items() if not valid]
+        if not invalid:
+            invalid, n_bins, n_windows = ringdown_rules(cfg)
+        if invalid:
+            assert code == 2, err
+            assert any(k in err for k in invalid), err
+            assert files == []
+            return
+        assert code == 0, err
+        assert [f.name for f in files] == [
+            "run_counts.csv", "run_summary.json", "run_trace.csv",
+            "run_windows.csv"]
+        assert len(read_csv(files[0])[2]) == n_bins
+        assert len(read_csv(files[3])[2]) == n_windows
 
     @pytest.mark.parametrize("config, ranges", [
         ("fig_lineshapes", LINESHAPE_RANGES),
@@ -824,6 +911,23 @@ class TestSweep:
         assert report["beta"] * report["threshold_n_max"] / n_max == \
             pytest.approx(report["profile_threshold"], rel=1e-12)
 
+    @pytest.mark.parametrize("drive", [
+        {"atom_number": None},          # no atoms and no delta_n override
+        {"delta_n": 0}], ids=["no-atoms", "zero-delta-n"])
+    def test_zero_shift_reports_no_beta(self, tmp_path, drive):
+        # at Delta_N = 0 the drive's beta is +-0: no fold and no threshold
+        # drive to report, whether or not there are atoms
+        cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())
+        cfg["params"]["drive"].update(drive)
+        path = tmp_path / "flat.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        outj = tmp_path / "thr.json"
+        assert run_cli("--config", path, "--scenario",
+                       "bistability-threshold", "--out", outj) == 0
+        report = json.loads(outj.read_text())
+        assert sorted(k for k in report if not k.startswith("_")) == [
+            "lorentzian_threshold", "profile_kind", "profile_threshold"]
+
     @pytest.mark.parametrize("name", ["fig_hysteresis", "fig_subphoton"])
     def test_down_pass_reverses_the_up_grid(self, name, tmp_path):
         # one branch solve serves both directions: the down rows visit the
@@ -954,6 +1058,35 @@ class TestTriggerScenario:
             -19.0, abs=1.5)
         assert summary["probe_on_time_s"] == pytest.approx(
             summary["trigger_time_s"] + 10e-3)
+
+    @pytest.mark.parametrize("trigger, level, fires", [
+        (dict(TRIGGER, delay=0, detection_level=3.0), 3.0, True),
+        ({k: v for k, v in TRIGGER.items() if k != "detection_level"}, 6.5,
+         True),
+        (dict(TRIGGER, threshold_rate=1.0e7), 6.5, False)],
+        ids=["zero-delay", "level-from-drive", "never-fires"])
+    def test_summary_schedules_from_the_section(self, tmp_path, trigger,
+                                                level, fires):
+        # the probe comes back on trigger.delay after the trigger, at
+        # trigger.detection_level, else params.drive.n_max; an untriggered
+        # run has no times and no shift, and still reports the level
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        cfg.update(scenario="trigger", trigger=trigger)
+        path = tmp_path / "trig.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        base = tmp_path / "trig"
+        assert run_cli("--config", path, "--out", base) == 0
+        summary = json.loads(Path(str(base) + "_summary.json").read_text())
+        assert summary["detection_level"] == level
+        assert summary["triggered"] is fires
+        t = summary["trigger_time_s"]
+        if fires:
+            assert summary["probe_on_time_s"] == t + parse_time(
+                trigger["delay"])
+        else:
+            assert t is None
+            assert summary["probe_on_time_s"] is None
+            assert summary["conditioned_deltaN_2pi_MHz"] is None
 
 
 class TestCountsFile:
@@ -1167,16 +1300,24 @@ class TestConfigTable:
         if cfg["scenario"] in cfg:         # and the scenario's required keys
             cli._resolve(cfg, cfg["scenario"])
 
-    @pytest.mark.parametrize("mode", list(CavityFieldMode), ids=str)
-    def test_field_model_parses_every_cavity_field_mode(self, mode):
-        parse = cli.FIELDS["ringdown.field_model"].parse
-        assert CavityFieldMode(parse(mode.value, "k")) is mode
+    @pytest.mark.parametrize("value", FIELD_MODELS)
+    def test_field_model_parses_what_ring_up_runs(self, value):
+        # the config's string is the one name ring_up takes for the model
+        from cavkerr import dynamics, lattice
+        assert cli.FIELDS["ringdown.field_model"].parse(value, "k") == value
+        system = cli.build_system(cli.load_config(CONFIGS / "fig_ringdown.yaml"))
+        ens = lattice.LatticeEnsemble(np.array([np.pi / 4]), np.array([1.0]),
+                                      np.array([system.trap.omega_z]))
+        trace = dynamics.ring_up(ens, system.cavity, system.drive,
+                                 field_model=value, duration=1e-5)
+        # the filter starts from an empty cavity, the adiabatic field full
+        assert (trace.nbar[0] == 0) == (value == "filter")
 
     @settings(max_examples=40, deadline=None)
     @given(value=st.text(max_size=10))
     def test_field_model_other_string_exits_2_naming_the_key(
             self, tmp_path_factory, value):
-        assume(value not in [m.value for m in CavityFieldMode])
+        assume(value not in FIELD_MODELS)
         cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
         values = {"ringdown.field_model": (value, False)}
         code, err, files = _boundary_run(cfg, values, tmp_path_factory)

@@ -18,7 +18,6 @@ from cavkerr import (
     profile_value,
 )
 from cavkerr.dynamics import (
-    CavityFieldMode,
     impulse_boundary_detuning,
     impulse_modulation_estimate,
     n_max_for_switch_on,
@@ -39,7 +38,7 @@ TWO_PI = 2 * np.pi
 def flat_profile():
     """Effectively constant response: kappa so large that V = 1 on any
     detuning scale in play, giving a constant-force step drive."""
-    return ResponseProfile.lorentzian(1e18)
+    return ResponseProfile(1e18)
 
 
 def single_site_pi4(omega_z):
@@ -177,9 +176,9 @@ class TestRecording:
                        profile=profile, record_every=record_every, **kwargs)
 
     @pytest.mark.parametrize("backaction, field_model", [
-        (True, CavityFieldMode.ADIABATIC),
-        (False, CavityFieldMode.ADIABATIC),
-        (False, CavityFieldMode.FIRST_ORDER_FILTER),
+        (True, "adiabatic"),
+        (False, "adiabatic"),
+        (False, "filter"),
     ])
     def test_sparse_record_is_every_second_sample(self, backaction,
                                                   field_model):
@@ -258,7 +257,7 @@ class TestClosedFormOracle:
             time=dynamics.sample_times(1e-3, dt, record_every), dt=dt,
             record_every=record_every,
             sites=np.arange(len(ensemble))[list(sites)],
-            field_model=CavityFieldMode.ADIABATIC, damping_rate=0.0,
+            field_model="adiabatic", damping_rate=0.0,
             linearized_force=True, ramp_time=0.0, backaction=False)
 
     @classmethod
@@ -462,7 +461,7 @@ class TestQuasiStaticConsistency:
         assert u_final == pytest.approx(nearest, rel=0.01)
 
 
-class TestCavityFieldModels:
+class TestFieldModels:
     def test_filter_converges_to_adiabatic(self, trap49):
         import dataclasses
         damax = []
@@ -476,16 +475,22 @@ class TestCavityFieldModels:
                 delta_pc=-2.0 * cav.kappa)
             common = dict(duration=0.3e-3, profile=profile)
             tr_a = ring_up(ens, cav, drive,
-                           field_model=CavityFieldMode.ADIABATIC,
+                           field_model="adiabatic",
                            **common)
             tr_f = ring_up(ens, cav, drive,
-                           field_model=CavityFieldMode.FIRST_ORDER_FILTER,
+                           field_model="filter",
                            **common)
             # ignore the initial cavity fill (~1/2kappa)
             skip = np.searchsorted(tr_a.time, 5.0 / cav.kappa)
             damax.append(np.max(np.abs(tr_f.nbar[skip:] - tr_a.nbar[skip:])))
         assert damax[0] > damax[1] > damax[2]
         assert damax[2] < 1e-3
+
+    @pytest.mark.parametrize("field_model", ["Adiabatic", "first-order", ""])
+    def test_other_field_model_raises_before_any_compute(self, field_model):
+        # no ensemble, cavity or drive: the name is checked before any is read
+        with pytest.raises(ValueError, match="field_model"):
+            ring_up(None, None, None, field_model=field_model)
 
 
 class TestQuasiStaticSweep:

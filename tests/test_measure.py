@@ -34,6 +34,13 @@ def single_draw(trace, cavity, efficiency, bin_width, seed):
     return CountRecord(bin_width, counts, t_start=trace[0][0])
 
 
+def trailing_average(counts, n, bin_width):
+    """Bin i: the counts of bins max(0, i-n+1)..i over n bin widths, each
+    window summed on its own."""
+    return np.array([counts[max(0, i - n + 1):i + 1].sum() / (n * bin_width)
+                     for i in range(len(counts))])
+
+
 class TestCountMonteCarlo:
     def test_mean_detected_rate(self, cavity101):
         # nbar = 1, kappa = 2pi x 0.66 MHz, efficiency 0.05: 2*kappa*nbar*eta
@@ -113,6 +120,13 @@ class TestCountMonteCarlo:
     def test_bad_n_average_rejected(self, cavity101):
         with pytest.raises(ValueError, match="n_average"):
             averaged_counts(flat_trace(1.0), cavity101, 0.05, 1e-5, 0, 0)
+
+    def test_count_record_rejected(self, cavity101):
+        # a record holds counts, not photon numbers: read as a rate series,
+        # 100 bins of 3 counts at 10 us were 3e5 photons, 1.2e8 drawn counts
+        record = CountRecord(1e-5, np.full(100, 3))
+        with pytest.raises(TypeError, match="CountRecord"):
+            averaged_counts(record, cavity101, 0.05, 1e-5, 0, 1)
 
     def test_averaging_order_trace_vs_spectra(self, cavity101):
         # averaging traces first suppresses the shot-noise floor, averaging
@@ -312,9 +326,8 @@ class TestTriggerSequence:
         drift, drive, profile = self.setup_context(cavity260)
         threshold = 1.0e6      # detected counts/s
         result = trigger_sequence(drift, cavity260, drive, threshold,
-                                  delay=10e-3, detection_level=6.5,
                                   horizon=0.3, seed=5)
-        assert result.triggered
+        assert result.trigger_time is not None
 
         def smooth_rate(t):
             dn = collective_shift(drift.atoms(t), cavity260.g0,
@@ -337,54 +350,54 @@ class TestTriggerSequence:
         drift, drive, _ = self.setup_context(cavity260)
         peak_rate = 2 * cavity260.kappa * 0.05 * drive.n_max
         result = trigger_sequence(drift, cavity260, drive, 2 * peak_rate,
-                                  delay=1e-3, detection_level=6.5,
                                   horizon=0.3, seed=5)
-        assert not result.triggered
         assert result.trigger_time is None
-
-    def test_zero_delay_detection_starts_at_trigger(self, cavity260):
-        drift, drive, _ = self.setup_context(cavity260)
-        result = trigger_sequence(drift, cavity260, drive, 1.0e6,
-                                  delay=0.0, detection_level=3.0,
-                                  horizon=0.3, seed=5)
-        assert result.triggered
-        assert result.probe_on_time == result.trigger_time
-        assert result.detection_level == 3.0
+        assert result.conditioned_delta_n is None
 
     def test_smoothing_is_causal(self, cavity260):
         # The shorter record's counts are a prefix of the longer one's (same
         # seed), so the longer record only adds counts after the shorter
-        # one's last bin i; a causal smoother leaves smoothed[:i+1] alone.
+        # one's last bin.  A threshold first reached near that bin fires at
+        # the same time in both: the smoother reads no later counts.
         drift, drive, _ = self.setup_context(cavity260)
-        kwargs = dict(delay=1e-3, detection_level=6.5, seed=9)
         short = trigger_sequence(drift, cavity260, drive, 1.0e9,
-                                 horizon=0.05, **kwargs)
-        long = trigger_sequence(drift, cavity260, drive, 1.0e9, horizon=0.1,
-                                **kwargs)
+                                 horizon=0.05, seed=9)
         n = len(short.counts.counts)
-        assert np.array_equal(long.counts.counts[:n], short.counts.counts)
-        assert long.counts.counts[n:n + 10].sum() > 0
-        assert np.array_equal(long.smoothed_rate[:n], short.smoothed_rate)
+        average = trailing_average(short.counts.counts, 10, 1e-5)
+        i = int(np.argmax(average))
+        assert i > n - 500                     # the rate rises to the end
+        runs = [trigger_sequence(drift, cavity260, drive, average[i],
+                                 horizon=horizon, seed=9)
+                for horizon in (0.05, 0.1)]
+        assert np.array_equal(runs[1].counts.counts[:n], short.counts.counts)
+        assert runs[1].counts.counts[n:n + 10].sum() > 0
+        assert runs[0].trigger_time == runs[1].trigger_time \
+            == short.counts.times[i]
 
     @pytest.mark.parametrize("smoothing_time, n", [
         (0.0, 1), (100e-6, 10), (3e-3, 300), (0.2, 20_000)])
-    def test_smoothed_rate_is_the_trailing_window_sum(self, cavity260,
-                                                      smoothing_time, n):
-        # bin i: the counts of bins max(0, i-n+1)..i over n bin widths, bit
-        # for bit, the first n - 1 bins included (20k bins > the 5k drawn);
-        # the drift starts on resonance, so the first bins have counts
+    def test_trigger_bin_is_the_first_trailing_sum_at_threshold(
+            self, cavity260, smoothing_time, n):
+        # bin i averages the counts of bins max(0, i-n+1)..i over n bin
+        # widths, the first n - 1 bins included (20k bins > the 5k drawn);
+        # the drift starts on resonance, so the first bins have counts.
+        # Each threshold is a value that average takes, so the bin that
+        # fires must be the first to reach it, bit for bit
         _, drive, _ = self.setup_context(cavity260)
         n_res = drive.delta_pc * 2 * cavity260.delta_ca / cavity260.g0**2
         drift = AtomLossDrift(n0=n_res, loss_rate=20.0)
-        result = trigger_sequence(drift, cavity260, drive, 1.0e9, delay=0.0,
-                                  detection_level=6.5, bin_width=10e-6,
-                                  horizon=0.05, seed=9,
-                                  smoothing_time=smoothing_time)
-        counts = result.counts.counts
-        assert counts[0] > 0
-        expected = [counts[max(0, i - n + 1):i + 1].sum() / (n * 10e-6)
-                    for i in range(len(counts))]
-        assert np.array_equal(result.smoothed_rate, expected)
+        kwargs = dict(bin_width=10e-6, horizon=0.05, seed=9,
+                      smoothing_time=smoothing_time)
+        counts = trigger_sequence(drift, cavity260, drive, np.inf,
+                                  **kwargs).counts
+        assert counts.counts[0] > 0
+        average = trailing_average(counts.counts, n, 10e-6)
+        levels = np.unique(average)
+        for threshold in levels[[len(levels) // 4, len(levels) // 2, -1]]:
+            first = np.flatnonzero(average >= threshold)[0]
+            result = trigger_sequence(drift, cavity260, drive, threshold,
+                                      **kwargs)
+            assert result.trigger_time == counts.times[first]
 
     @pytest.mark.parametrize("horizon, bin_width, n_bins", [
         (1.0, 2e-6, 500_000), (1.0, 1e-5, 100_000), (0.3, 1e-5, 30_000),
@@ -392,26 +405,23 @@ class TestTriggerSequence:
     def test_bins_cover_the_horizon(self, cavity260, horizon, bin_width,
                                     n_bins):
         drift, drive, _ = self.setup_context(cavity260)
-        result = trigger_sequence(drift, cavity260, drive, 1.0e9, delay=0.0,
-                                  detection_level=6.5, bin_width=bin_width,
-                                  horizon=horizon)
+        result = trigger_sequence(drift, cavity260, drive, 1.0e9,
+                                  bin_width=bin_width, horizon=horizon)
         assert len(result.counts.counts) == n_bins
 
     def test_trigger_time_is_a_bin_centre(self, cavity260):
         # at 1e-5 s bins (k + 0.5) * w and the midpoint of k * w and
         # (k + 1) * w differ by an ulp in about a third of the bins
         drift, drive, _ = self.setup_context(cavity260)
-        result = trigger_sequence(drift, cavity260, drive, 1.0e6, delay=0.0,
-                                  detection_level=6.5, bin_width=1e-5,
-                                  horizon=0.3, seed=0)
-        assert result.triggered
+        result = trigger_sequence(drift, cavity260, drive, 1.0e6,
+                                  bin_width=1e-5, horizon=0.3, seed=0)
+        assert result.trigger_time is not None
         times = result.counts.times
         assert np.count_nonzero(times == result.trigger_time) == 1
 
     def test_seed_determinism(self, cavity260):
         drift, drive, _ = self.setup_context(cavity260)
-        kwargs = dict(delay=1e-3, detection_level=6.5, horizon=0.3,
-                      seed=9)
+        kwargs = dict(horizon=0.3, seed=9)
         a = trigger_sequence(drift, cavity260, drive, 1.0e6, **kwargs)
         b = trigger_sequence(drift, cavity260, drive, 1.0e6, **kwargs)
         assert a.trigger_time == b.trigger_time
@@ -423,8 +433,18 @@ class TestTriggerSequence:
         # the detected rate cannot exceed the emitted rate, nor be negative
         drift, drive, _ = self.setup_context(cavity260)
         with pytest.raises(ValueError, match="efficiency"):
-            trigger_sequence(drift, cavity260, drive, 1.0e6, delay=0.0,
-                             detection_level=6.5, efficiency=efficiency,
-                             horizon=0.01)
+            trigger_sequence(drift, cavity260, drive, 1.0e6,
+                             efficiency=efficiency, horizon=0.01)
         with pytest.raises(ValueError, match="efficiency"):
             averaged_counts(flat_trace(1.0), cavity260, efficiency, 1e-5, 0, 1)
+
+    def test_efficiency_checked_before_the_profile_pass(self, cavity260,
+                                                        monkeypatch):
+        drift, drive, _ = self.setup_context(cavity260)
+
+        def profile_pass(*args):
+            pytest.fail("the profile pass ran before the efficiency check")
+
+        monkeypatch.setattr(measure, "profile_value", profile_pass)
+        with pytest.raises(ValueError, match="efficiency"):
+            trigger_sequence(drift, cavity260, drive, 1.0e6, efficiency=1.5)

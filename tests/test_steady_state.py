@@ -53,17 +53,17 @@ def brute_force_root_count(beta, delta0, n=100_000):
 
 class TestProfileValue:
     def test_lorentzian_half_width(self):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         assert profile_value(p, KAPPA) == pytest.approx(0.5, rel=1e-14)
 
     def test_lorentzian_peak(self):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         assert profile_value(p, 0.0) == 1.0
 
     def test_voigt_dual_method_oracle(self):
         # complex-error-function form vs direct numerical quadrature of the
         # Lorentzian (x) Gaussian convolution
-        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        p = ResponseProfile(KAPPA, SIGMA)
 
         def conv(delta):
             def integrand(t):
@@ -86,7 +86,7 @@ class TestProfileValue:
                 conv(delta) / peak, abs=1e-8)
 
     def test_voigt_properties(self):
-        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        p = ResponseProfile(KAPPA, SIGMA)
         deltas = np.linspace(0, 50 * KAPPA, 200)
         vals = profile_value(p, deltas)
         assert vals[0] == pytest.approx(1.0, rel=1e-12)
@@ -100,9 +100,9 @@ class TestProfileValue:
         # Lorentzian's old 1/(1 + (delta/kappa)^2) rounded (delta/kappa)^2
         # differently for a scalar at 2 of these 5000 points
         rng = np.random.default_rng(3)
-        for p in (ResponseProfile.lorentzian(KAPPA),
-                  ResponseProfile.voigt(KAPPA, 0.05 * KAPPA),
-                  ResponseProfile.voigt(KAPPA, SIGMA)):
+        for p in (ResponseProfile(KAPPA),
+                  ResponseProfile(KAPPA, 0.05 * KAPPA),
+                  ResponseProfile(KAPPA, SIGMA)):
             delta = KAPPA * rng.uniform(-50.0, 50.0, 5000)
             alone = [profile_value(p, d) for d in delta.tolist()]
             assert all(type(v) is float for v in alone)
@@ -114,9 +114,9 @@ class TestProfileValue:
         # products rounded v'' and v''' differently alone at 2299 and 3647
         # of these points on the reference Voigt
         rng = np.random.default_rng(3)
-        for p in (ResponseProfile.lorentzian(KAPPA),
-                  ResponseProfile.voigt(KAPPA, 0.05 * KAPPA),
-                  ResponseProfile.voigt(KAPPA, SIGMA)):
+        for p in (ResponseProfile(KAPPA),
+                  ResponseProfile(KAPPA, 0.05 * KAPPA),
+                  ResponseProfile(KAPPA, SIGMA)):
             x = rng.uniform(-50.0, 50.0, 5000)
             whole = steady_state._curve(p, x, 3)
             alone = np.array([steady_state._curve(p, v, 3)
@@ -125,10 +125,14 @@ class TestProfileValue:
                 assert np.array_equal(alone[n].view(np.int64),
                                       whole[n].view(np.int64)), (p, n)
 
-    def test_voigt_requires_sigma(self):
-        for sigma in (0.0, -SIGMA):
-            with pytest.raises(ValueError, match="sigma > 0"):
-                ResponseProfile.voigt(KAPPA, sigma)
+    def test_zero_sigma_is_the_lorentzian(self):
+        # a Voigt needs sigma > 0: at 0 the profile is the Lorentzian, and
+        # below it the width is rejected by name
+        assert ResponseProfile(KAPPA, 0.0) == ResponseProfile(KAPPA)
+        assert ResponseProfile(KAPPA, 0.0).kind == "lorentzian"
+        assert ResponseProfile(KAPPA, SIGMA).kind == "voigt"
+        with pytest.raises(ValueError, match="sigma"):
+            ResponseProfile(KAPPA, -SIGMA)
 
     @pytest.mark.parametrize("kappa, sigma, name", [
         (float("nan"), 0.0, "kappa"), (float("inf"), 0.0, "kappa"),
@@ -152,7 +156,7 @@ class TestFaddeeva:
 
     def test_curve_derivatives_match_wofz(self):
         # v, v', v'' at the reference cavity's a = kappa/(sigma sqrt 2)
-        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        p = ResponseProfile(KAPPA, SIGMA)
         a = KAPPA / (SIGMA * np.sqrt(2.0))
         x = np.linspace(-20.0, 20.0, 2001)
         z = a * (x + 1j)
@@ -187,7 +191,7 @@ class TestFaddeeva:
 class TestZeroWidthSeries:
     def test_series_at_zero_width_is_the_lorentzian(self):
         # the closed form _curve took for sigma = 0 before the series did
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         x = np.random.default_rng(17).uniform(-50.0, 50.0, 100_000)
         r = 1.0 / (1.0 - 1j * x)
         oracle = [t.real for t in (r, 1j * r * r, -2.0 * r ** 3, -6j * r ** 4)]
@@ -199,8 +203,8 @@ class TestZeroWidthSeries:
 
     def test_zero_width_sums_one_term_per_order(self, monkeypatch):
         # math.prod is called once per term summed
-        lorentzian = ResponseProfile.lorentzian(KAPPA)
-        narrow = ResponseProfile.voigt(KAPPA, 0.05 * KAPPA)
+        lorentzian = ResponseProfile(KAPPA)
+        narrow = ResponseProfile(KAPPA, 0.05 * KAPPA)
         calls = []
 
         def counted(terms):
@@ -220,23 +224,23 @@ class TestZeroWidthSeries:
 class TestLorentzianRoots:
     def test_bare_cavity_on_resonance(self):
         sol = steady_state_roots_lorentzian(0.0, 0.0)
-        assert sol.roots == ((1.0, True),)
+        assert sol == ((1.0, True),)
 
     def test_exact_fold_factorization(self):
         # beta=2, delta0=-2: cubic factors as (u-1)(2u-1)^2
         sol = steady_state_roots_lorentzian(-2.0, 2.0)
-        us = [u for u, _ in sol.roots]
+        us = [u for u, _ in sol]
         assert len(us) == 2
         assert us[0] == pytest.approx(0.5, abs=1e-6)
         assert us[1] == pytest.approx(1.0, abs=1e-12)
-        assert sol.roots[1][1] is True
+        assert sol[1][1] is True
 
     def test_single_root_instance(self):
         # frozen from a bracketed root-find on 4u^3 - 4u^2 + 2u - 1
         sol = steady_state_roots_lorentzian(-1.0, 2.0)
-        assert len(sol.roots) == 1
-        assert sol.roots[0][0] == pytest.approx(0.7718445063460382, abs=1e-10)
-        assert sol.roots[0][1] is True
+        assert len(sol) == 1
+        assert sol[0][0] == pytest.approx(0.7718445063460382, abs=1e-10)
+        assert sol[0][1] is True
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(7)
@@ -245,14 +249,14 @@ class TestLorentzianRoots:
             delta0 = rng.uniform(-15.0, 5.0)
             sol = steady_state_roots_lorentzian(delta0, beta)
             expected = brute_force_root_count(beta, delta0, n=20_000)
-            assert len(sol.roots) == len(expected)
-            for (u, _), ue in zip(sol.roots, expected):
+            assert len(sol) == len(expected)
+            for (u, _), ue in zip(sol, expected):
                 assert u == pytest.approx(ue, abs=1e-6)
 
     def test_three_root_structure(self):
         sol = steady_state_roots_lorentzian(-3.0, 3.0)
-        assert len(sol.roots) == 3
-        stable = [s for _, s in sol.roots]
+        assert len(sol) == 3
+        stable = [s for _, s in sol]
         assert stable == [True, False, True]   # outer stable, middle unstable
 
     @given(st.floats(min_value=0.01, max_value=12.0),
@@ -260,8 +264,8 @@ class TestLorentzianRoots:
     @settings(max_examples=200, deadline=None)
     def test_root_count_one_or_three(self, beta, delta0):
         sol = steady_state_roots_lorentzian(delta0, beta)
-        assert len(sol.roots) in (1, 2, 3)    # 2 only at fold boundaries
-        us = [u for u, _ in sol.roots]
+        assert len(sol) in (1, 2, 3)    # 2 only at fold boundaries
+        us = [u for u, _ in sol]
         assert all(0 < u <= 1 for u in us)
         assert us == sorted(us)
         # residual of the defining cubic
@@ -275,8 +279,8 @@ class TestLorentzianRoots:
     def test_joint_flip_symmetry(self, beta, delta0):
         a = steady_state_roots_lorentzian(delta0, beta)
         b = steady_state_roots_lorentzian(-delta0, -beta)
-        assert len(a.roots) == len(b.roots)
-        for (ua, sa), (ub, sb) in zip(a.roots, b.roots):
+        assert len(a) == len(b)
+        for (ua, sa), (ub, sb) in zip(a, b):
             assert ua == pytest.approx(ub, rel=1e-9)
             assert sa == sb
 
@@ -284,12 +288,12 @@ class TestLorentzianRoots:
 def cubic_stable_roots(delta0, beta):
     """The stable roots u of the Lorentzian cubic, ascending."""
     sol = steady_state_roots_lorentzian(delta0, beta)
-    return tuple(u for u, s in sol.roots if s)
+    return tuple(u for u, s in sol if s)
 
 
 class TestStableRoots:
     def test_matches_cubic_for_lorentzian(self):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         rng = np.random.default_rng(11)
         for _ in range(100):
             beta = rng.uniform(0.0, 12.0)
@@ -301,11 +305,11 @@ class TestStableRoots:
                 assert ub == pytest.approx(ua, abs=1e-8)
 
     def test_beta_zero_is_linear_response(self):
-        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        p = ResponseProfile(KAPPA, SIGMA)
         assert stable_roots(p, 2.5, 0.0) == [steady_state._curve(p, 2.5, 0)[0]]
 
     def test_voigt_beta_9p5_has_bistable_region(self):
-        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        p = ResponseProfile(KAPPA, SIGMA)
         folds = fold_points(p, 9.5)
         assert len(folds) == 2
         d_lo, d_hi = sorted(f[0] for f in folds)
@@ -313,7 +317,7 @@ class TestStableRoots:
         assert len(stable_roots(p, mid, 9.5)) == 2
 
     def test_residuals(self):
-        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        p = ResponseProfile(KAPPA, SIGMA)
         for d0 in (-9.0, -7.0, -2.0):
             for u in stable_roots(p, d0, 9.5):
                 res = u - profile_value(p, KAPPA * (d0 + 9.5 * u))
@@ -322,7 +326,7 @@ class TestStableRoots:
 
 class TestFoldPoints:
     def test_exact_instance_and_partner(self):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         folds = fold_points(p, 2.0)
         assert len(folds) == 2
         # frozen from 16u^3(1-u) = 1 and delta0 = -2u - sqrt(1/u - 1)
@@ -332,11 +336,11 @@ class TestFoldPoints:
         assert folds[0][1] == pytest.approx(0.9196433776070801, abs=1e-8)
 
     def test_below_threshold_empty(self):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         assert fold_points(p, 1.0) == []
 
     def test_folds_merge_at_threshold(self):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         thr = 8 * np.sqrt(3) / 9
         near = fold_points(p, thr * (1 + 1e-4))
         far = fold_points(p, thr * 1.5)
@@ -348,7 +352,7 @@ class TestFoldPoints:
     def test_large_beta_folds_stop_at_the_rounding_floor(self, monkeypatch):
         # far out the terms of v' cancel, and F' jittered above a floor of
         # 1 + beta|v'| for 55 point evaluations at beta 1e4 (13 at beta 9.5)
-        p, beta = ResponseProfile.voigt(KAPPA, SIGMA), 1e4
+        p, beta = ResponseProfile(KAPPA, SIGMA), 1e4
         p._slope_peak                       # cached before counting
         curve, points = steady_state._curve, []
 
@@ -366,7 +370,7 @@ class TestFoldPoints:
 
     def test_fold_is_double_root(self):
         # at a fold detuning, the two merging roots coincide
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         for d0, u in fold_points(p, 3.0):
             res = u * (1 + (d0 + 3.0 * u) ** 2) - 1.0
             slope = 1 + d0**2 + 4 * 3.0 * d0 * u + 3 * 9.0 * u**2
@@ -375,7 +379,7 @@ class TestFoldPoints:
 
     def test_requires_positive_beta(self):
         with pytest.raises(ValueError):
-            fold_points(ResponseProfile.lorentzian(KAPPA), 0.0)
+            fold_points(ResponseProfile(KAPPA), 0.0)
 
 
 class TestSlopePeak:
@@ -384,8 +388,8 @@ class TestSlopePeak:
         # v''' against a central difference of v'', both profile kinds
         h = 1e-4
         x = np.linspace(-8.0, 8.0, 161)
-        for p in (ResponseProfile.voigt(KAPPA, ratio * KAPPA),
-                  ResponseProfile.lorentzian(KAPPA)):
+        for p in (ResponseProfile(KAPPA, ratio * KAPPA),
+                  ResponseProfile(KAPPA)):
             v3 = steady_state._curve(p, x, 3)[3]
             diff = (steady_state._curve(p, x + h, 2)[2]
                     - steady_state._curve(p, x - h, 2)[2]) / (2 * h)
@@ -404,7 +408,7 @@ class TestSlopePeak:
             return curve(*args)
 
         monkeypatch.setattr(steady_state, "_curve", counted)
-        p = ResponseProfile.voigt(KAPPA, ratio * KAPPA)
+        p = ResponseProfile(KAPPA, ratio * KAPPA)
         x_pk, slope = p._slope_peak
         assert len(calls) <= 15
         x = np.linspace(-10.0 * (1.0 + ratio), 0.0, 20001)
@@ -420,15 +424,15 @@ class TestSlopePeak:
 
 class TestBistabilityThreshold:
     def test_lorentzian_exact(self):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         assert abs(bistability_threshold(p) - 8 * np.sqrt(3) / 9) < 1e-6
 
     def test_voigt_reference_value(self):
-        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        p = ResponseProfile(KAPPA, SIGMA)
         assert bistability_threshold(p) == pytest.approx(3.7, abs=0.1)
 
     def test_voigt_degenerates_to_lorentzian(self):
-        thr = [bistability_threshold(ResponseProfile.voigt(KAPPA, s * KAPPA))
+        thr = [bistability_threshold(ResponseProfile(KAPPA, s * KAPPA))
                for s in (0.5, 0.1, 0.02)]
         lor = 8 * np.sqrt(3) / 9
         assert all(a > b for a, b in zip(thr, thr[1:]))   # shrinking sigma
@@ -439,8 +443,8 @@ class TestBistabilityThreshold:
         # the Gaussian raises the threshold by about 2.9 (sigma/kappa)^2;
         # w itself lost v' to cancellation here (1.5868 at 1e-4) and
         # overflowed at 1e-300
-        p = ResponseProfile.voigt(KAPPA, ratio * KAPPA)
-        lor = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA, ratio * KAPPA)
+        lor = ResponseProfile(KAPPA)
         thr, thr_lor = bistability_threshold(p), bistability_threshold(lor)
         assert -1e-15 <= thr / thr_lor - 1 <= 3 * ratio ** 2 + 1e-15
         for (d, u), (d_lor, u_lor) in zip(fold_points(p, 7.0),
@@ -450,8 +454,8 @@ class TestBistabilityThreshold:
 
     def test_series_meets_faddeeva_at_the_crossover(self):
         # sigma = 0.1 kappa takes the series, a hair above takes w
-        series = ResponseProfile.voigt(KAPPA, 0.1 * KAPPA)
-        faddeeva = ResponseProfile.voigt(KAPPA, 0.1 * KAPPA * (1 + 1e-15))
+        series = ResponseProfile(KAPPA, 0.1 * KAPPA)
+        faddeeva = ResponseProfile(KAPPA, 0.1 * KAPPA * (1 + 1e-15))
         assert series._narrow and not faddeeva._narrow
         assert bistability_threshold(series) == pytest.approx(
             bistability_threshold(faddeeva), rel=1e-12)
@@ -460,14 +464,14 @@ class TestBistabilityThreshold:
                              - profile_value(faddeeva, d))) < 1e-13
 
     def test_threshold_independent_of_kappa_scale(self):
-        a = bistability_threshold(ResponseProfile.lorentzian(1.0))
-        b = bistability_threshold(ResponseProfile.lorentzian(1e7))
+        a = bistability_threshold(ResponseProfile(1.0))
+        b = bistability_threshold(ResponseProfile(1e7))
         assert a == pytest.approx(b, rel=1e-6)
 
 
 class TestLineshapeScan:
     def test_below_threshold_scans_identical(self):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         grid = np.linspace(-8, 4, 400)
         up = lineshape_scan(p, 1.0, grid, "up")
         down = lineshape_scan(p, 1.0, grid, "down")
@@ -480,7 +484,7 @@ class TestLineshapeScan:
         # Lorentzian beta=2: the upper branch terminates at the fold
         # delta0 = -2.1349 (down-sweep drops there); the lower branch
         # terminates at delta0 = -2 (up-sweep jumps there)
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         grid = np.linspace(-4, 0, 801)
         step = grid[1] - grid[0]
 
@@ -497,7 +501,7 @@ class TestLineshapeScan:
         assert d_up == pytest.approx(-2.0, abs=2 * step)
 
     def test_hysteresis_area(self):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         grid = np.linspace(-8, 2, 1000)
         for beta, expect_area in ((1.0, False), (3.0, True)):
             up = np.array([u for _, u in lineshape_scan(p, beta, grid, "up")])
@@ -509,7 +513,7 @@ class TestLineshapeScan:
     @pytest.mark.parametrize("points", [7, 0])
     def test_rows_are_one_float_array(self, points):
         # (delta0, u) rows in traversal order, as one (n, 2) float64 array
-        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        p = ResponseProfile(KAPPA, SIGMA)
         grid = np.linspace(-12.0, -3.0, points)
         up, down, both = (lineshape_scan(p, 9.5, grid, direction)
                           for direction in ("up", "down", "both"))
@@ -525,7 +529,7 @@ class TestLineshapeScan:
         # delta0 = -beta, so the down-sweep approaches it from the
         # bare-cavity side and rides it to the top; the opposite sweep
         # jumps past it from the lower branch (hysteresis hallmark)
-        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        p = ResponseProfile(KAPPA, SIGMA)
         grid = np.linspace(-14, -2, 1200)
         toward = lineshape_scan(p, 9.5, grid, "down")
         away = lineshape_scan(p, 9.5, grid, "up")
@@ -539,8 +543,8 @@ def cubic_oracle_scan(beta, grid):
     out, u_prev = [], None
     for d0 in grid:
         sol = steady_state_roots_lorentzian(float(d0), beta)
-        stable = (tuple(u for u, s in sol.roots if s)
-                  or tuple(u for u, _ in sol.roots))
+        stable = (tuple(u for u, s in sol if s)
+                  or tuple(u for u, _ in sol))
         ref = 1.0 / (1.0 + d0 ** 2) if u_prev is None else u_prev
         u_prev = min(stable, key=lambda u: abs(u - ref))
         out.append(u_prev)
@@ -559,7 +563,7 @@ class TestParametricCore:
     @pytest.mark.parametrize("direction", ["up", "down"])
     def test_lorentzian_scan_matches_cubic_branch_following(self, beta, grid,
                                                             direction):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         scan = lineshape_scan(p, beta, grid, direction)
         traversal = grid if direction == "up" else grid[::-1]
         assert [d for d, _ in scan] == traversal.tolist()
@@ -569,19 +573,19 @@ class TestParametricCore:
         assert jump_indices(us) == jump_indices(expected)
         assert len(jump_indices(us)) == 1
 
-    @pytest.mark.parametrize("profile", [ResponseProfile.lorentzian(KAPPA),
-                                         ResponseProfile.voigt(KAPPA, SIGMA)])
+    @pytest.mark.parametrize("profile", [ResponseProfile(KAPPA),
+                                         ResponseProfile(KAPPA, SIGMA)])
     def test_closed_form_threshold_brackets_the_folds(self, profile):
         thr = bistability_threshold(profile)
         assert fold_points(profile, thr * (1 - 1e-9)) == []
         assert len(fold_points(profile, thr * (1 + 1e-9))) == 2
 
     def test_lorentzian_threshold_to_round_off(self):
-        thr = bistability_threshold(ResponseProfile.lorentzian(KAPPA))
+        thr = bistability_threshold(ResponseProfile(KAPPA))
         assert thr == pytest.approx(8 * np.sqrt(3) / 9, rel=1e-14)
 
     def test_voigt_scan_residuals(self):
-        p = ResponseProfile.voigt(KAPPA, SIGMA)
+        p = ResponseProfile(KAPPA, SIGMA)
         grid = np.linspace(-16.0, 4.0, 1500)
         for direction in ("up", "down"):
             scan = np.array(lineshape_scan(p, 9.5, grid, direction))
@@ -589,8 +593,8 @@ class TestParametricCore:
             res = np.abs(u - profile_value(p, KAPPA * (d0 + 9.5 * u)))
             assert np.max(res) <= 1e-10
 
-    @pytest.mark.parametrize("profile", [ResponseProfile.lorentzian(KAPPA),
-                                         ResponseProfile.voigt(KAPPA, SIGMA)])
+    @pytest.mark.parametrize("profile", [ResponseProfile(KAPPA),
+                                         ResponseProfile(KAPPA, SIGMA)])
     def test_negative_beta_mirrors_positive(self, profile):
         grid = np.linspace(-3.0, 15.0, 600)
         for direction, flipped in (("up", "down"), ("down", "up")):
@@ -608,7 +612,7 @@ class TestParametricCore:
             assert u in us
 
     def test_negative_beta_matches_cubic(self):
-        p = ResponseProfile.lorentzian(KAPPA)
+        p = ResponseProfile(KAPPA)
         rng = np.random.default_rng(5)
         for _ in range(100):
             beta = -rng.uniform(0.0, 12.0)
@@ -750,8 +754,8 @@ def pick_cases(n_per_kind=24, seed=13):
     starts): in the bistable band for half of them, and next to it, where
     one branch is missing, for the other half.  beta < 0 mirrors those."""
     rng = np.random.default_rng(seed)
-    profiles = [ResponseProfile.lorentzian(KAPPA),
-                ResponseProfile.voigt(KAPPA, SIGMA)]
+    profiles = [ResponseProfile(KAPPA),
+                ResponseProfile(KAPPA, SIGMA)]
     cases = []
     for kind in ("any", "inside", "missing"):
         for i in range(n_per_kind):
