@@ -209,7 +209,8 @@ FIELDS = {
     "trigger.loss_rate": Field(_nonnegative(_number)),
     "trigger.threshold_rate": Field(_number),
     "trigger.delay": Field(_nonnegative(parse_time), "10 ms"),
-    "trigger.detection_level": Field(_number, None),  # params.drive.n_max
+    "trigger.detection_level": Field(_nonnegative(_number),
+                                     None),  # params.drive.n_max
     "trigger.bin_width": Field(_positive(parse_time), "10 us"),
     "trigger.horizon": Field(_positive(parse_time), "1 s"),
     "trigger.smoothing_time": Field(_nonnegative(parse_time), "100 us"),
@@ -394,7 +395,7 @@ def cmd_derived(cfg, out, seed) -> int:
     eps_multi = system.kerr_coefficient(multi_well=True)
     crit_atom, crit_photon = params.critical_numbers(cav)
     report = {
-        "recoil_frequency_2pi_Hz": system.recoil_frequency() / TWO_PI,
+        "recoil_frequency_2pi_Hz": params.recoil_frequency(cav.k_probe) / TWO_PI,
         "collective_shift_2pi_MHz": dn / TWO_PI / 1e6,
         "kerr_coefficient_single_well": system.kerr_coefficient(multi_well=False),
         "kerr_coefficient_multi_well": eps_multi,
@@ -516,6 +517,11 @@ def _check_ringdown(sec, omega_z, dt) -> None:
 
 
 def cmd_ringdown(cfg, out, seed) -> int:
+    """The probe switch-on ring-up at the config's collective shift, or
+    with ``ringdown.use_trigger`` at the shift of the bin that fired.  The
+    atom-loss drift runs only while the monitoring probe is on, so
+    ``trigger.delay`` moves no ring-up row; only the ``trigger`` scenario
+    reports it."""
     from . import dynamics, lattice, measure
     sec = _resolve(cfg, "ringdown")
     trig_sec = _resolve(cfg, "trigger") if sec["use_trigger"] else None
@@ -606,8 +612,8 @@ def _run_trigger(sec, system, seed):
     """The ``measure.TriggerResult`` of a resolved ``trigger`` section."""
     from . import measure
     return measure.trigger_sequence(
-        measure.AtomLossDrift(sec["n0"], sec["loss_rate"]),
-        system.cavity, system.drive, threshold_rate=sec["threshold_rate"],
+        sec["n0"], sec["loss_rate"], system.cavity, system.drive,
+        threshold_rate=sec["threshold_rate"],
         efficiency=sec["efficiency"], bin_width=sec["bin_width"],
         horizon=sec["horizon"], seed=seed,
         smoothing_time=sec["smoothing_time"])

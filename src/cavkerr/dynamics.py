@@ -46,10 +46,10 @@ class TransientTrace:
     """Sampled ring-up record.
 
     ``delta_n`` and ``nbar`` are the collective shift and photon number at
-    every sample.  ``sites`` holds the ensemble row indices whose motion was
-    recorded; ``displacements`` and ``velocities`` are (n_samples,
-    len(sites)), column k belonging to row ``sites[k]``, so with no site
-    recorded they have zero columns.
+    every sample.  ``displacements`` and ``velocities`` are (n_samples,
+    len(record_sites)), column k belonging to the ensemble row
+    ``record_sites[k]`` of the ``ring_up`` call, so with no site recorded
+    they have zero columns.
     """
 
     time: np.ndarray
@@ -57,17 +57,6 @@ class TransientTrace:
     nbar: np.ndarray
     displacements: np.ndarray
     velocities: np.ndarray
-    sites: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.time)
-        if not (len(self.delta_n) == len(self.nbar) == n):
-            raise ValueError("trace series must have equal length")
-        if np.any(self.nbar < 0):
-            raise ValueError("nbar must be nonnegative")
-        for series in (self.displacements, self.velocities):
-            if series.shape != (n, len(self.sites)):
-                raise ValueError("site series must be (n_samples, len(sites))")
 
 
 def quasi_static_sweep(profile: ResponseProfile, beta: float, delta_pc,
@@ -323,8 +312,7 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
     phase = np.outer(time, w[sites])
     return TransientTrace(time, delta_n, nbar,
                           amp[sites] * (1.0 - np.cos(phase)),
-                          amp[sites] * w[sites] * np.sin(phase),
-                          tuple(sites.tolist()))
+                          amp[sites] * w[sites] * np.sin(phase))
 
 
 def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
@@ -404,25 +392,23 @@ def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
         if sample:
             record((i + 1) // record_every)
 
-    return TransientTrace(time, dn_rec, nb_rec, disp_rec, vel_rec,
-                          tuple(sites.tolist()))
+    return TransientTrace(time, dn_rec, nb_rec, disp_rec, vel_rec)
 
 
 def impulse_modulation_estimate(cavity: CavityParams, trap: TrapParams,
-                                n_atoms: float) -> tuple[float, float]:
-    """Velocity kick of one photon and the collective modulation it drives.
+                                n_atoms: float) -> float:
+    """Collective resonance modulation driven by the kick of one photon.
 
     A photon transiting in ~1/2kappa imparts impulse f/(2 kappa) to an atom
     at probe phase pi/4, where the force f = f1 sin(2 theta) peaks, i.e.
     velocity v = f1/(2 kappa m).  All N atoms oscillating with displacement
     amplitude v/omega_z (their local kick scaling with the local gradient,
     averaged over the wells) modulate the resonance by
-    N g0^2 k_p/(2|delta_ca|) * v/omega_z.
+    N g0^2 k_p/(2|delta_ca|) * |v|/omega_z, returned in rad/s.
     """
     v = force_per_photon(cavity) / (2.0 * cavity.kappa * CONSTANTS.m_rb87)
-    modulation = (n_atoms * cavity.g0 ** 2 * cavity.k_probe
-                  / (2.0 * abs(cavity.delta_ca)) * abs(v) / trap.omega_z)
-    return float(v), float(modulation)
+    return float(n_atoms * cavity.g0 ** 2 * cavity.k_probe
+                 / (2.0 * abs(cavity.delta_ca)) * abs(v) / trap.omega_z)
 
 
 def impulse_boundary_detuning(cavity: CavityParams, trap: TrapParams,

@@ -6,7 +6,8 @@ multiplying that rate.  Counts are Poisson per time bin and reproducible
 from the seed; ``averaged_counts`` is the one rate-to-binned-counts path.
 It counts a ``(time, nbar)`` pair of arrays, e.g. ``(trace.time,
 trace.nbar)`` of a ring-up trace.  ``trigger_sequence`` decides the trigger
-of a trigger / delay / detect sequence; its caller schedules the rest.
+of a trigger / delay / detect sequence on an atom number n0 exp(-loss_rate
+t); its caller schedules the rest.
 
 The collective-motion signal is read out as the Fourier amplitude of the
 transmission at the trap frequency over contiguous windows; the window
@@ -122,23 +123,6 @@ def averaged_counts(nbar_trace, cavity: CavityParams, efficiency: float,
                          else total.counts / n_average)
 
 
-@dataclass(frozen=True)
-class AtomLossDrift:
-    """Exponential atom-number decay used by the trigger simulation."""
-
-    n0: float
-    loss_rate: float
-
-    def __post_init__(self):
-        if self.n0 <= 0 or self.loss_rate < 0:
-            raise ValueError("need n0 > 0 and loss_rate >= 0")
-
-    def atoms(self, t):
-        """N(t) = n0 exp(-loss_rate t); a float for scalar t."""
-        out = self.n0 * np.exp(-self.loss_rate * np.asarray(t, dtype=float))
-        return out if out.ndim else float(out)
-
-
 @dataclass
 class TriggerResult:
     """The trigger decision: the centre of the bin that fired and the
@@ -150,7 +134,7 @@ class TriggerResult:
     counts: CountRecord
 
 
-def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
+def trigger_sequence(n0: float, loss_rate: float, cavity: CavityParams,
                      drive: DriveParams, threshold_rate: float, *,
                      efficiency: float = 0.05, bin_width: float = 10e-6,
                      horizon: float = 1.0, seed: int = 0,
@@ -158,24 +142,32 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
     """The trigger of a trigger / delay / detect sequence on the atom-loss
     drift: when to fire, and the collective shift it conditions.
 
-    As atoms are lost the collective shift drifts toward the probe and the
-    monitored transmission rises.  Counts are low-pass filtered (trailing
-    moving average over ``smoothing_time``) before the threshold comparison
-    so a single dark-ish bin cannot false-trigger at nbar < 1.  The first
-    bin whose average reaches ``threshold_rate`` fires; the delay and the
-    detection level that follow it are the caller's to schedule.
+    While the monitoring probe is on, atoms are lost at ``loss_rate``: bin k
+    sees N = n0 exp(-loss_rate t_k) at its centre t_k, so the collective
+    shift drifts toward the probe and the transmission rises.  Counts are
+    low-pass filtered (trailing moving average over ``smoothing_time``)
+    before the threshold comparison so a single dark-ish bin cannot
+    false-trigger at nbar < 1.  The first bin whose average reaches
+    ``threshold_rate`` fires, and the conditioned shift is that bin's.  The
+    delay and the detection level that follow are the caller's to schedule;
+    the drift is not run on through the delay, so a ring-up conditioned on
+    the trigger starts from the trigger-time shift.
 
     The record holds ceil(horizon / bin_width) bins (a ratio at most 1e-9
     relative above an integer counts as that integer), and the trigger
     time is the centre of the bin that fires, as ``CountRecord.times``
-    gives it.  An ``efficiency`` outside [0, 1] raises ``ValueError``
-    before any count is computed.
+    gives it.  An ``efficiency`` outside [0, 1], ``n0 <= 0`` or a negative
+    ``loss_rate`` (NaN too) raises ``ValueError`` before any count is
+    computed.
     """
     _check_efficiency(efficiency)
+    if not (n0 > 0 and loss_rate >= 0):
+        raise ValueError("need n0 > 0 and loss_rate >= 0")
     profile = ResponseProfile.from_cavity(cavity)
     n_bins = math.ceil(horizon / bin_width * (1.0 - 1e-9))
     centers = _bin_centers(0.0, bin_width, n_bins)
-    dn = collective_shift(drift.atoms(centers), cavity.g0, cavity.delta_ca)
+    dn = collective_shift(n0 * np.exp(-loss_rate * centers), cavity.g0,
+                          cavity.delta_ca)
     nbar = drive.n_max * profile_value(profile, drive.delta_pc - dn)
     record = _draw(CountRecord(
         bin_width, _detected_rate(cavity, nbar, efficiency) * bin_width), seed)
@@ -191,9 +183,8 @@ def trigger_sequence(drift: AtomLossDrift, cavity: CavityParams,
     above = np.nonzero(smoothed >= threshold_rate)[0]
     if len(above) == 0:
         return TriggerResult(None, None, record)
-    t_trig = float(centers[above[0]])
-    dn_trig = collective_shift(drift.atoms(t_trig), cavity.g0, cavity.delta_ca)
-    return TriggerResult(t_trig, dn_trig, record)
+    i = above[0]
+    return TriggerResult(float(centers[i]), float(dn[i]), record)
 
 
 def window_grid(n_samples: int, window_length: float,

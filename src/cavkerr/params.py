@@ -116,9 +116,6 @@ class SystemParams:
     trap: TrapParams
     drive: DriveParams
 
-    def recoil_frequency(self) -> float:
-        return recoil_frequency(self.cavity.k_probe, CONSTANTS.m_rb87)
-
     def collective_shift(self) -> float:
         return collective_shift(self.drive.atom_number, self.cavity.g0,
                                 self.cavity.delta_ca)
@@ -132,11 +129,12 @@ class SystemParams:
                               self.drive.n_max, self.cavity.kappa)
 
 
-def recoil_frequency(k: float, mass: float) -> float:
-    """Single-photon recoil frequency hbar*k^2/(2m), rad/s."""
-    if k <= 0 or mass <= 0:
-        raise ValueError("recoil frequency needs k > 0 and mass > 0")
-    return CONSTANTS.hbar * k * k / (2.0 * mass)
+def recoil_frequency(k: float) -> float:
+    """Single-photon recoil frequency hbar*k^2/(2m) of 87Rb at wavenumber
+    ``k``, rad/s."""
+    if k <= 0:
+        raise ValueError("recoil frequency needs k > 0")
+    return CONSTANTS.hbar * k * k / (2.0 * CONSTANTS.m_rb87)
 
 
 def collective_shift(n_atoms: float, g0: float, delta_ca: float) -> float:
@@ -196,7 +194,7 @@ def nonlinear_photon_threshold(params: SystemParams) -> float:
     if n <= 0:
         raise ValueError("atom number must be positive for n_nl")
     cav, trap = params.cavity, params.trap
-    w_rec = params.recoil_frequency()
+    w_rec = recoil_frequency(cav.k_probe)
     ng2 = n * cav.g0 ** 2
     return (4.0 * trap.omega_z ** 2 * cav.kappa / (w_rec * cav.g0 ** 2)
             * (ng2 / 2.0 + (cav.delta_ca / 2.0) ** 2) / ng2)

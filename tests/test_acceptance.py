@@ -95,7 +95,7 @@ def test_criterion_04_beta_reconstruction_hysteresis():
 
 def test_criterion_05_photon_threshold_limit():
     cav = reference_cavity(delta_ca=-1e-6)   # delta_ca -> 0 limit
-    w_rec = recoil_frequency(cav.k_probe, CONSTANTS.m_rb87)
+    w_rec = recoil_frequency(cav.k_probe)
     trap = reference_trap(omega_z=2 * w_rec)
     system = SystemParams(cav, trap, DriveParams(1.0, 0.0, 5e4))
     n_nl = nonlinear_photon_threshold(system)

@@ -359,7 +359,7 @@ TRIGGER_RANGES = {
     "trigger.loss_rate": ("", 0.0, 100.0, "nonnegative"),
     "trigger.threshold_rate": ("", 0.0, 1e7, "any"),
     "trigger.delay": ("ms", 0.0, 50.0, "nonnegative"),
-    "trigger.detection_level": ("", 0.0, 20.0, "any"),
+    "trigger.detection_level": ("", 0.0, 20.0, "nonnegative"),
     "trigger.bin_width": ("us", 1.0, 1000.0, "positive"),
     "trigger.horizon": ("ms", 0.01, 20.0, "positive"),
     "trigger.smoothing_time": ("us", 0.0, 1000.0, "nonnegative"),
@@ -1039,6 +1039,34 @@ class TestTriggeredRingdown:
         assert summary["delta_n0_2pi_MHz"] == pytest.approx(-19.0, abs=1.5)
         assert summary["switch_on_nbar"] == pytest.approx(6.5, rel=0.01)
 
+    def test_delay_moves_no_ring_up_row(self, tmp_path):
+        # the drift runs only while the monitoring probe is on: the ring-up
+        # starts from the shift of the bin that fired, whatever the delay
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        cfg["ringdown"].update(use_trigger=True, duration="1.3 ms",
+                               subensembles=2, n_average=5,
+                               window_length="250 us")
+        runs = []
+        for delay in ("2 ms", "10 ms"):
+            cfg["trigger"] = dict(TRIGGER, delay=delay)
+            path = tmp_path / "chain.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            base = str(tmp_path / delay.replace(" ", ""))
+            assert run_cli("--config", path, "--out", base) == 0
+            summary = json.loads(Path(base + "_summary.json").read_text())
+            del summary["_config"]
+            runs.append(([read_csv(f"{base}_{name}.csv")[1:]
+                          for name in ("trace", "counts", "windows")],
+                         summary))
+        assert runs[0] == runs[1]
+        cfg["scenario"] = "trigger"
+        path.write_text(yaml.safe_dump(cfg))
+        base = str(tmp_path / "trig")
+        assert run_cli("--config", path, "--out", base) == 0
+        trig = json.loads(Path(base + "_summary.json").read_text())
+        assert runs[0][1]["delta_n0_2pi_MHz"] == \
+            trig["conditioned_deltaN_2pi_MHz"]
+
 
 class TestTriggerScenario:
     def test_trigger_summary(self, tmp_path):
@@ -1087,6 +1115,19 @@ class TestTriggerScenario:
             assert t is None
             assert summary["probe_on_time_s"] is None
             assert summary["conditioned_deltaN_2pi_MHz"] is None
+
+
+    def test_negative_detection_level_exit_2(self, tmp_path, capsys):
+        # a drive level, >= 0 as ringdown.level is
+        cfg = yaml.safe_load((BENCH_CONFIGS / "trigger.yaml").read_text())
+        cfg["trigger"]["detection_level"] = -3
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli("--config", path, "--out", out / "run") == 2
+        assert "trigger.detection_level" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 class TestCountsFile:

@@ -11,7 +11,6 @@ from cavkerr import (
     profile_value,
 )
 from cavkerr.measure import (
-    AtomLossDrift,
     CountRecord,
     SpectralDecay,
     averaged_counts,
@@ -316,7 +315,7 @@ class TestDecayFit:
 
 class TestTriggerSequence:
     def setup_context(self, cavity260):
-        drift = AtomLossDrift(n0=1.2e5, loss_rate=20.0)
+        drift = (1.2e5, 20.0)               # n0, loss_rate
         drive = DriveParams(n_max=6.5, delta_pc=-TWO_PI * 17e6,
                             atom_number=0.0)
         profile = ResponseProfile.from_cavity(cavity260)
@@ -325,12 +324,13 @@ class TestTriggerSequence:
     def test_conditioned_shift_matches_crossing_oracle(self, cavity260):
         drift, drive, profile = self.setup_context(cavity260)
         threshold = 1.0e6      # detected counts/s
-        result = trigger_sequence(drift, cavity260, drive, threshold,
+        n0, rate = drift
+        result = trigger_sequence(n0, rate, cavity260, drive, threshold,
                                   horizon=0.3, seed=5)
         assert result.trigger_time is not None
 
         def smooth_rate(t):
-            dn = collective_shift(drift.atoms(t), cavity260.g0,
+            dn = collective_shift(n0 * np.exp(-rate * t), cavity260.g0,
                                   cavity260.delta_ca)
             return (2 * cavity260.kappa * 0.05 * drive.n_max
                     * profile_value(profile, drive.delta_pc - dn))
@@ -338,18 +338,18 @@ class TestTriggerSequence:
         # bracket the rising edge: peak transmission is where the drifting
         # shift coincides with the probe detuning
         n_res = drive.delta_pc * 2 * cavity260.delta_ca / cavity260.g0**2
-        t_peak = np.log(drift.n0 / n_res) / drift.loss_rate
+        t_peak = np.log(n0 / n_res) / rate
         t_star = brentq(lambda t: smooth_rate(t) - threshold, 1e-4, t_peak)
-        dn_star = collective_shift(drift.atoms(t_star), cavity260.g0,
+        dn_star = collective_shift(n0 * np.exp(-rate * t_star), cavity260.g0,
                                    cavity260.delta_ca)
         # tolerance: drift of Delta_N over a few smoothing windows
-        dn_rate = abs(dn_star) * drift.loss_rate
+        dn_rate = abs(dn_star) * rate
         assert abs(result.conditioned_delta_n - dn_star) < 5 * dn_rate * 100e-6
 
     def test_threshold_above_peak_never_triggers(self, cavity260):
         drift, drive, _ = self.setup_context(cavity260)
         peak_rate = 2 * cavity260.kappa * 0.05 * drive.n_max
-        result = trigger_sequence(drift, cavity260, drive, 2 * peak_rate,
+        result = trigger_sequence(*drift, cavity260, drive, 2 * peak_rate,
                                   horizon=0.3, seed=5)
         assert result.trigger_time is None
         assert result.conditioned_delta_n is None
@@ -360,13 +360,13 @@ class TestTriggerSequence:
         # one's last bin.  A threshold first reached near that bin fires at
         # the same time in both: the smoother reads no later counts.
         drift, drive, _ = self.setup_context(cavity260)
-        short = trigger_sequence(drift, cavity260, drive, 1.0e9,
+        short = trigger_sequence(*drift, cavity260, drive, 1.0e9,
                                  horizon=0.05, seed=9)
         n = len(short.counts.counts)
         average = trailing_average(short.counts.counts, 10, 1e-5)
         i = int(np.argmax(average))
         assert i > n - 500                     # the rate rises to the end
-        runs = [trigger_sequence(drift, cavity260, drive, average[i],
+        runs = [trigger_sequence(*drift, cavity260, drive, average[i],
                                  horizon=horizon, seed=9)
                 for horizon in (0.05, 0.1)]
         assert np.array_equal(runs[1].counts.counts[:n], short.counts.counts)
@@ -385,17 +385,17 @@ class TestTriggerSequence:
         # fires must be the first to reach it, bit for bit
         _, drive, _ = self.setup_context(cavity260)
         n_res = drive.delta_pc * 2 * cavity260.delta_ca / cavity260.g0**2
-        drift = AtomLossDrift(n0=n_res, loss_rate=20.0)
+        drift = (n_res, 20.0)
         kwargs = dict(bin_width=10e-6, horizon=0.05, seed=9,
                       smoothing_time=smoothing_time)
-        counts = trigger_sequence(drift, cavity260, drive, np.inf,
+        counts = trigger_sequence(*drift, cavity260, drive, np.inf,
                                   **kwargs).counts
         assert counts.counts[0] > 0
         average = trailing_average(counts.counts, n, 10e-6)
         levels = np.unique(average)
         for threshold in levels[[len(levels) // 4, len(levels) // 2, -1]]:
             first = np.flatnonzero(average >= threshold)[0]
-            result = trigger_sequence(drift, cavity260, drive, threshold,
+            result = trigger_sequence(*drift, cavity260, drive, threshold,
                                       **kwargs)
             assert result.trigger_time == counts.times[first]
 
@@ -405,7 +405,7 @@ class TestTriggerSequence:
     def test_bins_cover_the_horizon(self, cavity260, horizon, bin_width,
                                     n_bins):
         drift, drive, _ = self.setup_context(cavity260)
-        result = trigger_sequence(drift, cavity260, drive, 1.0e9,
+        result = trigger_sequence(*drift, cavity260, drive, 1.0e9,
                                   bin_width=bin_width, horizon=horizon)
         assert len(result.counts.counts) == n_bins
 
@@ -413,7 +413,7 @@ class TestTriggerSequence:
         # at 1e-5 s bins (k + 0.5) * w and the midpoint of k * w and
         # (k + 1) * w differ by an ulp in about a third of the bins
         drift, drive, _ = self.setup_context(cavity260)
-        result = trigger_sequence(drift, cavity260, drive, 1.0e6,
+        result = trigger_sequence(*drift, cavity260, drive, 1.0e6,
                                   bin_width=1e-5, horizon=0.3, seed=0)
         assert result.trigger_time is not None
         times = result.counts.times
@@ -422,8 +422,8 @@ class TestTriggerSequence:
     def test_seed_determinism(self, cavity260):
         drift, drive, _ = self.setup_context(cavity260)
         kwargs = dict(horizon=0.3, seed=9)
-        a = trigger_sequence(drift, cavity260, drive, 1.0e6, **kwargs)
-        b = trigger_sequence(drift, cavity260, drive, 1.0e6, **kwargs)
+        a = trigger_sequence(*drift, cavity260, drive, 1.0e6, **kwargs)
+        b = trigger_sequence(*drift, cavity260, drive, 1.0e6, **kwargs)
         assert a.trigger_time == b.trigger_time
         assert np.array_equal(a.counts.counts, b.counts.counts)
 
@@ -433,7 +433,7 @@ class TestTriggerSequence:
         # the detected rate cannot exceed the emitted rate, nor be negative
         drift, drive, _ = self.setup_context(cavity260)
         with pytest.raises(ValueError, match="efficiency"):
-            trigger_sequence(drift, cavity260, drive, 1.0e6,
+            trigger_sequence(*drift, cavity260, drive, 1.0e6,
                              efficiency=efficiency, horizon=0.01)
         with pytest.raises(ValueError, match="efficiency"):
             averaged_counts(flat_trace(1.0), cavity260, efficiency, 1e-5, 0, 1)
@@ -447,4 +447,60 @@ class TestTriggerSequence:
 
         monkeypatch.setattr(measure, "profile_value", profile_pass)
         with pytest.raises(ValueError, match="efficiency"):
-            trigger_sequence(drift, cavity260, drive, 1.0e6, efficiency=1.5)
+            trigger_sequence(*drift, cavity260, drive, 1.0e6, efficiency=1.5)
+
+    @pytest.mark.parametrize("n0, loss_rate", [
+        (0.0, 20.0), (-5.0, 20.0), (1.2e5, -1.0), (np.nan, 20.0),
+        (1.2e5, np.nan)])
+    def test_drift_checked_before_the_profile_pass(self, cavity260,
+                                                   monkeypatch, n0,
+                                                   loss_rate):
+        _, drive, _ = self.setup_context(cavity260)
+
+        def profile_pass(*args):
+            pytest.fail("the profile pass ran before the drift check")
+
+        monkeypatch.setattr(measure, "profile_value", profile_pass)
+        with pytest.raises(ValueError, match="n0 > 0 and loss_rate >= 0"):
+            trigger_sequence(n0, loss_rate, cavity260, drive, 1.0e6)
+
+
+class TestAtomLoss:
+    # trigger_sequence's drift: N(t) = n0 exp(-loss_rate t) at each bin
+    # centre t while the monitoring probe is on
+    @staticmethod
+    def fire(cavity260, n0, loss_rate):
+        drive = DriveParams(n_max=6.5, delta_pc=-TWO_PI * 17e6)
+        result = trigger_sequence(n0, loss_rate, cavity260, drive, 1.0e5,
+                                  horizon=0.3, seed=5)
+        assert result.trigger_time is not None
+        return result
+
+    def test_no_loss(self, cavity260):
+        # the probe's resonant atom number, so a bin fires at a fixed shift
+        n0 = -TWO_PI * 17e6 * 2 * cavity260.delta_ca / cavity260.g0**2
+        result = self.fire(cavity260, n0, 0.0)
+        assert result.conditioned_delta_n == collective_shift(
+            n0, cavity260.g0, cavity260.delta_ca)
+
+    def test_conditioned_shift_follows_the_exponential_loss(self, cavity260):
+        n0, rate = 1.2e5, 20.0
+        result = self.fire(cavity260, n0, rate)
+        t = result.trigger_time
+        assert t > 0.01                        # the loss moved the shift
+        dn0 = collective_shift(n0, cavity260.g0, cavity260.delta_ca)
+        # one bin moves the shift by 2e-4 relative: this is the firing bin's
+        assert result.conditioned_delta_n == pytest.approx(
+            dn0 * np.exp(-rate * t), rel=1e-12)
+
+    def test_shift_crossing_time_unique(self, cavity260):
+        n0, rate = 1.2e5, 1.5
+        target = -TWO_PI * 19e6
+
+        def dn(t):
+            return collective_shift(n0 * np.exp(-rate * t), cavity260.g0,
+                                    cavity260.delta_ca)
+
+        t_cross = brentq(lambda t: dn(t) - target, 0.0, 10.0)
+        n_target = target * 2 * cavity260.delta_ca / cavity260.g0**2
+        assert t_cross == pytest.approx(np.log(n0 / n_target) / rate, rel=1e-9)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavkerr import (
-    CONSTANTS,
     CavityParams,
     DriveParams,
     SystemParams,
@@ -25,17 +24,17 @@ TWO_PI = 2 * np.pi
 class TestRecoilFrequency:
     def test_rb87_probe_recoil(self):
         k = TWO_PI / 780e-9
-        w = recoil_frequency(k, CONSTANTS.m_rb87)
+        w = recoil_frequency(k)
         assert w / TWO_PI == pytest.approx(3.77e3, rel=5e-3)
 
     def test_zero_wavenumber_rejected(self):
         with pytest.raises(ValueError):
-            recoil_frequency(0.0, CONSTANTS.m_rb87)
+            recoil_frequency(0.0)
 
     def test_quadratic_scaling(self):
         k = TWO_PI / 780e-9
-        assert recoil_frequency(2 * k, CONSTANTS.m_rb87) == pytest.approx(
-            4 * recoil_frequency(k, CONSTANTS.m_rb87), rel=1e-14)
+        assert recoil_frequency(2 * k) == pytest.approx(
+            4 * recoil_frequency(k), rel=1e-14)
 
 
 class TestCollectiveShift:
@@ -74,7 +73,7 @@ class TestKerrCoefficient:
 
     def test_recoil_form_equivalent(self, cavity30, trap42):
         # eps = 4 w_rec g0^2 / (delta_ca omega_z^2) in the single-well form
-        w_rec = recoil_frequency(cavity30.k_probe, CONSTANTS.m_rb87)
+        w_rec = recoil_frequency(cavity30.k_probe)
         expected = 4 * w_rec * cavity30.g0**2 / (
             cavity30.delta_ca * trap42.omega_z**2)
         assert kerr_coefficient(cavity30, trap42, multi_well=False) == \
@@ -117,7 +116,7 @@ class TestNonlinearPhotonThreshold:
     def test_limiting_value(self):
         # minimum trap frequency omega_z = 2 w_rec and delta_ca -> 0
         cav = reference_cavity(delta_ca=-1e-6)   # effectively zero vs sqrt(N) g0
-        w_rec = recoil_frequency(cav.k_probe, CONSTANTS.m_rb87)
+        w_rec = recoil_frequency(cav.k_probe)
         trap = reference_trap(omega_z=2 * w_rec)
         n_nl = nonlinear_photon_threshold(self.make(cav, trap, 5e4))
         assert 0.8e-4 <= n_nl <= 1.2e-4
