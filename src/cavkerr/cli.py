@@ -207,7 +207,7 @@ FIELDS = {
     "ringdown.use_trigger": Field(_flag, False),
     "trigger.n0": Field(_positive(_number)),
     "trigger.loss_rate": Field(_nonnegative(_number)),
-    "trigger.threshold_rate": Field(_number),
+    "trigger.threshold_rate": Field(_positive(_number)),
     "trigger.delay": Field(_nonnegative(parse_time), "10 ms"),
     "trigger.detection_level": Field(_nonnegative(_number),
                                      None),  # params.drive.n_max

@@ -12,12 +12,11 @@ series.  Harmonic n of every site lies in the band n [min w, max w], so
 each band is replaced by a few terms at Chebyshev frequencies of the band
 (interpolation error bounded by Jacobi-Anger, within 1e-16 of the total
 population), and the terms are summed at the sample times by blocked
-matrix products.  Every
-other model is integrated by fixed-step velocity Verlet on the per-site
-collective coordinates (symplectic, so the energy bookkeeping test is
-meaningful), with the optional viscous damping applied as exact
-exponential half-step decays and the cavity filter sub-stepped by exact
-exponential relaxation.
+matrix products.  Every other model is integrated by fixed-step velocity
+Verlet on the per-site collective coordinates (symplectic, so the energy
+bookkeeping test is meaningful), with the optional viscous damping applied
+as exact exponential half-step decays and the cavity filter relaxed by one
+exact exponential step per time step.
 """
 
 from __future__ import annotations
@@ -67,11 +66,11 @@ def quasi_static_sweep(profile: ResponseProfile, beta: float, delta_pc,
     Wraps the branch-following scan in physical units: the probe detunings
     ``delta_pc`` (rad/s) become reduced detunings (delta_pc - delta_n)/kappa,
     scanned in ``direction`` ("up", "down", or "both": up, then down over the
-    same detunings reversed).  Returns the arrays (delta_pc, nbar) in
-    traversal order, the columns of the scan's (n, 2) array in physical units.
+    same detunings reversed).  The scan starts on the stable branch nearest
+    the linear response and stays on it until that branch ends at a fold,
+    then jumps to the other stable branch.  Returns the arrays (delta_pc,
+    nbar) in traversal order; a non-finite beta raises ValueError.
     """
-    if not np.isfinite(beta):
-        raise ValueError("beta must be finite")
     grid = (np.asarray(delta_pc, dtype=float) - delta_n) / profile.kappa
     d0, u = lineshape_scan(profile, beta, grid, direction).T
     return d0 * profile.kappa + delta_n, u * n_max

@@ -156,13 +156,14 @@ def trigger_sequence(n0: float, loss_rate: float, cavity: CavityParams,
     The record holds ceil(horizon / bin_width) bins (a ratio at most 1e-9
     relative above an integer counts as that integer), and the trigger
     time is the centre of the bin that fires, as ``CountRecord.times``
-    gives it.  An ``efficiency`` outside [0, 1], ``n0 <= 0`` or a negative
-    ``loss_rate`` (NaN too) raises ``ValueError`` before any count is
-    computed.
+    gives it.  An ``efficiency`` outside [0, 1], ``n0 <= 0``, a negative
+    ``loss_rate`` or ``threshold_rate <= 0`` (NaN too) raises ``ValueError``
+    before any count is computed.
     """
     _check_efficiency(efficiency)
-    if not (n0 > 0 and loss_rate >= 0):
-        raise ValueError("need n0 > 0 and loss_rate >= 0")
+    if not (n0 > 0 and loss_rate >= 0 and threshold_rate > 0):
+        raise ValueError("need n0 > 0 and loss_rate >= 0 and "
+                         "threshold_rate > 0")
     profile = ResponseProfile.from_cavity(cavity)
     n_bins = math.ceil(horizon / bin_width * (1.0 - 1e-9))
     centers = _bin_centers(0.0, bin_width, n_bins)

@@ -379,6 +379,8 @@ def steady_state_roots_lorentzian(delta0: float, beta: float
 
 def _folds(profile: ResponseProfile, beta: float) -> list[tuple[float, float]]:
     """(x, F(x)) at the folds x_a < x_b < 0 for beta > 0; none below threshold."""
+    if not np.isfinite(beta):
+        raise ValueError("beta must be finite")
     x_pk, slope = profile._slope_peak
     if beta * slope <= 1.0:
         return []
@@ -455,7 +457,8 @@ def fold_points(profile: ResponseProfile, beta: float) -> list[tuple[float, floa
     """Fold (root-merging) points [(delta0, u), ...] for given beta.
 
     A fold is a zero of F'(x) = 1 - beta*v'(x), solved directly, so folds
-    resolve arbitrarily close to threshold.  Empty below threshold.
+    resolve arbitrarily close to threshold.  Empty below threshold.  A
+    non-finite beta raises ValueError.
     """
     if beta <= 0:
         raise ValueError("fold_points requires beta > 0")
@@ -476,35 +479,30 @@ def lineshape_scan(profile: ResponseProfile, beta: float, delta0_grid,
                    direction: str = "up") -> np.ndarray:
     """Quasi-static branch-following scan over a detuning grid.
 
-    At each grid point the stable root nearest the previous pick is kept (at
-    the first point, the one nearest the linear response); where the tracked
-    branch ends at a fold the pick jumps to the other stable root, the
-    hysteretic jump.  ``direction`` "both" is the "up" scan followed by the
-    "down" one, which visits the same grid reversed; the branches are solved
-    once for both.  Returns the (delta0, u) rows in traversal order, an
-    (n, 2) float array; every u has |u - V(kappa*(delta0 + beta*u))| <= 1e-10.
+    The scan starts on the stable branch nearest the linear response and
+    stays on it until that branch ends at a fold, then jumps to the other
+    stable branch: the hysteretic jump.  ``direction`` "both" is the "up"
+    scan followed by the "down" one over the same grid reversed; the
+    branches are solved once for both.  Returns the (delta0, u) rows in
+    traversal order, an (n, 2) float array; every u is within 1e-10 of
+    V(kappa*(delta0 + beta*u)), and a non-finite beta raises ValueError.
     """
     if direction not in ("up", "down", "both"):
         raise ValueError("direction must be 'up', 'down' or 'both'")
     grid = np.sort(np.asarray(delta0_grid, dtype=float))
-    if grid.size == 0:
-        return np.empty((0, 2))
-    # stable branches over the whole grid, one row each; a missing root is
-    # inf and never nearest.  V is even, so beta < 0 mirrors (-delta0, -beta)
+    # the stable branches (at most two) over the whole grid, inf where one
+    # has no root.  V is even, so beta < 0 mirrors (-delta0, -beta)
     sign = -1.0 if beta < 0.0 else 1.0
     branches = np.array([_segment_roots(profile, sign * beta, sign * grid, seg)
                          for seg in _segments(profile, sign * beta)])
+    if grid.size == 0:
+        return np.empty((0, 2))
     up, down, out = slice(None), slice(None, None, -1), []
     for run in {"up": [up], "down": [down], "both": [up, down]}[direction]:
         pts, b = grid[run], branches[:, run]
-        # nearest[k, i] follows branch k picked at point i; the walk visits
-        # only the points where some branch's nearest is another branch
-        with np.errstate(invalid="ignore"):
-            nearest = np.abs(b[:, None, 1:] - b[None, :, :-1]).argmin(axis=0)
         u_lin = profile_value(profile, profile.kappa * pts[0])
-        pick = np.full(pts.size, np.argmin(np.abs(b[:, 0] - u_lin)))
-        moves = (nearest != np.arange(len(b))[:, None]).any(axis=0)
-        for i in np.flatnonzero(moves).tolist():
-            pick[i + 1:] = nearest[pick[i], i]
-        out.append(np.column_stack((pts, b[pick, np.arange(pts.size)])))
+        k = np.argmin(np.abs(b[:, 0] - u_lin))
+        # in the sweep's direction a branch's roots end only at its fold
+        u = np.where(np.isfinite(b[k]), b[k], b[-1 - k])
+        out.append(np.column_stack((pts, u)))
     return np.concatenate(out)

@@ -19,6 +19,7 @@ import cavkerr
 from cavkerr import cli, csvrows, measure
 from cavkerr.cli import (ConfigError, main, parse_chirp, parse_frequency,
                          parse_time, read_csv)
+from helpers import stable_roots
 
 TWO_PI = 2 * np.pi
 ROOT = Path(__file__).resolve().parent.parent
@@ -357,7 +358,7 @@ PARAM_RANGES = {
 TRIGGER_RANGES = {
     "trigger.n0": ("", 1e3, 1e6, "positive"),
     "trigger.loss_rate": ("", 0.0, 100.0, "nonnegative"),
-    "trigger.threshold_rate": ("", 0.0, 1e7, "any"),
+    "trigger.threshold_rate": ("", 1.0, 1e7, "positive"),
     "trigger.delay": ("ms", 0.0, 50.0, "nonnegative"),
     "trigger.detection_level": ("", 0.0, 20.0, "nonnegative"),
     "trigger.bin_width": ("us", 1.0, 1000.0, "positive"),
@@ -951,6 +952,41 @@ class TestSweep:
             assert len(jumps) == 1
             assert min(abs(arr[jumps[0], 0] - f) for f in folds) <= step
 
+    def test_coarse_down_pass_keeps_the_upper_branch(self, tmp_path):
+        # at 4 points the -77 MHz row lies in the bistable band, [-78.32,
+        # -75.85] MHz: the down pass enters it from above, so it stays on
+        # the upper stable root until the branch ends at its fold
+        cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())
+        cfg["sweep"]["points"] = 4
+        path = tmp_path / "coarse.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "coarse.csv"
+        assert run_cli("--config", path, "--out", out) == 0
+        _, _, rows = read_csv(out)
+        [(dpc, nbar)] = [(r[1], r[2]) for r in rows
+                         if r[0] == "down" and r[1] == -77e6]
+        system, dn = cli._system(cfg)
+        profile = cavkerr.ResponseProfile.from_cavity(system.cavity)
+        lo, hi = stable_roots(profile, (TWO_PI * dpc - dn) / profile.kappa,
+                              system.beta(delta_n=dn))
+        assert nbar == pytest.approx(hi * system.drive.n_max, rel=1e-12)
+        assert nbar == pytest.approx(9.1029014388766498, rel=1e-12)
+
+    @pytest.mark.parametrize("scenario", ["sweep", "bistability-threshold"])
+    def test_overflowing_beta_exit_3(self, tmp_path, capsys, scenario):
+        # n_max 1e308 makes beta inf: both entries refuse it before a fold
+        # solve, rather than report NaN or infinite folds
+        cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())
+        cfg["params"]["drive"]["n_max"] = 1.0e308
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert run_cli("--config", path, "--scenario", scenario,
+                       "--out", tmp_path / "out") == 3
+        captured = capsys.readouterr()
+        assert "error: beta must be finite" in captured.err
+        assert "NaN" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_below_threshold_overlapping(self, tmp_path):
         cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())
         cfg["params"]["drive"]["n_max"] = 0.5
@@ -1127,6 +1163,20 @@ class TestTriggerScenario:
         out.mkdir()
         assert run_cli("--config", path, "--out", out / "run") == 2
         assert "trigger.detection_level" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("threshold_rate", [-1.0, 0.0])
+    def test_nonpositive_threshold_rate_exit_2(self, tmp_path, capsys,
+                                               threshold_rate):
+        # a detected rate is >= 0, so a threshold <= 0 would fire at once
+        cfg = yaml.safe_load((BENCH_CONFIGS / "trigger.yaml").read_text())
+        cfg["trigger"]["threshold_rate"] = threshold_rate
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run_cli("--config", path, "--out", out / "run") == 2
+        assert "trigger.threshold_rate" in capsys.readouterr().err
         assert not any(out.iterdir())
 
 

@@ -464,6 +464,20 @@ class TestTriggerSequence:
         with pytest.raises(ValueError, match="n0 > 0 and loss_rate >= 0"):
             trigger_sequence(n0, loss_rate, cavity260, drive, 1.0e6)
 
+    @pytest.mark.parametrize("threshold_rate", [0.0, -1.0, np.nan])
+    def test_threshold_checked_before_the_profile_pass(self, cavity260,
+                                                       monkeypatch,
+                                                       threshold_rate):
+        # a detected rate is >= 0, so a threshold <= 0 fires at the first bin
+        drift, drive, _ = self.setup_context(cavity260)
+
+        def profile_pass(*args):
+            pytest.fail("the profile pass ran before the threshold check")
+
+        monkeypatch.setattr(measure, "profile_value", profile_pass)
+        with pytest.raises(ValueError, match="threshold_rate > 0"):
+            trigger_sequence(*drift, cavity260, drive, threshold_rate)
+
 
 class TestAtomLoss:
     # trigger_sequence's drift: N(t) = n0 exp(-loss_rate t) at each bin

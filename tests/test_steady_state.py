@@ -539,7 +539,8 @@ class TestLineshapeScan:
 def cubic_oracle_scan(beta, grid):
     """Branch following driven by the closed-form cubic: the stable root
     nearest the previous pick, starting from the one nearest the linear
-    response."""
+    response.  On a grid this fine it jumps only at the folds, as the scan
+    does; fold_rule_oracle covers coarse grids."""
     out, u_prev = [], None
     for d0 in grid:
         sol = steady_state_roots_lorentzian(float(d0), beta)
@@ -548,6 +549,22 @@ def cubic_oracle_scan(beta, grid):
         ref = 1.0 / (1.0 + d0 ** 2) if u_prev is None else u_prev
         u_prev = min(stable, key=lambda u: abs(u - ref))
         out.append(u_prev)
+    return np.array(out)
+
+
+def fold_rule_oracle(beta, traversal):
+    """u along a run that starts outside the bistable band, from the
+    closed-form cubic.  Outside the band there is one stable root.  Inside
+    it, for beta > 0, a run that enters from below keeps the smallest stable
+    root and one that enters from above the largest; beta < 0 mirrors
+    (-delta0, -beta), so there the two sides swap."""
+    smallest = (traversal[-1] > traversal[0]) == (beta > 0)
+    out = []
+    for d0 in traversal:
+        stable = [u for u, s in steady_state_roots_lorentzian(float(d0), beta)
+                  if s]
+        assert out or len(stable) == 1         # the run starts outside
+        out.append(min(stable) if smallest else max(stable))
     return np.array(out)
 
 
@@ -622,6 +639,53 @@ class TestParametricCore:
             assert len(a) == len(b)
             for ua, ub in zip(a, b):
                 assert ub == pytest.approx(ua, abs=1e-8)
+
+
+class TestFoldRule:
+    # a run leaves its branch only where the branch ends at a fold; a walk
+    # to the nearest root jumps before the fold on a coarse grid
+    @pytest.mark.parametrize("beta, grid, direction", [
+        # folds at delta0 = -10.025 and -3.878: a down run enters the band
+        # from above, so at -6 it still rides the upper branch
+        (10.0, [-6.0, -2.0], "down"),
+        (-10.0, [2.0, 6.0], "up")])             # the mirror image
+    def test_two_point_run_keeps_the_branch_it_entered_on(self, beta, grid,
+                                                          direction):
+        scan = lineshape_scan(ResponseProfile(1.0), beta, grid, direction)
+        expected = fold_rule_oracle(beta, scan[:, 0])
+        assert np.max(np.abs(scan[:, 1] - expected)) <= 1e-12
+        # the cubic's upper stable root at |delta0| = 6 (the lower is 0.0298)
+        assert scan[1, 1] == pytest.approx(0.6701562118716424, abs=1e-12)
+
+    def test_coarse_grids_across_the_band(self):
+        # five points from outside the band to anywhere past its near fold,
+        # either way and for either sign of beta
+        p = ResponseProfile(1.0)
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            beta = rng.uniform(2.0, 12.0)
+            (d_lo, _), (d_hi, _) = fold_points(p, beta)
+            grid = np.linspace(d_lo - rng.uniform(0.05, 3.0),
+                               rng.uniform(d_lo, d_hi + 3.0), 5)
+            direction = "up"
+            if rng.integers(2):                 # enter from above instead
+                grid, direction = d_lo + d_hi - grid, "down"
+            if rng.integers(2):
+                beta, grid = -beta, -grid
+                direction = {"up": "down", "down": "up"}[direction]
+            scan = lineshape_scan(p, beta, grid, direction)
+            expected = fold_rule_oracle(beta, scan[:, 0])
+            assert np.max(np.abs(scan[:, 1] - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    @pytest.mark.parametrize("profile", [ResponseProfile(KAPPA),
+                                         ResponseProfile(KAPPA, SIGMA)])
+    def test_nonfinite_beta_rejected(self, profile, beta):
+        for scan in (lambda: lineshape_scan(profile, beta, [-5.0, 0.0]),
+                     lambda: lineshape_scan(profile, -beta, [], "both"),
+                     lambda: fold_points(profile, beta)):
+            with pytest.raises(ValueError, match="beta must be finite"):
+                scan()
 
 
 def config_scans(name):
@@ -724,9 +788,10 @@ class TestSolverWork:
 
 
 def per_point_scan(profile, beta, grid, direction):
-    """The branch pick point by point, as one Python loop: the stable root
-    nearest the previous pick, the first one nearest the linear response
-    (the scan's rule before it was vectorized, kept as its oracle)."""
+    """The branch pick point by point, as one Python loop: start on the
+    stable root nearest the linear response, keep to its branch while that
+    branch has a root, and from the first point where it has none keep to
+    the other branch."""
     grid = np.sort(np.asarray(grid, dtype=float))
     if direction == "both":
         return (per_point_scan(profile, beta, grid, "up")
@@ -740,11 +805,12 @@ def per_point_scan(profile, beta, grid, direction):
     branches = [steady_state._segment_roots(profile, beta, grid, seg).tolist()
                 for seg in steady_state._segments(profile, beta)]
     u_lin = profile_value(profile, profile.kappa * grid[0])
-    u_prev = min((b[0] for b in branches), key=lambda u: abs(u - u_lin))
-    out = [(float(grid[0]), float(u_prev))]
-    for d0, *us in zip(grid[1:].tolist(), *(b[1:] for b in branches)):
-        u_prev = min(us, key=lambda u: abs(u - u_prev))
-        out.append((d0, u_prev))
+    k = min(range(len(branches)), key=lambda k: abs(branches[k][0] - u_lin))
+    out = []
+    for i, d0 in enumerate(grid.tolist()):
+        if not math.isfinite(branches[k][i]):
+            k = len(branches) - 1 - k
+        out.append((d0, branches[k][i]))
     return out
 
 
