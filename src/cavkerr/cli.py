@@ -183,7 +183,6 @@ FIELDS = {
     "sweep.delta_pc_start": Field(parse_frequency),
     "sweep.delta_pc_stop": Field(parse_frequency),
     "sweep.points": Field(_at_least(2), 1201),
-    "threshold.beta": Field(_number, None),        # the drive's beta
     "ringdown.duration": Field(_nonnegative(parse_time), "1 ms"),
     "ringdown.level": Field(_nonnegative(_number), None),  # params.drive.n_max
     "ringdown.level_mode": Field(_one_of("instantaneous", "nmax"),
@@ -462,7 +461,6 @@ def cmd_sweep(cfg, out, seed) -> int:
 
 
 def cmd_threshold(cfg, out, seed) -> int:
-    beta = _resolve(cfg, "threshold")["beta"]
     system, dn = _system(cfg)
     profile = steady_state.ResponseProfile.from_cavity(system.cavity)
     lor = steady_state.ResponseProfile(system.cavity.kappa)
@@ -471,18 +469,15 @@ def cmd_threshold(cfg, out, seed) -> int:
         "profile_kind": profile.kind,
         "profile_threshold": steady_state.bistability_threshold(profile),
     }
-    if dn != 0:         # the drive n_max at which beta is the threshold
-        report["threshold_n_max"] = (report["profile_threshold"] * profile.kappa
-                                     / (dn * system.kerr_coefficient()))
-    if beta is None:    # the sweep scenario's beta, +-0 at dn = 0
-        beta = system.beta(delta_n=dn)
-    if beta > 0:
-        folds = steady_state.fold_points(profile, beta)
-        report["beta"] = beta
+    if dn != 0:     # the drive n_max at which |beta| is the threshold
+        report["threshold_n_max"] = abs(report["profile_threshold"]
+                                        * profile.kappa
+                                        / (dn * system.kerr_coefficient()))
+        report["beta"] = system.beta(delta_n=dn)         # as in sweep
         report["folds"] = [
             {"delta0": d0, "u": u, "nbar": u * system.drive.n_max,
              "deltaPC_Hz": (d0 * profile.kappa + dn) / TWO_PI}
-            for d0, u in folds]
+            for d0, u in steady_state.fold_points(profile, report["beta"])]
     _emit_json(report, out, _meta(cfg, seed))
     return 0
 

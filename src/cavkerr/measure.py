@@ -3,11 +3,13 @@
 The cavity loses photons at 2*kappa*nbar; detection folds mirror geometry,
 filter and counter losses into one end-to-end efficiency in [0, 1]
 multiplying that rate.  Counts are Poisson per time bin and reproducible
-from the seed; ``averaged_counts`` is the one rate-to-binned-counts path.
-It counts a ``(time, nbar)`` pair of arrays, e.g. ``(trace.time,
-trace.nbar)`` of a ring-up trace.  ``trigger_sequence`` decides the trigger
-of a trigger / delay / detect sequence on an atom number n0 exp(-loss_rate
-t); its caller schedules the rest.
+from the seed, and ``_draw`` is the one Poisson draw of every record.  The
+mean per bin has two rules.  ``averaged_counts`` counts a ``(time, nbar)``
+pair of arrays, e.g. ``(trace.time, trace.nbar)`` of a ring-up trace: the
+trapezoid integral of the rate over each bin.  ``trigger_sequence`` decides
+the trigger of a trigger / delay / detect sequence on an atom number n0
+exp(-loss_rate t), its rate known in closed form: the rate at each bin
+centre times the bin width.  Its caller schedules the rest.
 
 The collective-motion signal is read out as the Fourier amplitude of the
 transmission at the trap frequency over contiguous windows; the window

@@ -173,8 +173,9 @@ def beta_parameter(delta_n: float, epsilon: float, n_max: float,
     """Nonlinearity parameter beta = Delta_N * epsilon * n_max / kappa.
 
     beta is the maximum nonlinear shift of the cavity resonance in units of
-    the half-linewidth; red-detuned configurations (delta_ca < 0) have
-    Delta_N < 0 and epsilon < 0, hence beta > 0.
+    the half-linewidth.  Delta_N = N g0^2/(2 delta_ca) and epsilon both
+    carry the sign of delta_ca, so beta >= 0 at either detuning; it is
+    negative only for a Delta_N of the other sign (a set override).
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")

@@ -457,13 +457,13 @@ def fold_points(profile: ResponseProfile, beta: float) -> list[tuple[float, floa
     """Fold (root-merging) points [(delta0, u), ...] for given beta.
 
     A fold is a zero of F'(x) = 1 - beta*v'(x), solved directly, so folds
-    resolve arbitrarily close to threshold.  Empty below threshold.  A
-    non-finite beta raises ValueError.
+    resolve arbitrarily close to threshold.  Empty below threshold in
+    |beta|; beta < 0 mirrors (-delta0, -beta).  A non-finite beta raises
+    ValueError.
     """
-    if beta <= 0:
-        raise ValueError("fold_points requires beta > 0")
-    return sorted((f, float(_curve(profile, x, 0)[0]))
-                  for x, f in _folds(profile, beta))
+    sign = -1.0 if beta < 0.0 else 1.0
+    return sorted((sign * f, float(_curve(profile, x, 0)[0]))
+                  for x, f in _folds(profile, sign * beta))
 
 
 def bistability_threshold(profile: ResponseProfile) -> float:

@@ -126,6 +126,17 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "frobnicator" in err
 
+    def test_threshold_section_is_unknown(self, tmp_path, capsys):
+        # bistability-threshold reads the drive's beta and no section of
+        # its own
+        cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())
+        cfg["threshold"] = {"beta": 5.0}
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert run_cli("--config", path, "--scenario",
+                       "bistability-threshold") == 2
+        assert "unknown key: threshold" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path", sorted(
         [*CONFIGS.glob("*.yaml"), *BENCH_CONFIGS.glob("*.yaml")]),
         ids=lambda p: str(p.relative_to(ROOT)))
@@ -972,20 +983,55 @@ class TestSweep:
         assert nbar == pytest.approx(hi * system.drive.n_max, rel=1e-12)
         assert nbar == pytest.approx(9.1029014388766498, rel=1e-12)
 
+    def test_positive_shift_mirrors_the_folds(self, tmp_path):
+        # a delta_n override of the other sign than delta_ca makes beta < 0:
+        # the report gives that beta and the mirrored folds, and the sweep
+        # jumps at them, as it does for beta > 0
+        cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())
+        cfg["params"]["drive"].update(delta_n="19 MHz", delta_pc="72 MHz",
+                                      n_max=30)
+        cfg["sweep"].update(delta_pc_start="15 MHz", delta_pc_stop="30 MHz",
+                            points=1601)
+        path = tmp_path / "mirror.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        outj = tmp_path / "thr.json"
+        assert run_cli("--config", path, "--scenario",
+                       "bistability-threshold", "--out", outj) == 0
+        report = json.loads(outj.read_text())
+        assert report["beta"] == pytest.approx(-7.5856, abs=1e-4)
+        assert report["threshold_n_max"] == pytest.approx(14.5905, abs=1e-4)
+        folds = [f["deltaPC_Hz"] for f in report["folds"]]
+        assert folds == pytest.approx([22.734e6, 24.203e6], abs=1e3)
+
+        out = tmp_path / "sweep.csv"
+        assert run_cli("--config", path, "--out", out) == 0
+        _, _, rows = read_csv(out)
+        ups = np.array([(r[1], r[2]) for r in rows if r[0] == "up"])
+        downs = np.array([(r[1], r[2]) for r in rows if r[0] == "down"])
+        step = ups[1, 0] - ups[0, 0]
+        # beta < 0 puts the band above the resonance: the up pass jumps at
+        # the upper fold, the down pass at the lower one
+        for arr, fold in ((ups, folds[1]), (downs, folds[0])):
+            jumps = np.flatnonzero(np.abs(np.diff(arr[:, 1])) > 3.0)
+            assert len(jumps) == 1
+            assert abs(arr[jumps[0], 0] - fold) <= step
+
     @pytest.mark.parametrize("scenario", ["sweep", "bistability-threshold"])
     def test_overflowing_beta_exit_3(self, tmp_path, capsys, scenario):
-        # n_max 1e308 makes beta inf: both entries refuse it before a fold
-        # solve, rather than report NaN or infinite folds
-        cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())
-        cfg["params"]["drive"]["n_max"] = 1.0e308
-        path = tmp_path / "overflow.yaml"
-        path.write_text(yaml.safe_dump(cfg))
-        assert run_cli("--config", path, "--scenario", scenario,
-                       "--out", tmp_path / "out") == 3
-        captured = capsys.readouterr()
-        assert "error: beta must be finite" in captured.err
-        assert "NaN" not in captured.out + captured.err
-        assert not (tmp_path / "out").exists()
+        # n_max 1e308 makes beta inf, or -inf at a positive shift: both
+        # entries refuse it before a fold solve, rather than report NaN or
+        # infinite folds
+        for shift in ({}, {"delta_n": "19 MHz"}):
+            cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())
+            cfg["params"]["drive"].update(shift, n_max=1.0e308)
+            path = tmp_path / "overflow.yaml"
+            path.write_text(yaml.safe_dump(cfg))
+            assert run_cli("--config", path, "--scenario", scenario,
+                           "--out", tmp_path / "out") == 3
+            captured = capsys.readouterr()
+            assert "error: beta must be finite" in captured.err
+            assert "NaN" not in captured.out + captured.err
+            assert not (tmp_path / "out").exists()
 
     def test_below_threshold_overlapping(self, tmp_path):
         cfg = yaml.safe_load((CONFIGS / "fig_hysteresis.yaml").read_text())

@@ -377,9 +377,19 @@ class TestFoldPoints:
             assert abs(res) < 1e-9
             assert abs(slope) < 1e-5
 
-    def test_requires_positive_beta(self):
-        with pytest.raises(ValueError):
-            fold_points(ResponseProfile(KAPPA), 0.0)
+    @pytest.mark.parametrize("profile", [ResponseProfile(KAPPA),
+                                         ResponseProfile(KAPPA, SIGMA)])
+    def test_negative_beta_mirrors_the_folds(self, profile):
+        # V is even: the folds of -beta are those of beta at -delta0, bit
+        # for bit, and ascending in delta0 again
+        thr = bistability_threshold(profile)
+        for b in (thr * (1 + 1e-4), 2.0 * thr, 9.5, 50.0):
+            folds = fold_points(profile, b)
+            assert len(folds) == 2
+            assert fold_points(profile, -b) == [(-d, u)
+                                                for d, u in reversed(folds)]
+        assert fold_points(profile, 0.0) == []
+        assert fold_points(profile, -thr * (1 - 1e-9)) == []
 
 
 class TestSlopePeak:
@@ -683,7 +693,8 @@ class TestFoldRule:
     def test_nonfinite_beta_rejected(self, profile, beta):
         for scan in (lambda: lineshape_scan(profile, beta, [-5.0, 0.0]),
                      lambda: lineshape_scan(profile, -beta, [], "both"),
-                     lambda: fold_points(profile, beta)):
+                     lambda: fold_points(profile, beta),
+                     lambda: fold_points(profile, -beta)):
             with pytest.raises(ValueError, match="beta must be finite"):
                 scan()
 
