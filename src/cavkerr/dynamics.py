@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeEnsemble, collective_shift_from_displacements
-from .params import (CONSTANTS, TWO_PI, CavityParams, DriveParams,
-                     TrapParams, force_per_photon)
+from .lattice import (LatticeEnsemble, collective_shift_from_displacements,
+                      optical_acceleration)
+from .params import CONSTANTS, TWO_PI, CavityParams, DriveParams, TrapParams
 from .steady_state import ResponseProfile, lineshape_scan, profile_value
 
 # Trap-frequency rms spread reproducing the observed 1.0 ms collective
@@ -97,9 +97,10 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
 
     Per site sub-ensemble j:
 
-        m d''_j = -m omega_zj^2 d_j + f(theta_j, d_j, nbar(t)) - m G_v d'_j
+        m d''_j = -m omega_zj^2 d_j + m a(theta_j, d_j) nbar(t) - m G_v d'_j
 
-    starting from the probe-off equilibrium (d = d' = 0).  nbar(t) follows
+    with a the lattice's optical_acceleration, starting from the probe-off
+    equilibrium (d = d' = 0).  nbar(t) follows
     ``field_model``: "adiabatic" tracks n_max*V(delta_pc - Delta_N) exactly,
     "filter" (first order) relaxes toward it at 2*kappa from an empty
     cavity; any other value is a ValueError.  ``ramp_time`` > 0
@@ -118,25 +119,30 @@ def ring_up(ensemble: LatticeEnsemble, cavity: CavityParams,
     force, so it is solved in closed form at the sample times; every other
     model runs the velocity-Verlet loop.  Both get inputs resolved here:
     ``profile`` defaults to ResponseProfile.from_cavity(cavity), ``dt`` to
-    1/200 of the fastest row's period (over max_stable_dt is a ValueError),
-    and the samples are sample_times(duration, dt, record_every).
+    1/200 of the fastest row's period (one not positive or over
+    max_stable_dt is a ValueError, as is a negative or non-finite
+    damping_rate, ramp_time or duration), and the samples are
+    sample_times(duration, dt, record_every).
     ``record_sites`` indexes the ensemble rows (negative from the end)
     whose displacement and velocity are kept at each sample; by default
     none are, and the site series have zero columns.
     """
     if field_model not in ("adiabatic", "filter"):
         raise ValueError("field_model must be 'adiabatic' or 'filter'")
-    if profile is None:
-        profile = ResponseProfile.from_cavity(cavity)
+    for name, value in (("damping_rate", damping_rate),
+                        ("ramp_time", ramp_time), ("duration", duration)):
+        if not 0.0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and nonnegative")
     if dt is None:
         dt = TWO_PI / (200.0 * float(np.max(ensemble.omega_z)))
-    if dt > max_stable_dt(ensemble.omega_z):
-        raise ValueError("dt too large for the fastest site (stability guard)")
-    if damping_rate < 0:
-        raise ValueError("damping_rate must be nonnegative")
+    if not 0.0 < dt <= max_stable_dt(ensemble.omega_z):
+        raise ValueError("dt must be positive and small enough for the "
+                         "fastest site (stability guard)")
     if ramp_time > 0 and not backaction:
         raise ValueError("a drive ramp needs backaction: the one-way force "
                          "is fixed at switch-on, where the ramp is zero")
+    if profile is None:
+        profile = ResponseProfile.from_cavity(cavity)
     time = sample_times(duration, dt, record_every)
     sites = np.arange(len(ensemble))[np.asarray(record_sites, dtype=int)]
     if (linearized_force and not backaction and damping_rate == 0
@@ -254,7 +260,8 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
     sample times ``time``, ``tau`` apart.
 
     Row j starts at rest under the constant switch-on force, so
-    d_j = A_j (1 - cos w_j t), A_j = f1 sin(2 theta_j) nbar0 / (m w_j^2).
+    d_j = A_j (1 - cos w_j t), A_j = a_j nbar0 / w_j^2 with a_j the row's
+    optical_acceleration at d = 0.
     Then N_j sin^2(theta_j + k_p d_j) is even and periodic in u = w_j t:
     a cosine series whose harmonic n is bounded by N_j (k_p|A_j|)^n / n!
     (Jacobi-Anger, |J_n(z)| <= (z/2)^n / n!).  One FFT per row over K
@@ -277,8 +284,7 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
     dn0 = collective_shift_from_displacements(ensemble, np.zeros(len(w)),
                                               cavity)
     nbar0 = drive.n_max * float(profile_value(profile, drive.delta_pc - dn0))
-    amp = (force_per_photon(cavity) / CONSTANTS.m_rb87 * np.sin(2.0 * theta)
-           * nbar0 / w ** 2)
+    amp = optical_acceleration(theta, 0.0, cavity) * nbar0 / w ** 2
 
     tol = 1e-16 * np.sum(pop)
     n_harm = _kept_harmonics(pop, kp * np.abs(amp), tol)
@@ -330,9 +336,7 @@ def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
     """
     theta = ensemble.theta
     w2 = ensemble.omega_z ** 2
-    kp = cavity.k_probe
-    f1_m = force_per_photon(cavity) / CONSTANTS.m_rb87
-    f1_m_sin2_0 = f1_m * np.sin(2.0 * theta)     # the linearized force / m
+    a0 = optical_acceleration(theta, 0.0, cavity)   # the linearized force / m
 
     def drive_level(t):
         if ramp_time > 0.0:
@@ -343,8 +347,7 @@ def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
         return drive_level(t) * float(profile_value(profile, drive.delta_pc - dn))
 
     def accel(d, nbar_force):
-        s = (f1_m_sin2_0 if linearized_force
-             else f1_m * np.sin(2.0 * (theta + kp * d)))
+        s = a0 if linearized_force else optical_acceleration(theta, d, cavity)
         return -w2 * d + s * nbar_force
 
     d = np.zeros(len(ensemble))
@@ -400,12 +403,12 @@ def impulse_modulation_estimate(cavity: CavityParams, trap: TrapParams,
 
     A photon transiting in ~1/2kappa imparts impulse f/(2 kappa) to an atom
     at probe phase pi/4, where the force f = f1 sin(2 theta) peaks, i.e.
-    velocity v = f1/(2 kappa m).  All N atoms oscillating with displacement
+    velocity v = a/(2 kappa), a its optical_acceleration there.  All N atoms oscillating with displacement
     amplitude v/omega_z (their local kick scaling with the local gradient,
     averaged over the wells) modulate the resonance by
     N g0^2 k_p/(2|delta_ca|) * |v|/omega_z, returned in rad/s.
     """
-    v = force_per_photon(cavity) / (2.0 * cavity.kappa * CONSTANTS.m_rb87)
+    v = optical_acceleration(np.pi / 4, 0.0, cavity) / (2.0 * cavity.kappa)
     return float(n_atoms * cavity.g0 ** 2 * cavity.k_probe
                  / (2.0 * abs(cavity.delta_ca)) * abs(v) / trap.omega_z)
 

@@ -1,4 +1,4 @@
-"""Multi-well intracavity medium: site phases, populations, forces.
+"""Multi-well intracavity medium: site phases, populations, the probe force.
 
 Atoms sit at the minima of the trapping standing wave (spacing pi/k_t),
 while their coupling to the probe mode varies as g(z) = g0 sin(k_p z).
@@ -9,7 +9,9 @@ one collective coordinate: its displacement from the bare trap minimum.
 
 Probe light pulls every site toward higher coupling when delta_ca < 0
 (toward lower coupling when delta_ca > 0), which is the microscopic origin
-of the collective Kerr shift.
+of the collective Kerr shift.  optical_acceleration is the one definition
+of that pull: the ring-up integrator, its closed form and the ensemble Kerr
+coefficient all read it.
 """
 
 from __future__ import annotations
@@ -36,10 +38,12 @@ class LatticeEnsemble:
         n = len(self.theta)
         if len(self.population) != n or len(self.omega_z) != n:
             raise ValueError("per-site arrays must have equal length")
-        if np.any(self.population < 0):
-            raise ValueError("populations must be nonnegative")
-        if np.any(self.omega_z <= 0):
-            raise ValueError("omega_z must be positive")
+        if not np.all(np.isfinite(self.theta)):
+            raise ValueError("theta must be finite")
+        if not np.all(np.isfinite(self.population) & (self.population >= 0)):
+            raise ValueError("population must be finite and nonnegative")
+        if not np.all(np.isfinite(self.omega_z) & (self.omega_z > 0)):
+            raise ValueError("omega_z must be finite and positive")
 
     def __len__(self) -> int:
         return len(self.theta)
@@ -69,7 +73,7 @@ def build_lattice(num_sites: int, total_atoms: float, omega_z_mean: float,
     """
     if num_sites < 1:
         raise ValueError("num_sites must be >= 1")
-    if omega_z_spread < 0:
+    if not omega_z_spread >= 0:
         raise ValueError("omega_z_spread must be nonnegative")
     if subensembles < 1:
         raise ValueError("subensembles must be >= 1")
@@ -103,39 +107,31 @@ def collective_shift_from_displacements(ensemble: LatticeEnsemble,
                  / cavity.delta_ca)
 
 
-def per_site_force(theta, displacement, nbar: float, cavity: CavityParams):
-    """Probe dipole force (N) on one collective coordinate:
-    f1 sin(2(theta + k_p d)) nbar, with f1 from params.force_per_photon."""
-    phase = 2.0 * (np.asarray(theta, dtype=float)
-                   + cavity.k_probe * np.asarray(displacement, dtype=float))
-    out = force_per_photon(cavity) * np.sin(phase) * nbar
-    return out if out.ndim else float(out)
-
-
-def probe_potential(theta, displacement, nbar: float, cavity: CavityParams):
-    """AC-Stark potential (J) whose negative gradient is per_site_force."""
-    phase = (np.asarray(theta, dtype=float)
-             + cavity.k_probe * np.asarray(displacement, dtype=float))
-    out = (CONSTANTS.hbar * cavity.g0 ** 2 * np.sin(phase) ** 2 * nbar
-           / cavity.delta_ca)
-    return out if out.ndim else float(out)
+def optical_acceleration(theta, displacement, cavity: CavityParams):
+    """Probe dipole acceleration per photon (m/s^2) of a collective
+    coordinate at probe phase theta displaced by d: (f1/m) sin(2(theta +
+    k_p d)), f1 from params.force_per_photon.  Times m nbar it is the force
+    -d/dd of hbar nbar Delta_N, the row's AC-Stark potential."""
+    return (force_per_photon(cavity) / CONSTANTS.m_rb87
+            * np.sin(2.0 * (theta + cavity.k_probe * displacement)))
 
 
 def effective_kerr_numeric(ensemble: LatticeEnsemble,
                            cavity: CavityParams) -> float:
     """Small-signal Kerr coefficient of the ensemble, in closed form.
 
-    Site j moves by its linearized equilibrium shift d_j = f1 sin(2 theta_j)
-    nbar/(m omega_zj^2), so to first order epsilon_eff = -(dDelta_N/Delta_N)
-    /nbar = -(f1 k_p g0^2/(m delta_ca)) sum_j N_j sin^2(2 theta_j)/omega_zj^2
-    /Delta_N.  For uniform-phase statistics this reproduces half the
-    single-well coefficient at pi/4.
+    Row j, with a_j its optical_acceleration at d = 0, moves by its
+    linearized equilibrium shift d_j = a_j nbar/omega_zj^2, and Delta_N has
+    the slope b_j = -(m/hbar) N_j a_j in d_j, so to first order
+    epsilon_eff = -(dDelta_N/Delta_N)/nbar
+    = (m/hbar) sum_j N_j a_j^2/omega_zj^2 /Delta_N.  For uniform-phase
+    statistics this reproduces half the single-well coefficient at pi/4.
     """
     zero = np.zeros(len(ensemble))
     dn0 = collective_shift_from_displacements(ensemble, zero, cavity)
     if dn0 == 0.0:
         raise ValueError("degenerate ensemble: all sites at nodes")
-    pull = np.sum(ensemble.population * np.sin(2.0 * ensemble.theta) ** 2
-                  / ensemble.omega_z ** 2)
-    return float(-(force_per_photon(cavity) * cavity.k_probe * cavity.g0 ** 2
-                   / (CONSTANTS.m_rb87 * cavity.delta_ca)) * pull / dn0)
+    a = optical_acceleration(ensemble.theta, 0.0, cavity)
+    return float(CONSTANTS.m_rb87 / CONSTANTS.hbar
+                 * np.sum(ensemble.population * a ** 2 / ensemble.omega_z ** 2)
+                 / dn0)

@@ -1,9 +1,10 @@
-"""Shared builders for the ring-up operating point used across tests, and
-the stable steady states at one detuning."""
+"""Shared builders for the ring-up operating point used across tests, the
+stable steady states at one detuning, and the probe's AC-Stark potential."""
 
 import numpy as np
 
 from cavkerr import (
+    CONSTANTS,
     DriveParams,
     ResponseProfile,
     reference_cavity,
@@ -11,7 +12,8 @@ from cavkerr import (
     steady_state,
 )
 from cavkerr.dynamics import n_max_for_switch_on, ring_up
-from cavkerr.lattice import build_lattice
+from cavkerr.lattice import (LatticeEnsemble, build_lattice,
+                             collective_shift_from_displacements)
 
 TWO_PI = 2 * np.pi
 
@@ -69,3 +71,14 @@ def stable_roots(profile, delta0, beta):
         for u in steady_state._segment_roots(profile, beta,
                                               np.array([delta0]), seg)
         if np.isfinite(u))
+
+
+def probe_potential(theta, displacement, nbar, cavity):
+    """AC-Stark potential (J) hbar nbar Delta_N of one atom at probe phase
+    theta displaced by d, Delta_N being the shift of that one-atom row:
+    the oracle that m nbar optical_acceleration is its negative gradient.
+    Elementwise over broadcast theta and d."""
+    def shift(th, d):
+        row = LatticeEnsemble([th], [1.0], [1.0])
+        return collective_shift_from_displacements(row, [d], cavity)
+    return CONSTANTS.hbar * nbar * np.vectorize(shift)(theta, displacement)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, poisson
 
-from helpers import ringup_context, run_ringup
+from helpers import probe_potential, ringup_context, run_ringup
 
 from cavkerr import (
     CONSTANTS,
@@ -37,8 +37,7 @@ from cavkerr.lattice import (
     LatticeEnsemble,
     build_lattice,
     effective_kerr_numeric,
-    per_site_force,
-    probe_potential,
+    optical_acceleration,
 )
 from cavkerr.measure import (
     CountRecord,
@@ -260,7 +259,8 @@ def test_criterion_13_conservation_and_consistency(tmp_path):
         0.5 * m * np.max(v**2))
     assert drift <= 1e-6
 
-    # force = -gradient of the probe potential, 100 random phases
+    # the integrator's force m nbar optical_acceleration = -gradient of
+    # hbar nbar Delta_N, the shift it feeds back; 100 random phases
     rng = np.random.default_rng(3)
     h = 1e-12
     worst_force = 0.0
@@ -268,7 +268,7 @@ def test_criterion_13_conservation_and_consistency(tmp_path):
         theta = rng.uniform(0, np.pi)
         dd = rng.uniform(-30e-9, 30e-9)
         nb = rng.uniform(0.2, 8.0)
-        f = per_site_force(theta, dd, nb, cav)
+        f = m * nb * optical_acceleration(theta, dd, cav)
         du = (probe_potential(theta, dd + h, nb, cav)
               - probe_potential(theta, dd - h, nb, cav)) / (2 * h)
         scale = CONSTANTS.hbar * cav.g0**2 * cav.k_probe * nb / abs(cav.delta_ca)

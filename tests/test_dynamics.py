@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import (run_ringup, ringup_context, ringup_drive, stable_roots,
-                     RINGUP_DELTA_N0)
+from helpers import (probe_potential, run_ringup, ringup_context,
+                     ringup_drive, stable_roots, RINGUP_DELTA_N0)
 
 from cavkerr import dynamics
 from cavkerr import (
@@ -28,7 +28,6 @@ from cavkerr.lattice import (
     LatticeEnsemble,
     build_lattice,
     effective_kerr_numeric,
-    probe_potential,
 )
 from cavkerr.measure import windowed_fourier_amplitude
 
@@ -74,6 +73,19 @@ class TestRingUpStepResponse:
         with pytest.raises(ValueError):
             ring_up(ens, cavity260, drive, duration=1e-4,
                     dt=TWO_PI / (10 * trap49.omega_z))
+
+    @pytest.mark.parametrize("name", ["damping_rate", "ramp_time",
+                                      "duration", "dt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_argument_rejected(self, cavity260, trap49, name,
+                                         value):
+        # a NaN fails every comparison, so a plain "x < 0" check lets it in
+        ens = single_site_pi4(trap49.omega_z)
+        drive = DriveParams(n_max=1.0, delta_pc=0.0)
+        args = {"duration": 1e-4, name: value}
+        with pytest.raises(ValueError, match=name):
+            ring_up(ens, cavity260, drive, profile=flat_profile(),
+                    linearized_force=True, backaction=False, **args)
 
     def test_energy_conservation_cycle_averaged(self, cavity260, trap49):
         # undamped, adiabatic, constant nbar, full nonlinear force: the

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from helpers import probe_potential
+
 from cavkerr import CONSTANTS, collective_shift, kerr_coefficient
 from cavkerr.lattice import (
     LatticeEnsemble,
     build_lattice,
     collective_shift_from_displacements,
     effective_kerr_numeric,
-    per_site_force,
-    probe_potential,
+    optical_acceleration,
 )
 
 TWO_PI = 2 * np.pi
@@ -46,8 +47,19 @@ def test_seed_determinism():
 
 
 def test_invalid_spread_rejected():
-    with pytest.raises(ValueError):
-        build_lattice(10, 1e3, WZ, omega_z_spread=-1.0)
+    for spread in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="omega_z_spread"):
+            build_lattice(10, 1e3, WZ, omega_z_spread=spread)
+
+
+@pytest.mark.parametrize("name", ["theta", "population", "omega_z"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_entry_rejected(name, bad):
+    rows = {"theta": [0.3, 1.0], "population": [1.0, 2.0],
+            "omega_z": [WZ, WZ]}
+    rows[name][1] = bad
+    with pytest.raises(ValueError, match=name):
+        LatticeEnsemble(**rows)
 
 
 class TestCollectiveShiftFromDisplacements:
@@ -81,6 +93,12 @@ class TestCollectiveShiftFromDisplacements:
         dn2 = collective_shift_from_displacements(shuffled, np.zeros(50),
                                                   cavity101)
         assert dn2 == pytest.approx(dn, rel=1e-12)
+
+
+def per_site_force(theta, displacement, nbar, cavity):
+    """The probe force (N) on one row: m nbar optical_acceleration."""
+    return CONSTANTS.m_rb87 * nbar * optical_acceleration(theta, displacement,
+                                                         cavity)
 
 
 class TestPerSiteForce:
