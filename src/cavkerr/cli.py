@@ -490,25 +490,26 @@ def _out_base(out):
 
 def _check_ringdown(sec, omega_z, dt) -> None:
     """Reject the ringdown settings that would only fail after the ring-up:
-    a ramp without backaction, and windows the decay fit cannot use (under
-    5 trap periods, or fewer than 4 in the binned record)."""
+    a ramp without backaction, and windows the decay fit cannot use (below
+    measure's MIN_CYCLES trap periods or MIN_WINDOWS in the record)."""
     from . import dynamics, measure
     if sec["ramp_time"] > 0 and not sec["backaction"]:
         raise ConfigError("ringdown.ramp_time needs ringdown.backaction: "
                           "true; the one-way force is fixed at switch-on, "
                           "where a ramped drive is zero")
-    if sec["window_length"] * (omega_z / TWO_PI) < 5.0:
-        raise ConfigError("ringdown.window_length must span at least 5 "
-                          "trap periods")
+    if sec["window_length"] * (omega_z / TWO_PI) < measure.MIN_CYCLES:
+        raise ConfigError("ringdown.window_length must span at least "
+                          f"{measure.MIN_CYCLES:g} trap periods")
     t_end = dynamics.sample_times(sec["duration"], dt,
                                   sec["record_every"])[-1]
-    _, n_windows = measure.window_grid(math.floor(t_end / sec["bin_width"]),
-                                       sec["window_length"], sec["bin_width"])
-    if n_windows < 4:
+    _, n_windows = measure.window_grid(
+        measure.whole_bins(t_end, sec["bin_width"]), sec["window_length"],
+        sec["bin_width"])
+    if n_windows < measure.MIN_WINDOWS:
         raise ConfigError(
             f"ringdown.window_length: {n_windows} windows fit in the "
             f"{t_end * 1e3:.6g} ms record (ringdown.duration); the decay "
-            "fit needs at least 4")
+            f"fit needs at least {measure.MIN_WINDOWS}")
 
 
 def cmd_ringdown(cfg, out, seed) -> int:
@@ -558,8 +559,7 @@ def cmd_ringdown(cfg, out, seed) -> int:
 
     ensemble = ensemble.scaled_to_shift(dn0, cav)
 
-    drive = params.DriveParams(n_max=n_max, delta_pc=system.drive.delta_pc,
-                               atom_number=system.drive.atom_number)
+    drive = params.DriveParams(n_max=n_max, delta_pc=system.drive.delta_pc)
     trace = dynamics.ring_up(
         ensemble, cav, drive,
         field_model=sec["field_model"],

@@ -397,26 +397,12 @@ def _integrate(ensemble: LatticeEnsemble, cavity: CavityParams,
     return TransientTrace(time, dn_rec, nb_rec, disp_rec, vel_rec)
 
 
-def impulse_modulation_estimate(cavity: CavityParams, trap: TrapParams,
-                                n_atoms: float) -> float:
-    """Collective resonance modulation driven by the kick of one photon.
-
-    A photon transiting in ~1/2kappa imparts impulse f/(2 kappa) to an atom
-    at probe phase pi/4, where the force f = f1 sin(2 theta) peaks, i.e.
-    velocity v = a/(2 kappa), a its optical_acceleration there.  All N atoms oscillating with displacement
-    amplitude v/omega_z (their local kick scaling with the local gradient,
-    averaged over the wells) modulate the resonance by
-    N g0^2 k_p/(2|delta_ca|) * |v|/omega_z, returned in rad/s.
-    """
-    v = optical_acceleration(np.pi / 4, 0.0, cavity) / (2.0 * cavity.kappa)
-    return float(n_atoms * cavity.g0 ** 2 * cavity.k_probe
-                 / (2.0 * abs(cavity.delta_ca)) * abs(v) / trap.omega_z)
-
-
 def impulse_boundary_detuning(cavity: CavityParams, trap: TrapParams,
                               n_atoms: float) -> float:
-    """|delta_ca| below which the single-photon modulation of
-    impulse_modulation_estimate exceeds kappa."""
+    """|delta_ca| below which one photon's kick modulates the resonance by
+    more than kappa: the kick v = a/(2 kappa), a the optical_acceleration at
+    probe phase pi/4, sets N atoms oscillating at |v|/omega_z, a modulation
+    N g0^2 k_p/(2|delta_ca|) |v|/omega_z that falls as 1/delta_ca^2."""
     num = n_atoms * CONSTANTS.hbar * cavity.g0 ** 4 * cavity.k_probe ** 2
     den = 4.0 * cavity.kappa ** 2 * CONSTANTS.m_rb87 * trap.omega_z
     return float(np.sqrt(num / den))

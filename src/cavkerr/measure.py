@@ -9,12 +9,15 @@ pair of arrays, e.g. ``(trace.time, trace.nbar)`` of a ring-up trace: the
 trapezoid integral of the rate over each bin.  ``trigger_sequence`` decides
 the trigger of a trigger / delay / detect sequence on an atom number n0
 exp(-loss_rate t), its rate known in closed form: the rate at each bin
-centre times the bin width.  Its caller schedules the rest.
+centre times the bin width.  Its caller schedules the rest.  A trace's
+span holds ``whole_bins`` bins, and a trigger horizon the ceiling of the
+same ratio, each to ``RATIO_TOL``.
 
 The collective-motion signal is read out as the Fourier amplitude of the
 transmission at the trap frequency over contiguous windows; the window
 series decays with the motional coherence (Gaussian-in-time for a static
-trap-frequency spread, exponential for viscous damping).
+trap-frequency spread, exponential for viscous damping).  A window spans at
+least ``MIN_CYCLES`` cycles, and a decay fit needs ``MIN_WINDOWS`` windows.
 """
 
 from __future__ import annotations
@@ -26,6 +29,18 @@ import numpy as np
 
 from .params import CavityParams, DriveParams, collective_shift
 from .steady_state import ResponseProfile, profile_value
+
+RATIO_TOL = 1e-9    # relative slack of a span / bin_width ratio
+MIN_CYCLES = 5.0    # cycles of the frequency in one Fourier window
+MIN_WINDOWS = 4     # windows of one decay fit
+
+
+def whole_bins(span: float, bin_width: float) -> int:
+    """floor(span / bin_width), a ratio at most ``RATIO_TOL`` relative below
+    an integer counting as that integer: the whole bins in ``span``."""
+    if not bin_width > 0:
+        raise ValueError("bin_width must be positive")
+    return math.floor(span / bin_width * (1.0 + RATIO_TOL))
 
 
 def _bin_centers(t_start: float, bin_width: float, n_bins: int) -> np.ndarray:
@@ -83,13 +98,11 @@ def _detected_rate(cavity: CavityParams, nbar, efficiency: float):
 
 def _expected_counts(nbar_trace, cavity: CavityParams, efficiency: float,
                      bin_width: float) -> CountRecord:
-    """Mean detected counts per bin, the trapezoid integral of the detected
-    rate over the bin, as a record from the trace start."""
+    """Mean detected counts in the ``whole_bins`` of the trace's span from
+    its start: the trapezoid integral of the detected rate over each bin."""
     time, nbar = (np.asarray(a, dtype=float) for a in nbar_trace)
     rate = _detected_rate(cavity, nbar, efficiency)
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    n_bins = int(np.floor((time[-1] - time[0]) / bin_width))
+    n_bins = whole_bins(time[-1] - time[0], bin_width)
     if n_bins < 1:
         raise ValueError("trace shorter than one bin")
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1])
@@ -155,19 +168,19 @@ def trigger_sequence(n0: float, loss_rate: float, cavity: CavityParams,
     the drift is not run on through the delay, so a ring-up conditioned on
     the trigger starts from the trigger-time shift.
 
-    The record holds ceil(horizon / bin_width) bins (a ratio at most 1e-9
-    relative above an integer counts as that integer), and the trigger
-    time is the centre of the bin that fires, as ``CountRecord.times``
-    gives it.  An ``efficiency`` outside [0, 1], ``n0 <= 0``, a negative
-    ``loss_rate`` or ``threshold_rate <= 0`` (NaN too) raises ``ValueError``
-    before any count is computed.
+    The record holds ceil(horizon / bin_width) bins, a ratio at most
+    ``RATIO_TOL`` relative above an integer counting as that integer; the
+    trigger time is the fired bin's centre, as ``CountRecord.times`` gives
+    it.  An ``efficiency`` outside [0, 1], ``n0 <= 0``, a negative
+    ``loss_rate`` or ``threshold_rate <= 0`` (NaN too) raises
+    ``ValueError`` before any count is computed.
     """
     _check_efficiency(efficiency)
     if not (n0 > 0 and loss_rate >= 0 and threshold_rate > 0):
         raise ValueError("need n0 > 0 and loss_rate >= 0 and "
                          "threshold_rate > 0")
     profile = ResponseProfile.from_cavity(cavity)
-    n_bins = math.ceil(horizon / bin_width * (1.0 - 1e-9))
+    n_bins = math.ceil(horizon / bin_width * (1.0 - RATIO_TOL))
     centers = _bin_centers(0.0, bin_width, n_bins)
     dn = collective_shift(n0 * np.exp(-loss_rate * centers), cavity.g0,
                           cavity.delta_ca)
@@ -213,8 +226,9 @@ def windowed_fourier_amplitude(source, frequency: float, window_length: float
     binned = isinstance(source, CountRecord)
     time, x = ((source.times, source.rates) if binned
                else (np.asarray(a, dtype=float) for a in source))
-    if window_length * frequency < 5.0:
-        raise ValueError("window must span at least 5 cycles of the frequency")
+    if window_length * frequency < MIN_CYCLES:
+        raise ValueError(f"window must span at least {MIN_CYCLES:g} cycles "
+                         "of the frequency")
     dt = time[1] - time[0]
     step = source.bin_width if binned else dt
     n_per, n_win = window_grid(len(x), window_length, step)
@@ -268,8 +282,8 @@ def decay_fit(decay: SpectralDecay, model: str = "gaussian") -> DecayFit:
         raise ValueError("model must be 'gaussian' or 'exponential'")
     c = np.asarray(decay.window_centers, dtype=float)
     a = np.asarray(decay.amplitudes, dtype=float)
-    if len(a) < 4:
-        raise ValueError("need at least 4 windows to fit a decay")
+    if len(a) < MIN_WINDOWS:
+        raise ValueError(f"need at least {MIN_WINDOWS} windows to fit a decay")
 
     keep = a > 0.1 * np.max(a)
     cf, af = c[keep], a[keep]

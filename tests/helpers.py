@@ -1,5 +1,6 @@
 """Shared builders for the ring-up operating point used across tests, the
-stable steady states at one detuning, and the probe's AC-Stark potential."""
+stable steady states at one detuning, the probe's AC-Stark potential, and
+the collective modulation of one photon's kick."""
 
 import numpy as np
 
@@ -13,7 +14,8 @@ from cavkerr import (
 )
 from cavkerr.dynamics import n_max_for_switch_on, ring_up
 from cavkerr.lattice import (LatticeEnsemble, build_lattice,
-                             collective_shift_from_displacements)
+                             collective_shift_from_displacements,
+                             optical_acceleration)
 
 TWO_PI = 2 * np.pi
 
@@ -82,3 +84,18 @@ def probe_potential(theta, displacement, nbar, cavity):
         row = LatticeEnsemble([th], [1.0], [1.0])
         return collective_shift_from_displacements(row, [d], cavity)
     return CONSTANTS.hbar * nbar * np.vectorize(shift)(theta, displacement)
+
+
+def impulse_modulation(cavity, trap, n_atoms):
+    """Collective resonance modulation (rad/s) driven by the kick of one
+    photon: the oracle that impulse_boundary_detuning bounds.
+
+    A photon transiting in ~1/2kappa imparts impulse f/(2 kappa) to an atom
+    at probe phase pi/4, where the force peaks, i.e. velocity v = a/(2
+    kappa), a its optical_acceleration there.  All N atoms oscillating with
+    displacement amplitude |v|/omega_z modulate the resonance by
+    N g0^2 k_p/(2|delta_ca|) |v|/omega_z.
+    """
+    v = optical_acceleration(np.pi / 4, 0.0, cavity) / (2.0 * cavity.kappa)
+    return float(n_atoms * cavity.g0 ** 2 * cavity.k_probe
+                 / (2.0 * abs(cavity.delta_ca)) * abs(v) / trap.omega_z)

@@ -332,6 +332,24 @@ class TestConfigErrors:
             _, _, rows = read_csv(out / "run_windows.csv")
             assert len(rows) == n_windows
 
+    @pytest.mark.parametrize("window_length, n_windows", [("500 us", 6),
+                                                          ("750 us", 4)])
+    def test_span_one_ulp_short_keeps_its_last_bin(self, tmp_path,
+                                                   window_length, n_windows):
+        # at 46 kHz the 3 ms trace ends at 0.0029999999999999996 s, a ratio
+        # of 1499.9999999999998 bins of 2 us: 1500 whole bins, so 6 windows
+        # of 500 us or 4 of 750 us
+        cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
+        cfg["params"]["trap"]["omega_z"] = "46 kHz"
+        cfg["ringdown"]["window_length"] = window_length
+        path = tmp_path / "k46.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        base = tmp_path / "run"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli("--config", path, "--out", base) == 0
+        assert len(read_csv(f"{base}_counts.csv")[2]) == 1500
+        assert len(read_csv(f"{base}_windows.csv")[2]) == n_windows
+
     def test_numeric_failure_exit_3(self, tmp_path, capsys):
         # a threshold above the peak detected rate is never crossed
         cfg = yaml.safe_load((CONFIGS / "fig_ringdown.yaml").read_text())
@@ -458,7 +476,8 @@ def ringdown_rules(cfg) -> tuple[list[str], int, int]:
 
     A ramp needs backaction.  A window spans at least 5 trap periods, and
     the record holds at least 4: round(duration/dt) steps of dt, sampled
-    every record_every-th, in bins of bin_width and windows of
+    every record_every-th, in whole bins of bin_width (a ratio at most 1e-9
+    relative below an integer counting as that integer) and windows of
     round(window_length/bin_width) bins.  And dt is at most 1/50 of the
     period of the fastest drawn trap frequency, mean + spread * N(0, 1) a
     row, a tracer row at the mean.
@@ -472,7 +491,7 @@ def ringdown_rules(cfg) -> tuple[list[str], int, int]:
     dt = TWO_PI / (sec["dt_per_period"] * omega_z)
     every = sec["record_every"]
     t_end = round(sec["duration"] / dt) // every * every * dt
-    n_bins = math.floor(t_end / sec["bin_width"])
+    n_bins = math.floor(t_end / sec["bin_width"] * (1 + 1e-9))
     n_per = round(sec["window_length"] / sec["bin_width"])
     n_windows = n_bins // n_per if n_per else 0
     if sec["window_length"] * omega_z / TWO_PI < 5 or n_windows < 4:

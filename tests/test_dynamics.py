@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import (probe_potential, run_ringup, ringup_context,
-                     ringup_drive, stable_roots, RINGUP_DELTA_N0)
+from helpers import (impulse_modulation, probe_potential, run_ringup,
+                     ringup_context, ringup_drive, stable_roots,
+                     RINGUP_DELTA_N0)
 
 from cavkerr import dynamics
 from cavkerr import (
@@ -19,7 +20,6 @@ from cavkerr import (
 )
 from cavkerr.dynamics import (
     impulse_boundary_detuning,
-    impulse_modulation_estimate,
     n_max_for_switch_on,
     quasi_static_sweep,
     ring_up,
@@ -553,12 +553,7 @@ class TestImpulseEstimates:
         import dataclasses
         just_in = dataclasses.replace(cavity, delta_ca=-0.95 * boundary)
         just_out = dataclasses.replace(cavity, delta_ca=-1.05 * boundary)
-        m_in = impulse_modulation_estimate(just_in, trap42, 5e4)
-        m_out = impulse_modulation_estimate(just_out, trap42, 5e4)
+        m_in = impulse_modulation(just_in, trap42, 5e4)
+        m_out = impulse_modulation(just_out, trap42, 5e4)
         assert m_in > cavity.kappa > m_out
-
-    def test_modulation_linear_in_atom_number(self, cavity101, trap42):
-        m1 = impulse_modulation_estimate(cavity101, trap42, 2e4)
-        m2 = impulse_modulation_estimate(cavity101, trap42, 4e4)
-        assert m2 == pytest.approx(2 * m1, rel=1e-12)
 

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.stats import chisquare, poisson
 
-from cavkerr import measure
+from cavkerr import dynamics, measure
 from cavkerr import (
     DriveParams,
     ResponseProfile,
@@ -38,6 +40,32 @@ def trailing_average(counts, n, bin_width):
     window summed on its own."""
     return np.array([counts[max(0, i - n + 1):i + 1].sum() / (n * bin_width)
                      for i in range(len(counts))])
+
+
+class TestWholeBins:
+    @pytest.mark.parametrize("span, bin_width, n", [
+        # np.arange(0, 0.2, 1e-6) ends at 0.19999999999999998 s
+        (np.arange(0.0, 0.2, 1e-6)[-1], 1e-5, 20_000),
+        # a 3 ms ring-up at 46 kHz, dt = 2 pi / (200 omega_z), every 2nd
+        # step recorded: it ends at 0.0029999999999999996 s
+        (dynamics.sample_times(3e-3, TWO_PI / (200 * TWO_PI * 46e3), 2)[-1],
+         2e-6, 1500),
+    ])
+    def test_span_one_ulp_short_keeps_its_last_bin(self, span, bin_width, n):
+        assert span < n * bin_width
+        assert math.floor(span / bin_width) == n - 1
+        assert measure.whole_bins(span, bin_width) == n
+
+    @pytest.mark.parametrize("k", [1, 7, 500])
+    @pytest.mark.parametrize("bin_width", [2e-6, 1e-5])
+    def test_span_short_of_a_bin_drops_it(self, k, bin_width):
+        # 1e-6 of a bin is at least 2e-9 relative for k <= 500
+        assert measure.whole_bins((k - 1e-6) * bin_width, bin_width) == k - 1
+
+    @pytest.mark.parametrize("bin_width", [0.0, -1e-6, float("nan")])
+    def test_nonpositive_bin_width_rejected(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width must be positive"):
+            measure.whole_bins(1e-3, bin_width)
 
 
 class TestCountMonteCarlo:
@@ -103,13 +131,13 @@ class TestCountMonteCarlo:
 
     def test_averaged_counts_mean_and_variance(self, cavity101):
         # the mean of 50 Poisson(mu) detections has mean mu and variance
-        # mu/50; 19 999 bins at seed 5, each within 4 standard errors
+        # mu/50; 20 000 bins at seed 5, each within 4 standard errors
         n_avg = 50
         _, mean = averaged_counts(flat_trace(1.0, duration=0.2), cavity101,
                                   0.05, 1e-5, 5, n_avg)
         mu = 2 * cavity101.kappa * 1.0 * 0.05 * 1e-5
         n = len(mean)
-        assert n == 19_999
+        assert n == 20_000
         assert abs(mean.mean() - mu) < 4 * np.sqrt(mu / n_avg / n)
         assert abs(mean.var() / (mu / n_avg) - 1) < 4 * np.sqrt(2.0 / n)
         # a mean of 50 integers is a multiple of 1/50
