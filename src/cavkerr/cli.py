@@ -324,10 +324,11 @@ def write_csv(path, colnames, columns, meta) -> None:
 
     Each cell is byte for byte what Python writes for it, by its column's
     NumPy dtype: text as is, an integer as %d, a float as %.17g; a column
-    of any other dtype (a None, an int beyond 64 bits) is a ValueError
-    naming it, raised before the first row.  The rows are rendered in NumPy
-    (``csvrows``, which also says which float cells take Python's own
-    %.17g), one binary write a block."""
+    of any other dtype (a None, an int beyond 64 bits), or a list made
+    float whose int would print rounded, is a ValueError naming it, raised
+    before the first row.  The rows are rendered in NumPy (``csvrows``,
+    which also says which float cells take Python's own %.17g), one binary
+    write a block."""
     from . import csvrows
     with open(path, "w") as fh:
         for k, v in meta.items():

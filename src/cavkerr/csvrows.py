@@ -4,15 +4,21 @@ A column's kind is its NumPy dtype: text (str or bytes) is itself, an
 integer cell is ``"%d" % v`` and a float cell ``"%.17g" % v``; any other
 dtype is refused.  ``write`` renders the rows in NumPy, a block of rows at
 a time: each column fills its field of one (rows, width) byte block, NUL
-in the slots its cell does not use, and the NUL bytes are dropped.
+in the slots its cell does not use, and the NUL bytes are dropped.  Digits
+are written four at a time, from a table of the ASCII text of 0..9999.
 
 A float cell is rendered from its 17 significant digits, found in long
 double: a correctly rounded binary-to-decimal conversion (D. M. Gay,
 "Correctly rounded binary-decimal and decimal-binary conversions", AT&T
-1990) for the cells whose last digit the long double can vouch for.  Every
-other float cell is Python's own %.17g: zero, inf and nan, a decimal
-exponent outside [-11, 43], and a value within _TIE of a rounding tie.
-Where the long double is a plain double, that is every float cell.
+1990).  y = |x| 10**(16-e) in [1e16, 1e17), e the decimal exponent, is
+the correctly rounded long-double product (or quotient) of two exact
+factors, so a multiple of its ulp, at most 2**-7, and within half an ulp
+of the exact value.  Unless y is itself a half-integer, it is at least an
+ulp from every half-integer, so the exact value rounds to the same 17
+digits as y.  Every other float cell is Python's own %.17g: zero, inf and
+nan, an exponent outside [-11, 43], and a y that is exactly a
+half-integer.  Where the long double is a plain double, or not IEEE
+(double-double), that is every float cell.
 """
 
 import numpy as np
@@ -31,21 +37,31 @@ _LEAD, _EXPO = (np.array([f(k) for k in range(-11, 44)], "S8").view(np.uint64)
 # [1e16, 1e17): 10**|16-e|, exact in a long double of 64 or more mantissa
 # bits up to 10**27 (5**27 < 2**64); the two ends only reach slow cells
 _SCALE = np.array([10 ** abs(16 - e) for e in range(-12, 45)], np.longdouble)
-# y = |x| 10**(16-e) in [1e16, 1e17) is one rounding from its exact value,
-# so within half an ulp of [2**56, 2**57), the binade of 1e17: a frac(y)
-# more than one such ulp from 1/2 rounds as the exact value does.  A long
-# double that is not IEEE (double-double) gets no margin at all
-_LD = np.finfo(np.longdouble)
-_TIE = _LD.eps * 2.0 ** 56 if _LD.nmant in (52, 63, 112) else np.inf
+# the IEEE long doubles of 64 or more mantissa bits, x87 extended and quad,
+# whose ulp in [1e16, 1e17) is at most 2**-7
+_WIDE = np.finfo(np.longdouble).nmant in (63, 112)
+# by n = 0..9999, the four ASCII digits of n, zero-padded, as one uint32
+_QUADS = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4,
+                              indexing="ij"), axis=-1).view(np.uint32).ravel()
 
 
 def _digits(m, block, cols):
     """Write the ASCII digits of the unsigned array ``m``, zero-padded, to
-    the ``block`` columns ``cols``, the units digit last, by repeated
-    division by 10."""
-    for j in reversed(cols):
-        q = m // 10
-        block[:, j] = m + ord("0") - q * 10
+    the ``block`` columns ``cols``, the units digit last, four at a time
+    from _QUADS by repeated division by 10**4."""
+    cols = list(cols)
+    while cols:
+        c = cols[-4:]
+        del cols[-4:]
+        q = m // 10 ** 4 if cols else 0
+        r = m - q * 10 ** 4
+        if len(c) == 1:                         # r < 10
+            block[:, c[0]] = r + ord("0")
+        elif c == list(range(c[0], c[0] + 4)):  # one uint32 a row
+            np.take(_QUADS, r, mode="clip",
+                    out=block[:, c[0]:c[0] + 4].view(np.uint32)[:, 0])
+        else:                                   # fewer, or a "." among them
+            block[:, c] = _QUADS[r].view(np.uint8).reshape(-1, 4)[:, -len(c):]
         m = q
 
 
@@ -84,6 +100,11 @@ def _int_field(v):
     return sign + width, fill
 
 
+def _python_17g(x):
+    """Python's own %.17g text of each float of ``x``, an S24 array."""
+    return np.fromiter((b"%.17g" % c for c in x), "S24", x.size)
+
+
 def _scaled(a, e):
     """|x| 10**(16-e) in long double, one rounding from the exact value."""
     p = _SCALE[e + 12]
@@ -102,7 +123,7 @@ def _float_field(v):
     rounded to an integer, and are laid out by %g's rules: fixed notation
     for -4 <= e < 17, else d.ddde+XX, less trailing zeros and a bare ".".
     A cell whose rounding y cannot decide is Python's own %.17g: zero, inf
-    and nan, |16 - e| > 27, and frac(y) within _TIE of 1/2."""
+    and nan, |16 - e| > 27, and a half-integer y (see the module)."""
     fast = np.isfinite(v) & (v != 0)
     a = np.where(fast, np.abs(v), 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
@@ -115,15 +136,16 @@ def _float_field(v):
         e[fix] += np.where(y[fix] < 1e16, -1, 1)
         y[fix] = _scaled(a[fix], e[fix])
         fast &= (y >= 1e16) & (y < 1e17) & (e >= -11) & (e <= 43)
-    y += 0.5                              # exact: y's ulp is at most 1/128
+    # y - 1/2 is exact: it lies in y's binade or the one below, so y and
+    # 1/2 are multiples of its ulp.  It is an integer just where y is a
+    # half-integer, and otherwise y rounds to its floor plus one
+    y -= 0.5
     d = y.astype(np.uint64)
-    # frac(y + 1/2) is exact in long double, and within 2**-54 of that as a
-    # double
-    frac = (y - d).astype(np.float64)
-    fast &= np.abs(frac - 0.5) < 0.5 - _TIE
+    fast &= (y != d) & _WIDE
+    d += 1
     # a carry to 1e17 needs x within 5e-18 below a power of ten, and no
     # double with e in [-11, 43] is that close to one; the rule keeps it
-    carry = y >= 1e17
+    carry = d >= 10 ** 17
     d[carry], e[carry] = 10 ** 16, e[carry] + 1
     np.copyto(e, 0, where=~fast)          # so the slow cells add no slots
     e = e.astype(np.int8)
@@ -141,7 +163,7 @@ def _float_field(v):
     expo = 4 * int(not fixed.all())
     used = sign + lead + 17 + len(dots) + expo
     slow = np.flatnonzero(~fast)
-    texts = np.fromiter((b"%.17g" % x for x in v[slow]), "S24", slow.size)
+    texts = _python_17g(v[slow])
     width = max(used, max(map(len, texts), default=0))
     texts = texts.astype(f"S{width}").view(np.uint8).reshape(-1, width)
 
@@ -171,25 +193,32 @@ def _float_field(v):
     return width, fill
 
 
-def _field(col, name):
+def _field(cells, name):
     """(field, values, bytes a cell at most) of a column, by the dtype of
-    ``np.asarray(col)``: str or bytes as text, integer (or bool) as %d,
+    ``np.asarray(cells)``: str or bytes as text, integer (or bool) as %d,
     float as %.17g.  Any other dtype is a ValueError naming the column:
-    object above all, for a None or a Python int beyond 64 bits."""
-    col = np.asarray(col)
+    object above all, for a None or a Python int beyond 64 bits.  So is a
+    list made float whose int cell would not print as its own %d text."""
+    col = np.asarray(cells)
     kind, rows = col.dtype.kind, len(col)
     if kind == "U":         # UTF-8: all-ASCII cells are their code points
         codes = np.ascontiguousarray(col).view(np.uint32)
         col = (codes.astype(np.uint8) if codes.max(initial=0) < 128
                else np.char.encode(col))
     if kind in "US":
-        cells = np.ascontiguousarray(col).view(np.uint8).reshape(rows, -1)
-        if ((cells[:, :-1] == 0) & (cells[:, 1:] != 0)).any():
+        text = np.ascontiguousarray(col).view(np.uint8).reshape(rows, -1)
+        if ((text[:, :-1] == 0) & (text[:, 1:] != 0)).any():
             raise ValueError(f"CSV column {name!r}: a text cell holds a NUL")
-        return _text_field, cells, cells.shape[1]
+        return _text_field, text, text.shape[1]
     if kind in "biu":
         return _int_field, col, max(len(str(col.min())), len(str(col.max())))
     if kind == "f":
+        ints = () if isinstance(cells, np.ndarray) else (
+            c for c in cells if isinstance(c, (int, np.integer)))
+        bad = next((c for c in ints if "%.17g" % c != "%d" % c), None)
+        if bad is not None:
+            raise ValueError(f"CSV column {name!r}: the int {bad} would be "
+                             f"written as the float {'%.17g' % bad}")
         return _float_field, col.astype(np.float64, copy=False), 24
     raise ValueError(f"CSV column {name!r} holds {col.dtype} values, "
                      "not numbers or text")
@@ -214,7 +243,7 @@ def _rows(fields, start, stop):
     before the next block is built."""
     block = _block([make(values[start:stop]) for make, values, _ in fields],
                    stop - start)
-    return block[block != 0]
+    return block.tobytes().translate(None, b"\0")
 
 
 def write(out, names, columns) -> None:

@@ -8,7 +8,9 @@ filter relaxing at 2*kappa is available to check that approximation.
 The linearized one-way ring-up (no backaction, undamped, unramped,
 adiabatic field) drives every site with a constant force, so it is solved
 in closed form: each site's contribution to Delta_N is a short harmonic
-series.  Harmonic n of every site lies in the band n [min w, max w], so
+series of H harmonics, read off one FFT per site row at K points per
+period, K the smallest power of two at or above 2H + 2 (the aliasing
+bound).  Harmonic n of every site lies in the band n [min w, max w], so
 each band is replaced by a few terms at Chebyshev frequencies of the band
 (interpolation error bounded by Jacobi-Anger, within 1e-16 of the total
 population), and the terms are summed at the sample times by blocked
@@ -264,11 +266,13 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
     optical_acceleration at d = 0.
     Then N_j sin^2(theta_j + k_p d_j) is even and periodic in u = w_j t:
     a cosine series whose harmonic n is bounded by N_j (k_p|A_j|)^n / n!
-    (Jacobi-Anger, |J_n(z)| <= (z/2)^n / n!).  One FFT per row over K
-    points per period gives its coefficients; H harmonics are kept, with
-    the dropped tail and, as K >= 2H + 2, the aliased tail each below
-    1e-16 of sum N_j.  So Delta_N(t) is g0^2/delta_ca times a constant
-    plus sum_p D_p cos(W_p t) over the kept harmonics W_p = n w_j.
+    (Jacobi-Anger, |J_n(z)| <= (z/2)^n / n!).  H harmonics are kept, the
+    dropped tail below 1e-16 of sum N_j, and one FFT per row over K points
+    per period gives their coefficients, K the smallest power of two at or
+    above 2H + 2.  Harmonic n <= H takes the aliases n +- mK, m >= 1, all
+    at or above K - H >= H + 2, so in the dropped tail.  So Delta_N(t) is
+    g0^2/delta_ca times a constant plus sum_p D_p cos(W_p t) over the kept
+    harmonics W_p = n w_j.
     _band_terms then puts each harmonic band n [min w, max w] on K_n
     Chebyshev frequencies, with an error at most 1e-16 sum N_j per band
     (its bound is in _band_terms); a band with K_n >= rows keeps its rows,
@@ -288,9 +292,7 @@ def _one_way_exact(ensemble: LatticeEnsemble, cavity: CavityParams,
 
     tol = 1e-16 * np.sum(pop)
     n_harm = _kept_harmonics(pop, kp * np.abs(amp), tol)
-    k = 64
-    while k < 2 * n_harm + 2:
-        k *= 2
+    k = 1 << (2 * n_harm + 1).bit_length()     # smallest 2**m >= 2H + 2
     u = np.arange(k) * (TWO_PI / k)
     s = np.sin(theta[:, None] + kp * amp[:, None] * (1.0 - np.cos(u)))
     coef = np.fft.rfft(pop[:, None] * s * s, axis=1).real[:, :n_harm + 1] / k

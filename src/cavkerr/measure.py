@@ -221,7 +221,8 @@ def windowed_fourier_amplitude(source, frequency: float, window_length: float
     ``CountRecord`` (its rates are transformed; integer or mean counts
     alike) or a (t, x) pair, e.g. (trace.time, trace.nbar).  Windows are
     contiguous from the record start, of ``window_grid`` samples for a step
-    of the bin width (a ``CountRecord``) or dt (a pair).
+    of the bin width (a ``CountRecord``) or dt (a pair); a record of fewer
+    than two samples holds none.
     """
     binned = isinstance(source, CountRecord)
     time, x = ((source.times, source.rates) if binned
@@ -229,6 +230,8 @@ def windowed_fourier_amplitude(source, frequency: float, window_length: float
     if window_length * frequency < MIN_CYCLES:
         raise ValueError(f"window must span at least {MIN_CYCLES:g} cycles "
                          "of the frequency")
+    if len(x) < 2:
+        raise ValueError("no window fits a record of fewer than two samples")
     dt = time[1] - time[0]
     step = source.bin_width if binned else dt
     n_per, n_win = window_grid(len(x), window_length, step)

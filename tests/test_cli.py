@@ -7,6 +7,7 @@ import re
 import string
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -730,6 +731,39 @@ _FLOAT_COLUMNS = {
        for d in (-1, 0, 1)},
 }
 
+# the long double's mantissa bits; with 63 (x87) or 112 (IEEE quad) the
+# writer renders every float cell of exponent -11..43 whose y is not a
+# half-integer
+_NMANT = np.finfo(np.longdouble).nmant
+
+
+def _long_y(x):
+    """(e, y, ulp) of a finite nonzero float, in exact rationals: its
+    decimal exponent e, and the long double y nearest |x| 10**(16-e)
+    (round half even), of spacing ulp."""
+    a = Fraction(abs(x))
+    e = math.floor(math.log10(abs(x)))
+    e += (Fraction(10) ** (e + 1) <= a) - (Fraction(10) ** e > a)
+    exact = a * Fraction(10) ** (16 - e)
+    m = exact.numerator.bit_length() - exact.denominator.bit_length()
+    if Fraction(2) ** m > exact:
+        m -= 1
+    ulp = Fraction(2) ** (m - _NMANT)
+    return e, round(exact / ulp) * ulp, ulp
+
+
+def _near_half_integers(e, count=3000, ulps=4):
+    """Of the ``count`` doubles from 1.2345 10**e up, those whose long
+    double y is at most ``ulps`` of its ulps from a half-integer."""
+    x = 1.2345 * 10.0 ** e
+    cells = []
+    for _ in range(count):
+        _, y, ulp = _long_y(x)
+        if abs(y - math.floor(y) - Fraction(1, 2)) <= ulps * ulp:
+            cells.append(x)
+        x = float(np.nextafter(x, np.inf))
+    return cells
+
 
 class TestWriteCsv:
     @staticmethod
@@ -816,7 +850,10 @@ class TestWriteCsv:
         pytest.param([None, 1.0], id="none"),
         pytest.param([0, 10 ** 20], id="int-beyond-int64"),
         pytest.param(np.array([1j, 2.0]), id="complex"),
-        pytest.param(["a", "b\0c"], id="text-with-nul")])
+        pytest.param(["a", "b\0c"], id="text-with-nul"),
+        # a list NumPy makes float, with an int cell a float would round
+        pytest.param([1, 2 ** 63 + 1], id="int-rounded-by-int64-promotion"),
+        pytest.param([0.5, 2 ** 53 + 1], id="int-rounded-among-floats")])
     def test_unwritable_column_raises_naming_it(self, tmp_path, cells):
         # no silent nan or text stand-in: the error names the column, and
         # the file ends at its header
@@ -832,6 +869,54 @@ class TestWriteCsv:
         cli.write_csv(path, ["x"], [np.array([1e15 + 0.25, 1e15 + 0.75])], {})
         assert path.read_text().splitlines()[1:] == [
             "1000000000000000.2", "1000000000000000.8"]
+
+    def test_python_writes_only_the_cells_it_must(self, tmp_path,
+                                                   monkeypatch):
+        # cells whose y is at or a few long-double ulps from a half-integer,
+        # in the multiply branch (e <= 16) and the divide branch (e > 16),
+        # and cells m 2**(e-17), m odd, whose exact y is one, of either
+        # sign, among specials and random cells: each is its %.17g, and
+        # Python's %.17g writes only zero, inf and nan, an exponent outside
+        # [-11, 43], and a y that is exactly a half-integer
+        near = [c for e in (-9, 3, 30, 43) for c in _near_half_integers(e)]
+        exact = [math.ldexp(2 * math.floor(0.75 * 5 ** e * 2 ** 17) + 1,
+                            e - 17) for e in (-7, 0, 10, 15)]
+        assert len(near) >= 40
+        for x in exact:
+            e = _long_y(x)[0]
+            assert (Fraction(x) * Fraction(10) ** (16 - e)).denominator == 2
+        seen, python_17g = [], csvrows._python_17g
+
+        def spy(x):
+            seen.extend(x.tolist())
+            return python_17g(x)
+
+        monkeypatch.setattr(csvrows, "_python_17g", spy)
+        rng = np.random.default_rng(11)
+        ties = np.array(near + exact)
+        cells = np.concatenate([
+            ties, -ties,
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 9.9e-12, 1e44, 5e-324,
+             -1.7976931348623157e308],
+            rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-12, 45, 2000)])
+        path = tmp_path / "s.csv"
+        cli.write_csv(path, ["x"], [cells], {})
+        self._assert_same_text(path.read_text(),
+                               self._reference({}, ["x"], [cells.tolist()]))
+
+        def python_route(x):
+            if x == 0 or not math.isfinite(x):
+                return True
+            e, y, _ = _long_y(x)
+            return (not -11 <= e <= 43 or _NMANT not in (63, 112)
+                    or y - math.floor(y) == Fraction(1, 2))
+
+        want = [x for x in cells.tolist() if python_route(x)]
+        assert np.array(seen).tobytes() == np.array(want).tobytes(), (
+            len(seen), len(want))
+        if _NMANT in (63, 112):
+            rendered = set(near) - set(want)
+            assert min(rendered) < 1e16 and max(rendered) >= 1e17
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.floats(), min_size=1, max_size=40))

@@ -312,6 +312,31 @@ class TestClosedFormOracle:
                                         drive.delta_pc - trace.delta_n),
             rel=1e-12)
 
+    def test_fft_points_are_the_aliasing_bound(self, monkeypatch):
+        # K, the FFT points per row period, is the smallest power of two at
+        # or above 2H + 2 for H kept harmonics: 16 at the 6.5-photon drive
+        # (H = 6), 64 at the 400-photon one (H = 18)
+        kept, points = [], []
+        kept_harmonics, rfft = dynamics._kept_harmonics, np.fft.rfft
+
+        def spy_kept(*args):
+            kept.append(kept_harmonics(*args))
+            return kept[-1]
+
+        def spy_rfft(a, axis):
+            points.append(a.shape[axis])
+            return rfft(a, axis=axis)
+
+        monkeypatch.setattr(dynamics, "_kept_harmonics", spy_kept)
+        monkeypatch.setattr(np.fft, "rfft", spy_rfft)
+        for level in (6.5, 400.0):
+            cavity, trap, profile, ensemble, drive = self._context(level)
+            ring_up(ensemble, cavity, drive, duration=1e-3, profile=profile,
+                    backaction=False, linearized_force=True, record_every=3)
+        assert (kept, points) == ([6, 18], [16, 64])
+        for h, k in zip(kept, points):
+            assert k // 2 < 2 * h + 2 <= k and k & (k - 1) == 0
+
     @pytest.mark.parametrize("spread, n_sites",
                              [(TWO_PI * 225.08, 300), (0.0, 200)],
                              ids=["spread", "no-spread"])

@@ -253,6 +253,15 @@ class TestWindowedFourierAmplitude:
         with pytest.raises(ValueError):
             windowed_fourier_amplitude((t, np.sin(t)), frequency, window)
 
+    @pytest.mark.parametrize("source", [
+        pytest.param(CountRecord(2e-6, np.array([3])), id="one-bin-record"),
+        pytest.param((np.array([0.0]), np.array([1.0])), id="one-sample-pair"),
+    ])
+    def test_one_sample_source_holds_no_window(self, source):
+        # the window check comes before the sample spacing is read
+        with pytest.raises(ValueError, match="no window"):
+            windowed_fourier_amplitude(source, 49e3, 250e-6)
+
     @staticmethod
     def _loop_oracle(time, x, frequency, n_per):
         """The windows one at a time, each with its own mean and sum."""
