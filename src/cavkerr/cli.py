@@ -175,8 +175,8 @@ FIELDS = {
     "lineshape.delta_pc_start": Field(parse_frequency),
     "lineshape.delta_pc_stop": Field(parse_frequency),
     "lineshape.points": Field(_at_least(2), 801),
-    "lineshape.n_max": Field(_check(lambda xs: min(xs, default=0) >= 0,
-                                    "a list of nonnegative numbers",
+    "lineshape.n_max": Field(_check(lambda xs: xs and min(xs) >= 0,
+                                    "a nonempty list of nonnegative numbers",
                                     _numbers), None),  # [params.drive.n_max]
     "lineshape.direction": Field(_one_of("up", "down"), "up"),
     "sweep.chirp_rate": Field(_nonzero(parse_chirp)),   # sets nothing
@@ -429,15 +429,17 @@ def cmd_lineshape(cfg, out, seed) -> int:
     grid = np.linspace(sec["delta_pc_start"], sec["delta_pc_stop"],
                        sec["points"])
 
-    traces = []                 # (trace, n_max, deltaPC_Hz, nbar) columns
-    for i, n_max in enumerate(n_max_list):
-        beta = params.beta_parameter(dn, eps, n_max, system.cavity.kappa)
-        dpc, nbar = dynamics.quasi_static_sweep(profile, beta, grid, n_max,
-                                                dn, sec["direction"])
-        traces.append((np.full(dpc.size, i), np.full(dpc.size, n_max),
-                       dpc / TWO_PI, nbar))
+    betas = [params.beta_parameter(dn, eps, n_max, system.cavity.kappa)
+             for n_max in n_max_list]
+    # one scan solves every drive; a row of dpc and nbar per n_max
+    dpc, nbar = dynamics.quasi_static_sweep(profile, np.array(betas), grid,
+                                            np.array(n_max_list), dn,
+                                            sec["direction"])
+    rows = dpc.shape[1]
     write_csv(out, ["trace", "n_max", "deltaPC_Hz", "nbar"],
-              [np.concatenate(c) for c in zip(*traces)], _meta(cfg, seed))
+              [np.repeat(np.arange(len(n_max_list)), rows),
+               np.repeat(n_max_list, rows), dpc.ravel() / TWO_PI,
+               nbar.ravel()], _meta(cfg, seed))
     return 0
 
 

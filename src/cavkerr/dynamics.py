@@ -60,8 +60,8 @@ class TransientTrace:
     velocities: np.ndarray
 
 
-def quasi_static_sweep(profile: ResponseProfile, beta: float, delta_pc,
-                       n_max: float, delta_n: float,
+def quasi_static_sweep(profile: ResponseProfile, beta, delta_pc, n_max,
+                       delta_n: float,
                        direction: str) -> tuple[np.ndarray, np.ndarray]:
     """Quasi-static swept lineshape nbar(delta_pc) with hysteretic jumps.
 
@@ -72,10 +72,15 @@ def quasi_static_sweep(profile: ResponseProfile, beta: float, delta_pc,
     the linear response and stays on it until that branch ends at a fold,
     then jumps to the other stable branch.  Returns the arrays (delta_pc,
     nbar) in traversal order; a non-finite beta raises ValueError.
+
+    ``beta`` and ``n_max`` may be 1-d arrays of one drive each, solved in
+    one scan (see lineshape_scan): both arrays then have a leading axis, a
+    row per drive.
     """
     grid = (np.asarray(delta_pc, dtype=float) - delta_n) / profile.kappa
-    d0, u = lineshape_scan(profile, beta, grid, direction).T
-    return d0 * profile.kappa + delta_n, u * n_max
+    scan = lineshape_scan(profile, beta, grid, direction)
+    return (scan[..., 0] * profile.kappa + delta_n,
+            scan[..., 1] * np.asarray(n_max)[..., None])
 
 
 def n_max_for_switch_on(level: float, profile: ResponseProfile,

@@ -19,11 +19,13 @@ solved: a stable root is the one zero of F - delta0 on its segment
 (natural-parameter continuation; Allgower & Georg, SIAM 2003).  V is even,
 so beta < 0 mirrors (-delta0, -beta).
 
-A scan tabulates F at 129 sinh-spaced points of each segment (cells about
-w/20 wide at the peak, w = 1 + sigma/kappa, and growing as |x| beyond),
-brackets each root by its cell and one more each side, and starts Newton
-by inverse linear interpolation.  An entry stops when its step is within 4
-ulp of x, or |F(x) - delta0| within 8 ulp of |x| + beta*v + |delta0|, the
+A scan lays 129 sinh-spaced points over each stable segment of each drive
+(cells about w/20 wide at the peak, w = 1 + sigma/kappa, and growing as |x|
+beyond) and tabulates F at all of them in one call.  It brackets each root
+by its cell and one more each side, and starts Newton by inverse linear
+interpolation; one Newton solve takes every root of every segment and
+drive, with beta per entry.  An entry stops when its step is within 4 ulp
+of x, or |F(x) - delta0| within 8 ulp of |x| + beta*v + |delta0|, the
 rounding floor of F, below which Newton cannot go.
 """
 
@@ -412,44 +414,64 @@ def _segments(profile: ResponseProfile, beta: float) -> list:
 _TABLE, _ULPS = 129, 8.0 * np.finfo(float).eps     # see the module docstring
 
 
-def _segment_roots(profile: ResponseProfile, beta: float, delta0: np.ndarray,
-                   segment) -> np.ndarray:
-    """u of the root on a stable segment at each delta0; inf where none.
+def _branches(profile: ResponseProfile, betas, grids) -> list[np.ndarray]:
+    """The stable branches of each beta >= 0 over its delta0 grid: per beta
+    a (segments, points) array of u, a row per stable segment ascending in
+    x, inf where that segment has no root.  A segment is open at its fold
+    ends, where F' = 0 is not stable.
 
-    The segment is open at its fold ends, where F' = 0 is not stable.
+    Every segment of every beta is solved at once: one table of F, one
+    Newton solve with beta as per-entry data, one v at the entries that
+    moved.  Each entry's arithmetic is the same as when solved alone.
     """
-    (x_lo, f_lo), (x_hi, f_hi) = segment
-    has = (f_lo < delta0) & (delta0 < f_hi)
-    out, d = np.full(delta0.shape, np.inf), delta0[has]
-    if not d.size:                              # no root on this segment
-        return out
-    # a root has u in (0, 1], so x in (delta0, delta0 + beta]
-    lo, hi = max(x_lo, d.min()), min(x_hi, d.max() + beta)
     w = 1.0 + profile.sigma / profile.kappa
-    t = w * np.sinh(np.linspace(*np.arcsinh([lo / w, hi / w]), _TABLE))
-    t[[0, -1]] = lo, hi
-    F = t - beta * _curve(profile, t, 0)[0]                 # rising
-    j = np.clip(np.searchsorted(F, d), 1, _TABLE - 1)
+    out, jobs = [], []      # a job: (branch row, mask, beta, delta0, table)
+    for beta, grid in zip(betas, grids):
+        segments = _segments(profile, beta)
+        out.append(np.full((len(segments), grid.size), np.inf))
+        for row, ((x_lo, f_lo), (x_hi, f_hi)) in zip(out[-1], segments):
+            has = (f_lo < grid) & (grid < f_hi)
+            d = grid[has]
+            if not d.size:                      # no root on this segment
+                continue
+            # a root has u in (0, 1], so x in (delta0, delta0 + beta]
+            lo, hi = max(x_lo, d.min()), min(x_hi, d.max() + beta)
+            t = w * np.sinh(np.linspace(*np.arcsinh([lo / w, hi / w]), _TABLE))
+            t[[0, -1]] = lo, hi
+            jobs.append((row, has, beta, d, t))
+    if not jobs:
+        return out
+    rows, masks, job_betas, ds, tables = zip(*jobs)
+    t_all = np.concatenate(tables)
+    F_all = t_all - np.repeat(job_betas, _TABLE) * _curve(profile, t_all, 0)[0]
+    neg, pos, start = [], [], []
+    for d, t, F in zip(ds, tables, F_all.reshape(-1, _TABLE)):   # F rises
+        j = np.clip(np.searchsorted(F, d), 1, _TABLE - 1)
+        # the cells either side keep a step past a root by a cell end in bounds
+        neg.append(t[np.maximum(j - 2, 0)])
+        pos.append(t[np.minimum(j + 1, _TABLE - 1)])
+        start.append(np.interp(d, F, t))
+    sizes = [d.size for d in ds]
+    delta0, beta = np.concatenate(ds), np.repeat(job_betas, sizes)
 
     # g keeps each entry's last x and v: an entry that stops on a zero step
     # returns the x it was last evaluated at, and that v is its u
-    seen_x, seen_v = np.full(d.shape, np.nan), np.empty(d.shape)
+    seen_x, seen_v = np.full(delta0.shape, np.nan), np.empty(delta0.shape)
 
-    def g(x, d, i):
+    def g(x, d, beta, i):
         v, v1 = _curve(profile, x, 1)
         seen_x[i], seen_v[i] = x, v
         r = x - beta * v - d
         r[np.abs(r) <= _ULPS * (np.abs(x) + beta * v + np.abs(d))] = 0.0
         return r, 1.0 - beta * v1
 
-    # the cells either side keep a step past a root by a cell end in bounds
-    x = _bracketed_root(g, t[np.maximum(j - 2, 0)],
-                        t[np.minimum(j + 1, _TABLE - 1)], d,
-                        np.arange(d.size), x=np.interp(d, F, t))
+    x = _bracketed_root(g, np.concatenate(neg), np.concatenate(pos), delta0,
+                        beta, np.arange(delta0.size), x=np.concatenate(start))
     moved = np.flatnonzero(x != seen_x)
     if moved.size:
         seen_v[moved] = _curve(profile, x[moved], 0)[0]
-    out[has] = seen_v
+    for row, has, u in zip(rows, masks, np.split(seen_v, np.cumsum(sizes))):
+        row[has] = u
     return out
 
 
@@ -475,7 +497,7 @@ def bistability_threshold(profile: ResponseProfile) -> float:
     return 1.0 / profile._slope_peak[1]
 
 
-def lineshape_scan(profile: ResponseProfile, beta: float, delta0_grid,
+def lineshape_scan(profile: ResponseProfile, beta, delta0_grid,
                    direction: str = "up") -> np.ndarray:
     """Quasi-static branch-following scan over a detuning grid.
 
@@ -485,24 +507,39 @@ def lineshape_scan(profile: ResponseProfile, beta: float, delta0_grid,
     scan followed by the "down" one over the same grid reversed; the
     branches are solved once for both.  Returns the (delta0, u) rows in
     traversal order, an (n, 2) float array; every u is within 1e-10 of
-    V(kappa*(delta0 + beta*u)), and a non-finite beta raises ValueError.
+    V(kappa*(delta0 + beta*u)).
+
+    ``beta`` may be a 1-d array of drives, scanned over the same grid:
+    then the rows of drive k are ``[k]`` of a (len(beta), n, 2) array, the
+    branches of every drive solved at once, each with the same bits as
+    alone.  A non-finite beta, or a grid that is not 1-d and finite, raises
+    ValueError before any compute.
     """
     if direction not in ("up", "down", "both"):
         raise ValueError("direction must be 'up', 'down' or 'both'")
-    grid = np.sort(np.asarray(delta0_grid, dtype=float))
-    # the stable branches (at most two) over the whole grid, inf where one
-    # has no root.  V is even, so beta < 0 mirrors (-delta0, -beta)
-    sign = -1.0 if beta < 0.0 else 1.0
-    branches = np.array([_segment_roots(profile, sign * beta, sign * grid, seg)
-                         for seg in _segments(profile, sign * beta)])
-    if grid.size == 0:
-        return np.empty((0, 2))
-    up, down, out = slice(None), slice(None, None, -1), []
-    for run in {"up": [up], "down": [down], "both": [up, down]}[direction]:
-        pts, b = grid[run], branches[:, run]
-        u_lin = profile_value(profile, profile.kappa * pts[0])
-        k = np.argmin(np.abs(b[:, 0] - u_lin))
-        # in the sweep's direction a branch's roots end only at its fold
-        u = np.where(np.isfinite(b[k]), b[k], b[-1 - k])
-        out.append(np.column_stack((pts, u)))
-    return np.concatenate(out)
+    betas = np.asarray(beta, dtype=float)
+    if betas.ndim > 1 or not np.isfinite(betas).all():
+        raise ValueError("beta must be finite, a number or a 1-d array")
+    grid = np.asarray(delta0_grid, dtype=float)
+    if grid.ndim != 1 or not np.isfinite(grid).all():
+        raise ValueError("delta0_grid must be a 1-d array of finite values")
+    grid = np.sort(grid)
+    up, down = slice(None), slice(None, None, -1)
+    runs = {"up": [up], "down": [down], "both": [up, down]}[direction]
+    out = np.empty((betas.size, len(runs) * grid.size, 2))
+    if grid.size:
+        # the stable branches (at most two) of each drive, inf where one
+        # has no root.  V is even, so beta < 0 mirrors (-delta0, -beta)
+        signs = np.where(betas.ravel() < 0.0, -1.0, 1.0)
+        branches = _branches(profile, signs * betas.ravel(),
+                             [sign * grid for sign in signs])
+        for scan, b_all in zip(out, branches):
+            for rows, run in zip(np.split(scan, len(runs)), runs):
+                pts, b = grid[run], b_all[:, run]
+                u_lin = profile_value(profile, profile.kappa * pts[0])
+                k = np.argmin(np.abs(b[:, 0] - u_lin))
+                # in the sweep's direction a branch's roots end only at its
+                # fold
+                rows[:, 0] = pts
+                rows[:, 1] = np.where(np.isfinite(b[k]), b[k], b[-1 - k])
+    return out.reshape(betas.shape + out.shape[1:])

@@ -68,11 +68,8 @@ def stable_roots(profile, delta0, beta):
     (beta < 0 mirrors (-delta0, -beta), as there)."""
     if beta < 0.0:
         delta0, beta = -delta0, -beta
-    return sorted(
-        float(u) for seg in steady_state._segments(profile, beta)
-        for u in steady_state._segment_roots(profile, beta,
-                                              np.array([delta0]), seg)
-        if np.isfinite(u))
+    [branches] = steady_state._branches(profile, [beta], [np.array([delta0])])
+    return sorted(float(u) for u in branches[:, 0] if np.isfinite(u))
 
 
 def probe_potential(theta, displacement, nbar, cavity):

@@ -247,6 +247,10 @@ class TestConfigErrors:
          "100 kHz"),
         ("fig_ringdown.yaml", "trigger", "trigger.n0", 0),
         ("fig_lineshapes.yaml", "lineshape", "lineshape.n_max", [-0.5, 0.2]),
+        # an empty list would write a header-only CSV, and derived would
+        # drop beta_per_n_max
+        ("fig_lineshapes.yaml", "lineshape", "lineshape.n_max", []),
+        ("fig_lineshapes.yaml", "derived", "lineshape.n_max", []),
         ("fig_ringdown.yaml", "ringdown", "ringdown.duration", "-1 ms"),
     ])
     def test_bad_key_exit_2_before_any_output(self, tmp_path, capsys, config,
@@ -396,7 +400,7 @@ TRIGGER_RANGES = {
     "trigger.smoothing_time": ("us", 0.0, 1000.0, "nonnegative"),
     "trigger.efficiency": ("", 0.0, 1.0, "fraction"),
 }
-# the steady-state scenarios' sections: a "list" is up to three numbers in
+# the steady-state scenarios' sections: a "list" is one to three numbers in
 # the range, and a "choice" one of its two ends
 LINESHAPE_RANGES = {
     "lineshape.delta_pc_start": ("MHz", 0.0, 500.0, "any"),
@@ -438,7 +442,7 @@ _NEVER_VALID = ("1.5 parsec", "lots", True, False)
 _RULE_INVALID = {"positive": (0, -1.5, "-2 MHz"), "nonnegative": (-1.5,),
                  "nonzero": (0, "0 GHz"), "count": (0, -3, 2.5),
                  "fraction": (-0.5, 1.5), "any": (),
-                 "list": ([-0.5], ["lots"], 2.0), "choice": ("sideways",),
+                 "list": ([-0.5], ["lots"], 2.0, []), "choice": ("sideways",),
                  "flag": (0, 1, "true")}
 
 
@@ -459,7 +463,8 @@ def drawn_values(draw, ranges):
             out[key] = (draw(st.integers(lo, hi)), True)
             continue
         if rule == "list":
-            out[key] = (draw(st.lists(st.floats(lo, hi), max_size=3)), True)
+            out[key] = (draw(st.lists(st.floats(lo, hi), min_size=1,
+                                      max_size=3)), True)
             continue
         if rule in ("choice", "flag"):
             out[key] = (draw(st.sampled_from([lo, hi])), True)
@@ -627,8 +632,6 @@ class TestConfigBoundary:
         assert code == 0, err
         assert [f.name for f in files] == ["run"]
         _, names, rows = read_csv(files[0])
-        if not rows:                # an empty lineshape.n_max list
-            return
         col = dict(zip(names, map(np.array, zip(*rows))))
         system, dn = cli._system(cfg)
         profile = cavkerr.ResponseProfile.from_cavity(system.cavity)

@@ -719,29 +719,55 @@ def config_scans(name):
 
 
 class SolverWork:
-    """Records each _segment_roots call's _curve calls: the Newton
-    evaluations (order 1), one size per iteration, and all calls."""
+    """Records each _branches call's root solve: its _bracketed_root calls,
+    its _curve calls (all of them, and the size of each Newton evaluation,
+    order 1, one a iteration), and not the fold solves of _segments."""
 
     def __init__(self, monkeypatch):
         self.solves = []
-        curve, segment_roots = steady_state._curve, steady_state._segment_roots
+        curve, branches = steady_state._curve, steady_state._branches
+        root, segments = steady_state._bracketed_root, steady_state._segments
+
+        def counting():
+            """The solve being recorded: None outside _branches and inside
+            its _segments."""
+            solve = self.solves[-1] if self.solves else None
+            return solve if solve and solve["open"] else None
 
         def counted_curve(p, x, order):
-            if self.solves and self.solves[-1]["open"]:
-                self.solves[-1]["calls"] += 1
+            if solve := counting():
+                solve["calls"] += 1
                 if order == 1:
-                    self.solves[-1]["newton"].append(np.size(x))
+                    solve["newton"].append(np.size(x))
             return curve(p, x, order)
 
-        def counted_roots(*args):
-            self.solves.append({"open": True, "calls": 0, "newton": []})
+        def counted_root(*args, **kwargs):
+            if solve := counting():
+                solve["roots"] += 1
+            return root(*args, **kwargs)
+
+        def uncounted_segments(*args):
+            solve = counting()
+            if solve:
+                solve["open"] = False
             try:
-                return segment_roots(*args)
+                return segments(*args)
+            finally:
+                if solve:
+                    solve["open"] = True
+
+        def counted_branches(*args):
+            self.solves.append({"open": True, "calls": 0, "roots": 0,
+                                "newton": []})
+            try:
+                return branches(*args)
             finally:
                 self.solves[-1]["open"] = False
 
         monkeypatch.setattr(steady_state, "_curve", counted_curve)
-        monkeypatch.setattr(steady_state, "_segment_roots", counted_roots)
+        monkeypatch.setattr(steady_state, "_bracketed_root", counted_root)
+        monkeypatch.setattr(steady_state, "_segments", uncounted_segments)
+        monkeypatch.setattr(steady_state, "_branches", counted_branches)
 
     def entry_iterations(self):
         """Newton evaluations of every entry: the live set only shrinks, so
@@ -752,6 +778,12 @@ class SolverWork:
             for k in range(len(sizes) - 1):
                 out += [k + 1] * (sizes[k] - sizes[k + 1])
         return out
+
+
+def root_count(profile, beta, grid):
+    """The finite roots of every stable segment at beta over the grid."""
+    [branches] = steady_state._branches(profile, [beta], [grid])
+    return int(np.isfinite(branches).sum())
 
 
 class TestSolverWork:
@@ -770,13 +802,29 @@ class TestSolverWork:
             # the table, the Newton steps and u at the roots
             assert max(s["calls"] for s in work.solves) <= 10
             # every root of every stable segment is counted once
-            assert len(iterations) == sum(
-                int(np.isfinite(steady_state._segment_roots(
-                    profile, beta, grid, seg)).sum())
-                for seg in steady_state._segments(profile, beta))
+            assert len(iterations) == root_count(profile, beta, grid)
             d0, u = scan.T
             res = np.abs(u - profile_value(profile, KAPPA * (d0 + beta * u)))
             assert np.max(res) <= 1e-13
+
+    def test_every_drive_and_segment_in_one_newton_solve(self, monkeypatch):
+        # the three drives, the last with two stable segments, were five
+        # tables and five Newton solves, one per segment
+        profile, scans = config_scans("fig_lineshapes")
+        betas, grid = np.array([beta for beta, _ in scans]), scans[0][1]
+        work = SolverWork(monkeypatch)
+        scan = lineshape_scan(profile, betas, grid, "up")
+        [solve] = work.solves
+        assert solve["roots"] == 1
+        assert max(work.entry_iterations()) <= 8
+        # the table, the Newton steps and u at the roots
+        assert solve["calls"] <= 10
+        assert len(work.entry_iterations()) == sum(
+            root_count(profile, beta, grid) for beta in betas) == 3603
+        d0, u = scan[..., 0], scan[..., 1]
+        x = d0 + betas[:, None] * u
+        res = np.abs(u - profile_value(profile, KAPPA * x))
+        assert np.max(res) <= 1e-13
 
     @pytest.mark.parametrize("name, index, delta0, segment", [
         # F's terms are ~10, so F rounds at ~2e-15 and Newton's step stalls
@@ -790,11 +838,11 @@ class TestSolverWork:
                                                  segment, monkeypatch):
         profile, scans = config_scans(name)
         beta = scans[index][0]
-        seg = steady_state._segments(profile, beta)[segment]
         work = SolverWork(monkeypatch)
-        u = steady_state._segment_roots(profile, beta, np.array([delta0]), seg)
+        [u] = steady_state._branches(profile, [beta], [np.array([delta0])])
         assert len(work.solves[0]["newton"]) <= 8
-        res = abs(u[0] - profile_value(profile, KAPPA * (delta0 + beta * u[0])))
+        u = u[segment, 0]
+        res = abs(u - profile_value(profile, KAPPA * (delta0 + beta * u)))
         assert res <= 1e-13
 
 
@@ -813,8 +861,7 @@ def per_point_scan(profile, beta, grid, direction):
                                                    flipped)]
     if direction == "down":
         grid = grid[::-1]
-    branches = [steady_state._segment_roots(profile, beta, grid, seg).tolist()
-                for seg in steady_state._segments(profile, beta)]
+    branches = steady_state._branches(profile, [beta], [grid])[0].tolist()
     u_lin = profile_value(profile, profile.kappa * grid[0])
     k = min(range(len(branches)), key=lambda k: abs(branches[k][0] - u_lin))
     out = []
@@ -875,14 +922,84 @@ class TestBranchPick:
                 per_point_scan(profile, beta, grid, direction))
             if first is not None:
                 b, d0 = first
-                starts.append(sum(
-                    np.isfinite(steady_state._segment_roots(
-                        profile, b, np.array([d0]), seg)[0])
-                    for seg in steady_state._segments(profile, b)))
+                starts.append(root_count(profile, b, np.array([d0])))
         assert len(cases) >= 60
         assert any(beta < 0 for _, beta, *_ in cases)
         # both branches at the start of 24 scans, one at the other 24
         assert starts == [2] * 24 + [1] * 24
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestOneSolve:
+    # one scan over an array of betas solves every drive and segment at
+    # once; each drive's rows must keep the bits of its own scan
+    @pytest.mark.parametrize("case", ["fig_lineshapes", "fig_hysteresis",
+                                      "fig_subphoton", "missing_segment",
+                                      "empty_grid"])
+    @pytest.mark.parametrize("direction", ["up", "down", "both"])
+    def test_array_beta_keeps_each_drives_bits(self, case, direction):
+        profile, scans = config_scans(
+            case if case.startswith("fig_") else "fig_lineshapes")
+        if case.startswith("fig_"):
+            # the config's drives, the last mirrored, zero and one below
+            # threshold, over the config's grid
+            grid, betas = scans[0][1], [beta for beta, _ in scans]
+            betas += [-betas[-1], 0.0, 0.5 * bistability_threshold(profile)]
+        elif case == "missing_segment":
+            # the lower segment at beta 9.5 ends at delta0 -6.03, below the
+            # grid, so it has no root
+            grid, betas = np.linspace(-2.0, 6.0, 401), [9.5, -9.5, 0.0, 2.0]
+        else:
+            grid, betas = np.array([]), [9.5, -9.5, 0.0]
+        scan = lineshape_scan(profile, np.array(betas), grid, direction)
+        rows = grid.size * (2 if direction == "both" else 1)
+        assert scan.shape == (len(betas), rows, 2)
+        for k, beta in enumerate(betas):
+            alone = lineshape_scan(profile, beta, grid, direction)
+            assert alone.shape == (rows, 2)
+            assert np.array_equal(bits(scan[k]), bits(alone))
+
+    def test_missing_segment_case_has_one(self):
+        profile, _ = config_scans("fig_lineshapes")
+        grid = np.linspace(-2.0, 6.0, 401)
+        [branches] = steady_state._branches(profile, [9.5], [grid])
+        assert np.isfinite(branches).sum(axis=1).tolist() == [0, 401]
+
+    def test_sweep_takes_a_drive_per_row(self):
+        from cavkerr.dynamics import quasi_static_sweep
+        profile, scans = config_scans("fig_lineshapes")
+        betas = np.array([beta for beta, _ in scans])
+        n_max = np.array([0.06, 0.20, 0.56])
+        dpc = np.linspace(-165e6, -135e6, 301) * TWO_PI
+        dn = -TWO_PI * 148e6
+        both = quasi_static_sweep(profile, betas, dpc, n_max, dn, "down")
+        for k in range(betas.size):
+            alone = quasi_static_sweep(profile, betas[k], dpc, n_max[k], dn,
+                                       "down")
+            for a, b in zip(both, alone):
+                assert np.array_equal(bits(a[k]), bits(b))
+
+
+class TestScanInputs:
+    @pytest.mark.parametrize("grid", [[np.nan], [np.inf], [0.0, -np.inf],
+                                      [[0.0, 1.0]], 0.5])
+    def test_grid_must_be_1d_and_finite(self, grid, monkeypatch):
+        # [nan] returned [[nan, inf]], [inf] [[inf, inf]], and [[0, 1]] one
+        # row [[0, 1, u(0), u(1)]]; now nothing is computed
+        def no_compute(*args):
+            raise AssertionError("computed before the input check")
+
+        monkeypatch.setattr(steady_state, "_curve", no_compute)
+        with pytest.raises(ValueError, match="delta0_grid"):
+            lineshape_scan(ResponseProfile(1.0, 1.6667), 1.0, grid)
+
+    @pytest.mark.parametrize("beta", [[1.0, np.nan], [[1.0, 2.0]]])
+    def test_betas_must_be_finite_and_1d(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            lineshape_scan(ResponseProfile(1.0, 1.6667), beta, [0.0, 1.0])
 
 
 def test_import_leaves_out_scipy():
