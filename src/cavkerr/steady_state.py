@@ -110,7 +110,8 @@ _W_RSQRTPI = 1.0 / math.sqrt(math.pi)
 _W_SCALAR_MAX = 32
 # Longer inputs go in blocks on nine reused buffers (1.2 MB, inside a core's
 # 2 MB L2): 100k points took 4.7-5.7 ms at this size, 4.6-5.8 at 24576,
-# 5.6-7.4 at 8192 and 10.8-11.4 ms in one piece (fastest of 40 passes).
+# 5.6-7.4 at 8192 and 10.8-11.4 ms in one piece (fastest of 40 passes, at
+# the alignment the heap gave; _cache_lines now sets it).
 _W_BLOCK = 16384
 
 
@@ -151,13 +152,26 @@ def _faddeeva_parts(x, y):
     return tr * dr - ti * di, ti * dr + tr * di
 
 
+def _cache_lines(rows: int, n: int) -> np.ndarray:
+    """An empty (rows, n) float array, each row starting on a 64-byte
+    boundary: a cache line, and one AVX-512 vector.  The heap aligns arrays
+    to 16 bytes only, and 100k points took 5.6 ms with the buffers at 16
+    mod 64 against 3.8 ms aligned (fastest of 200, 2 vCPU Xeon); which a
+    run got followed the heap's history, so any change could move it."""
+    width = -(-n // 8) * 8
+    raw = np.empty(rows * width + 7)
+    start = -raw.__array_interface__["data"][0] % 64 // 8
+    return raw[start:start + rows * width].reshape(rows, width)[:, :n]
+
+
 def _faddeeva_blocks(x, y, both=True):
     """_faddeeva_parts over a 1-d float array x, y a float or an array like
     x: its operations in its order, so its bits, block by block into nine
     buffers that every step and block reuse.  Im w is None unless both."""
     s, mul, add, sub = _W_L + y, np.multiply, np.add, np.subtract
-    re, im = np.empty(x.size), np.empty(x.size) if both else None
-    buf = np.empty((9, min(x.size, _W_BLOCK)))
+    out = _cache_lines(2 if both else 1, x.size)
+    re, im = out[0], out[1] if both else None
+    buf = _cache_lines(9, min(x.size, _W_BLOCK))
     for i in range(0, x.size, _W_BLOCK):
         part = slice(i, i + _W_BLOCK)
         xb, sb = x[part], s[part] if np.ndim(s) else s

@@ -168,6 +168,16 @@ class TestFaddeeva:
             exp = exp / peak
             assert np.max(np.abs(got - exp)) <= 2e-13 * np.max(np.abs(exp))
 
+    @pytest.mark.parametrize("rows, n", [(9, steady_state._W_BLOCK),
+                                         (2, 3603), (9, 33)])
+    def test_buffers_start_on_cache_lines(self, rows, n):
+        # the kernel's speed must not follow the heap's 16-byte alignment
+        buf = steady_state._cache_lines(rows, n)
+        assert buf.shape == (rows, n)
+        assert all(row.flags.c_contiguous for row in buf)
+        assert [row.__array_interface__["data"][0] % 64 for row in buf] \
+            == [0] * rows
+
     @pytest.mark.parametrize("size", [steady_state._W_BLOCK - 1,
                                       steady_state._W_BLOCK + 1,
                                       2 * steady_state._W_BLOCK + 1])
