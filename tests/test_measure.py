@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,27 @@ class TestWholeBins:
     def test_nonpositive_bin_width_rejected(self, bin_width):
         with pytest.raises(ValueError, match="bin_width must be positive"):
             measure.whole_bins(1e-3, bin_width)
+
+
+class TestCountRecord:
+    @pytest.mark.parametrize("bin_width", [0.0, -1e-5, np.inf, np.nan])
+    def test_bin_width_positive_and_finite(self, bin_width):
+        with pytest.raises(ValueError, match="bin_width must be positive"):
+            CountRecord(bin_width, np.array([1, 2]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_float_counts_finite(self, bad):
+        with pytest.raises(ValueError, match="counts must be finite"):
+            CountRecord(1e-5, np.array([1.0, bad, 2.0]))
+
+    @pytest.mark.parametrize("counts", [np.array([1, -1]),
+                                        np.array([0.5, -0.5])])
+    def test_counts_nonnegative(self, counts):
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            CountRecord(1e-5, counts)
+
+    def test_empty_record(self):
+        assert CountRecord(1e-5, np.array([], dtype=np.int64)).times.size == 0
 
 
 class TestCountMonteCarlo:
@@ -436,6 +458,96 @@ class TestTriggerSequence:
                                       **kwargs)
             assert result.trigger_time == counts.times[first]
 
+    @staticmethod
+    def whole_array_shot(n0, loss_rate, cavity, drive, bin_width, n_bins,
+                         seed, smoothing_time):
+        """The shot in one piece: every bin's centre, drift, profile value
+        and Poisson draw in one array each, then the cumsum window.  Returns
+        (counts, centres, shifts, smoothed rates)."""
+        centers = (np.arange(n_bins) + 0.5) * bin_width
+        dn = collective_shift(n0 * np.exp(-loss_rate * centers), cavity.g0,
+                              cavity.delta_ca)
+        nbar = drive.n_max * profile_value(ResponseProfile.from_cavity(cavity),
+                                           drive.delta_pc - dn)
+        counts = np.random.default_rng(seed).poisson(
+            2.0 * cavity.kappa * nbar * 0.05 * bin_width)
+        n = max(1, int(round(smoothing_time / bin_width)))
+        running = np.cumsum(counts)
+        window = running.copy()
+        window[n:] -= running[:-n]
+        return counts, centers, dn, window / (n * bin_width)
+
+    @pytest.mark.parametrize("n_bins, smoothing_time, fire", [
+        (2 * 16384, 100e-6, "first"), (2 * 16384, 100e-6, 16384),
+        (2 * 16384, 100e-6, "never"), (2 * 16384 + 1, 100e-6, 16384),
+        (2 * 16384 + 20, 100e-6, 2 * 16384), (2 * 16384 + 20, 3e-3, "never"),
+        (1, 100e-6, "first"), (1, 100e-6, "never"),
+        (2 * 16384, 0.2, "first"), (2 * 16384, 0.2, 16384)])
+    def test_blocks_equal_the_whole_array_shot(self, cavity260, n_bins,
+                                               smoothing_time, fire):
+        # blocks of 16384 bins: a last block of 20 takes the scalar profile
+        # path, and a 0.2 s window (20 000 bins) is longer than a block.  An
+        # int `fire` is a block's first bin: the shot fires within one window
+        # of it, so the window reads running sums carried across the edge.
+        # The shift crosses the line in about 8 bins, resonant at bin 0 or
+        # just after the window that starts at `fire`, so the average rises
+        # steeply through that window
+        assert measure.TRIGGER_BLOCK == 16384
+        _, drive, _ = self.setup_context(cavity260)
+        n_res = drive.delta_pc * 2 * cavity260.delta_ca / cavity260.g0**2
+        bin_width, loss_rate = 10e-6, 500.0
+        n = max(1, round(smoothing_time / bin_width))
+        t_res = (0.0 if isinstance(fire, str)
+                 else (fire + min(n, 10) + 4) * bin_width)
+        drift = (n_res * math.exp(loss_rate * t_res), loss_rate)
+        for seed in (3, 4, 5):
+            shot = dict(bin_width=bin_width, seed=seed,
+                        smoothing_time=smoothing_time)
+            counts, centers, dn, smoothed = self.whole_array_shot(
+                *drift, cavity260, drive, n_bins=n_bins, **shot)
+            if fire == "never":
+                threshold = 2 * smoothed.max()
+            elif fire == "first":
+                threshold = smoothed[:8192].max()
+            else:
+                threshold = smoothed[fire + np.argmax(
+                    smoothed[fire:] > smoothed[:fire].max())]
+            above = np.flatnonzero(smoothed >= threshold)
+            result = trigger_sequence(*drift, cavity260, drive, threshold,
+                                      horizon=n_bins * bin_width, **shot)
+            assert result.counts.counts.dtype == np.int64
+            assert np.array_equal(result.counts.counts, counts)
+            if fire == "never":
+                assert above.size == 0
+                assert result.trigger_time is None
+                assert result.conditioned_delta_n is None
+                continue
+            first = above[0]
+            low = 0 if fire == "first" else fire
+            assert low <= first < low + (16384 if fire == "first" else n)
+            assert result.trigger_time == centers[first]
+            assert result.conditioned_delta_n == dn[first]
+
+    def test_temporaries_do_not_grow_with_the_horizon(self, cavity260):
+        # 100 000 and 400 000 bins: past the record's counts, a shot's peak
+        # is its blocks' temporaries
+        drift, drive, _ = self.setup_context(cavity260)
+        trigger_sequence(*drift, cavity260, drive, 1.0e6, horizon=0.01)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for horizon in (1.0, 4.0):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                result = trigger_sequence(*drift, cavity260, drive, 1.0e6,
+                                          bin_width=10e-6, horizon=horizon)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                peaks.append(peak - result.counts.counts.nbytes)
+                del result
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.1)
+
     @pytest.mark.parametrize("horizon, bin_width, n_bins", [
         (1.0, 2e-6, 500_000), (1.0, 1e-5, 100_000), (0.3, 1e-5, 30_000),
         (1.000005, 1e-5, 100_001), (3e-6, 2e-6, 2)])
@@ -500,6 +612,30 @@ class TestTriggerSequence:
         monkeypatch.setattr(measure, "profile_value", profile_pass)
         with pytest.raises(ValueError, match="n0 > 0 and loss_rate >= 0"):
             trigger_sequence(n0, loss_rate, cavity260, drive, 1.0e6)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("bin_width", 0.0, "positive and finite"),
+        ("bin_width", -1e-5, "positive and finite"),
+        ("bin_width", np.inf, "positive and finite"),
+        ("bin_width", np.nan, "positive and finite"),
+        ("horizon", 0.0, "positive and finite"),
+        ("horizon", -1.0, "positive and finite"),
+        ("horizon", np.inf, "positive and finite"),
+        ("horizon", np.nan, "positive and finite"),
+        ("smoothing_time", -1.0, "nonnegative and finite"),
+        ("smoothing_time", np.inf, "nonnegative and finite"),
+        ("smoothing_time", np.nan, "nonnegative and finite")])
+    def test_grid_checked_before_the_profile_pass(self, cavity260,
+                                                  monkeypatch, name, value,
+                                                  message):
+        drift, drive, _ = self.setup_context(cavity260)
+
+        def profile_pass(*args):
+            pytest.fail("the profile pass ran before the grid check")
+
+        monkeypatch.setattr(measure, "profile_value", profile_pass)
+        with pytest.raises(ValueError, match=f"{name} must be {message}"):
+            trigger_sequence(*drift, cavity260, drive, 1.0e6, **{name: value})
 
     @pytest.mark.parametrize("threshold_rate", [0.0, -1.0, np.nan])
     def test_threshold_checked_before_the_profile_pass(self, cavity260,
